@@ -98,6 +98,8 @@ def _eval_angle(expr: str) -> float:
         while peek() in "*/":
             op = pop()
             rhs = atom()
+            if op == "/" and rhs == 0:
+                raise QasmParseError(f"division by zero in {expr!r}")
             val = val * rhs if op == "*" else val / rhs
         return val
 
@@ -112,6 +114,8 @@ def _eval_angle(expr: str) -> float:
     result = add()
     if pop() != "$":
         raise QasmParseError(f"trailing tokens in {expr!r}")
+    if not math.isfinite(result):
+        raise QasmParseError(f"angle {expr!r} is not finite")
     return result
 
 
@@ -144,7 +148,11 @@ def parse_qasm(text: str) -> Circuit:
             if m:
                 if n_qubits is None:
                     raise QasmParseError("gate before qreg declaration")
-                gates.append(Cnot(int(m.group(2)) + 1, int(m.group(4)) + 1))
+                control = _qubit(m.group(2), n_qubits)
+                target = _qubit(m.group(4), n_qubits)
+                if control == target:
+                    raise QasmParseError(f"cx control and target are both q[{control - 1}]")
+                gates.append(Cnot(control, target))
                 continue
             m = _U_RE.fullmatch(stmt)
             if m:
@@ -154,12 +162,21 @@ def parse_qasm(text: str) -> Circuit:
                 if len(args) != 3:
                     raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
                 theta, phi, lam = (_eval_angle(a) for a in args)
-                gates.append(OneQubitGate(int(m.group(4)) + 1, u3_matrix(theta, phi, lam)))
+                target = _qubit(m.group(4), n_qubits)
+                gates.append(OneQubitGate(target, u3_matrix(theta, phi, lam)))
                 continue
             raise QasmParseError(f"unsupported statement {stmt!r}")
     if n_qubits is None:
         raise QasmParseError("missing qreg declaration")
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+
+
+def _qubit(index: str, n_qubits: int) -> int:
+    """1-based qubit for a register index, checked against the qreg size."""
+    q = int(index)
+    if q >= n_qubits:
+        raise QasmParseError(f"qubit q[{q}] outside qreg q[{n_qubits}]")
+    return q + 1
 
 
 def _split_args(text: str) -> list[str]:

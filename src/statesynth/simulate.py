@@ -2,7 +2,8 @@
 
 Amplitude index i labels the basis state whose binary expansion, most
 significant bit first, gives the values of qubits 1..n.  Gates are applied
-with in-place amplitude-pair updates; no 2^n x 2^n matrices are formed.
+with in-place amplitude-pair updates, to one state or to a stack of states
+held as columns; no 2^n x 2^n gate matrices are formed.
 """
 
 import json
@@ -26,7 +27,7 @@ def num_qubits(state: np.ndarray) -> int:
 def require_normalized(state: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
         raise NotNormalizedError(f"state norm {norm!r} deviates from 1 by more than {tol:.1e}")
     return state
 
@@ -38,17 +39,17 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, target: int, n: int) -> None:
+def _apply_1q(state: np.ndarray, matrix: np.ndarray, target: int, shape: list) -> None:
     # moveaxis yields a non-contiguous view; assign through it slab-wise
-    view = np.moveaxis(state.reshape([2] * n), target - 1, 0)
+    view = np.moveaxis(state.reshape(shape), target - 1, 0)
     a0 = view[0].copy()
     a1 = view[1].copy()
     view[0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
     view[1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> None:
-    view = state.reshape([2] * n)
+def _apply_cnot(state: np.ndarray, control: int, target: int, shape: list) -> None:
+    view = state.reshape(shape)
     view = np.moveaxis(view, (control - 1, target - 1), (0, 1))
     tmp = view[1, 0].copy()
     view[1, 0] = view[1, 1]
@@ -56,18 +57,23 @@ def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> None:
 
 
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the circuit's gates in order to the input state."""
+    """Apply the circuit's gates in order to the input state.
+
+    ``state`` is one state of shape (2^n,) or a stack of states as the
+    columns of a (2^n, batch) array; every column is evolved independently.
+    """
     state = np.array(state, dtype=complex)
     n = num_qubits(state)
     if n != c.n_qubits:
         raise DimensionMismatchError(
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
+    shape = [2] * n + list(state.shape[1:])
     for g in c.gates:
         if isinstance(g, Cnot):
-            _apply_cnot(state, g.control, g.target, n)
+            _apply_cnot(state, g.control, g.target, shape)
         else:
-            _apply_1q(state, g.matrix, g.target, n)
+            _apply_1q(state, g.matrix, g.target, shape)
     return state
 
 
@@ -82,13 +88,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full matrix of the circuit, column j = action on basis state j."""
-    dim = 1 << c.n_qubits
-    out = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[j] = 1.0
-        out[:, j] = run(c, basis)
-    return out
+    return run(c, np.eye(1 << c.n_qubits, dtype=complex))
 
 
 def state_to_json(state: np.ndarray) -> str:
@@ -116,7 +116,7 @@ def state_from_json(text: str, normalize: bool = False) -> np.ndarray:
     state = np.array([complex(re, im) for re, im in amps])
     norm = np.linalg.norm(state)
     if normalize:
-        if norm == 0:
-            raise NotNormalizedError("cannot normalize the zero vector")
+        if norm == 0 or not np.isfinite(norm):
+            raise NotNormalizedError(f"cannot normalize a state of norm {norm!r}")
         return state / norm
     return require_normalized(state)

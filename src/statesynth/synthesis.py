@@ -14,7 +14,6 @@ import numpy as np
 from .circuit import Circuit, Cnot, OneQubitGate
 from .errors import BadDimensionError, BadLengthError, NotNormalizedError, SynthesisError
 from .linalg import cosine_sine, require_unitary, svd, unitary_eig
-from .sampling import haar_unitary
 from .simulate import circuit_unitary
 from .twoqubit import (
     _H,
@@ -292,11 +291,8 @@ def synth_kq_unitary(u: np.ndarray) -> Circuit:
     The cosine-sine recursion leaves generic two-qubit blocks on the two
     least significant qubits; all but the first are rewritten as a diagonal
     times a two-CNOT circuit, with the diagonal commuted into the previous
-    block.  The diagonal split has no exact solution for blocks that sit a
-    hair off the controlled-diagonal stratum, so a failed split retries the
-    whole recursion under a deterministic random one-qubit change of frame,
-    which costs no extra CNOTs.  The emitted count never exceeds the
-    closed-form ceiling and matches it exactly for generic inputs.
+    block.  The emitted count never exceeds the closed-form ceiling and
+    matches it exactly for generic inputs.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -310,38 +306,13 @@ def synth_kq_unitary(u: np.ndarray) -> Circuit:
         return Circuit(1, (OneQubitGate(1, u),))
     if k == 2:
         return synth_2q_unitary(u)
-    last_error = None
-    for attempt in range(4):
-        if attempt == 0:
-            pre = post = None
-            target = u
-        else:
-            rng = np.random.default_rng([2718, k, attempt])
-            pre = [haar_unitary(2, rng) for _ in range(k)]
-            post = [haar_unitary(2, rng) for _ in range(k)]
-            left = pre[0]
-            right = post[0]
-            for i in range(1, k):
-                left = np.kron(left, pre[i])
-                right = np.kron(right, post[i])
-            target = left @ u @ right
-        try:
-            gates = _qsd_gates(target, k)
-        except SynthesisError as exc:
-            last_error = exc
-            continue
-        if attempt > 0:
-            before = [OneQubitGate(i + 1, post[i].conj().T) for i in range(k)]
-            after = [OneQubitGate(i + 1, pre[i].conj().T) for i in range(k)]
-            gates = before + gates + after
-        n_cnots = sum(1 for g in gates if isinstance(g, Cnot))
-        if n_cnots > unitary_cnot_ceiling(k):
-            last_error = SynthesisError(
-                f"emitted {n_cnots} CNOTs, above the ceiling {unitary_cnot_ceiling(k)}"
-            )
-            continue
-        return Circuit(k, tuple(gates))
-    raise last_error
+    gates = _qsd_gates(u, k)
+    n_cnots = sum(1 for g in gates if isinstance(g, Cnot))
+    if n_cnots > unitary_cnot_ceiling(k):
+        raise SynthesisError(
+            f"emitted {n_cnots} CNOTs, above the ceiling {unitary_cnot_ceiling(k)}"
+        )
+    return Circuit(k, tuple(gates))
 
 
 def verify_unitary_circuit(circ: Circuit, u: np.ndarray) -> float:

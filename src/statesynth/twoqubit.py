@@ -1,14 +1,14 @@
 """Two-qubit unitary synthesis with at most three CNOTs.
 
-The entangling content of a 4x4 unitary is classified through the spectrum of
-gamma(U) = (E^dag U E)(E^dag U E)^T in the magic (Bell) basis, following the
-standard canonical-decomposition theory.  Inputs needing 0, 1 or 2 CNOTs get
-dedicated constructions; the generic case uses a full Cartan decomposition
-U = (A1 x A2) exp(i(hx XX + hy YY + hz ZZ)) (B1 x B2) built from a
-bidiagonalization of the magic-basis image by real orthogonal factors.
+Every two-qubit block goes through one Cartan decomposition
+U = phase * (A1 x A2) exp(i(hx XX + hy YY + hz ZZ)) (B1 x B2), built from a
+real orthogonal diagonalization of the magic-basis (Bell-basis) image.  The
+coordinates h, reduced modulo pi/2 into [-pi/4, pi/4], fix the CNOT count of
+the circuit built from the same factors: none when all vanish, one for a
+single +-pi/4, two when any vanishes and three otherwise.
 
 Every synthesized circuit is verified against the input before it is
-returned; a failed special case falls back to the generic three-CNOT path.
+returned.
 """
 
 import cmath
@@ -28,15 +28,17 @@ MAGIC = np.array(
 MAGIC_DAG = MAGIC.conj().T
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _S = np.diag([1.0, 1j])
+_SQRT_X = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)
 
-CNOT_12 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-CNOT_21 = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
+# XX, YY, ZZ: the interaction axes of the Cartan coordinates
+_AXES = tuple(np.kron(p, p) for p in (_X, _Y, _Z))
+
+# c with (c x c) exchanging two interaction axes and fixing the third
+_AXIS_SWAP = {(0, 1): _S, (1, 2): _SQRT_X, (0, 2): _H}
 
 # eigenvector basis of ZX = iY, used when a CZ is merged into a trailing CNOT
 _G_MERGE = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
@@ -52,8 +54,13 @@ _PATTERN = np.array(
     ]
 )
 
-_CLASS_TOL = 1e-7
+# a reduced coordinate within _CLASS_TOL of 0 or +-pi/4 is moved onto that
+# value, which moves the matrix by about as much, well inside _VERIFY_TOL; the
+# up-to-diagonal split drives its smallest coordinate below _TWIST_TOL
+_CLASS_TOL = 1e-10
+_TWIST_TOL = 1e-13
 _VERIFY_TOL = 1e-9
+_ROOT_MAX_ITER = 100
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -149,20 +156,6 @@ def _orth_diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, eig
 
 
-def _match_order(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Permutation perm with values[perm] ~ reference, matched greedily."""
-    perm = np.empty(len(reference), dtype=int)
-    used = np.zeros(len(values), dtype=bool)
-    for i, ref in enumerate(reference):
-        dist = np.where(used, np.inf, np.abs(values - ref))
-        j = int(np.argmin(dist))
-        if dist[j] > 1e-4:
-            raise SynthesisError("gamma spectra do not match")
-        perm[i] = j
-        used[j] = True
-    return perm
-
-
 def _tensor_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors (a, b) with a (x) b == m, for m an exact tensor product."""
     r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -172,121 +165,6 @@ def _tensor_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = (u_[:, 0] * np.sqrt(s_[0])).reshape(2, 2)
     b = (vh_[0] * np.sqrt(s_[0])).reshape(2, 2)
     return a, b
-
-
-def _extract_prefactors(
-    u_su4: np.ndarray, v_su4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One-qubit factors A,B,C,D with (A x B) V (C x D) == U.
-
-    U and V must lie in the same canonical class (equal gamma spectra), both
-    with determinant one.
-    """
-    u = MAGIC_DAG @ u_su4 @ MAGIC
-    v = MAGIC_DAG @ v_su4 @ MAGIC
-    p, eig_u = _orth_diagonalize(u @ u.T)
-    q, eig_v = _orth_diagonalize(v @ v.T)
-    perm = _match_order(eig_v, eig_u)
-    p = p[:, perm]
-    if np.linalg.det(p) < 0:
-        p[:, 0] = -p[:, 0]
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    g = p @ q.T
-    h = v.conj().T @ g.T @ u
-    if np.max(np.abs(h.imag)) > 1e-6:
-        raise SynthesisError("local factor is not real orthogonal")
-    ab = MAGIC @ g @ MAGIC_DAG
-    cd = MAGIC @ h.real @ MAGIC_DAG
-    a, b = _tensor_split(ab)
-    c, d = _tensor_split(cd)
-    return a, b, c, d
-
-
-_MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-
-def _wrap(angle: float) -> float:
-    return abs((angle + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def _best_pairing(phases: np.ndarray) -> tuple[float, tuple]:
-    """Closest grouping of the four gamma eigenphases into (x,-x),(y,-y) pairs.
-
-    Returns (defect, matching); the defect vanishes exactly on unitaries that
-    two CNOTs can realize and grows linearly with the distance from that
-    class, unlike the gamma trace whose imaginary part is only quadratically
-    sensitive near the class boundary.
-    """
-    best = None
-    best_match = None
-    for match in _MATCHINGS:
-        (i, j), (k, l) = match
-        defect = _wrap(phases[i] + phases[j]) + _wrap(phases[k] + phases[l])
-        if best is None or defect < best:
-            best = defect
-            best_match = match
-    return best, best_match
-
-
-def _pairing_defect(u_su4: np.ndarray) -> float:
-    phases = np.angle(np.linalg.eigvals(_gamma(u_su4)))
-    return _best_pairing(phases)[0]
-
-
-def _classify(u_su4: np.ndarray) -> int:
-    """Minimum CNOT count of the canonical class of a det-1 unitary."""
-    g = _gamma(u_su4)
-    tr = np.trace(g)
-    if abs(tr - 4.0) < _CLASS_TOL or abs(tr + 4.0) < _CLASS_TOL:
-        return 0
-    evs = np.linalg.eigvals(g)
-    if abs(tr) < _CLASS_TOL and np.allclose(
-        np.sort(evs.imag), [-1.0, -1.0, 1.0, 1.0], atol=1e-6
-    ):
-        return 1
-    if _best_pairing(np.angle(evs))[0] < 1e-6:
-        return 2
-    return 3
-
-
-def _case0(u_su4: np.ndarray) -> list:
-    a, b = _tensor_split(u_su4)
-    return [OneQubitGate(1, a), OneQubitGate(2, b)]
-
-
-_V_ONE_CNOT = to_su4(CNOT_12)
-
-
-def _case1(u_su4: np.ndarray) -> list:
-    a, b, c, d = _extract_prefactors(u_su4, _V_ONE_CNOT)
-    return [
-        OneQubitGate(1, c),
-        OneQubitGate(2, d),
-        Cnot(1, 2),
-        OneQubitGate(1, a),
-        OneQubitGate(2, b),
-    ]
-
-
-def _case2(u_su4: np.ndarray) -> list:
-    phases = np.angle(np.linalg.eigvals(_gamma(u_su4)))
-    _, match = _best_pairing(phases)
-    x = phases[match[0][0]]
-    y = phases[match[1][0]]
-    mid1, mid2 = _rz((x + y) / 2.0), _rx((x - y) / 2.0)
-    v = to_su4(CNOT_21 @ np.kron(mid1, mid2) @ CNOT_21)
-    a, b, c, d = _extract_prefactors(u_su4, v)
-    return [
-        OneQubitGate(1, c),
-        OneQubitGate(2, d),
-        Cnot(2, 1),
-        OneQubitGate(1, mid1),
-        OneQubitGate(2, mid2),
-        Cnot(2, 1),
-        OneQubitGate(1, a),
-        OneQubitGate(2, b),
-    ]
 
 
 def kak_decompose(
@@ -316,6 +194,30 @@ def kak_decompose(
     return l1, coeffs[1:], l2, phase
 
 
+def _reduce(l1: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates reduced into [-pi/4, pi/4], left factor absorbing the rest.
+
+    exp(i k pi/2 PP) = (i PP)^k is local and commutes with the interaction.
+    """
+    k = np.round(h / (math.pi / 2.0)).astype(int)
+    l1 = l1 * 1j ** int(k.sum())
+    for axis, turns in zip(_AXES, k):
+        if turns % 2:
+            l1 = l1 @ axis
+    return l1, h - k * (math.pi / 2.0)
+
+
+def _swap_axes(l1, r, l2, i: int, j: int):
+    """Same matrix with coordinates i and j exchanged, via a local frame."""
+    if i == j:
+        return l1, r, l2
+    c = _AXIS_SWAP[(min(i, j), max(i, j))]
+    cc = np.kron(c, c)
+    r = r.copy()
+    r[[i, j]] = r[[j, i]]
+    return l1 @ cc, r, cc.conj().T @ l2
+
+
 def _interior_gates(hx: float, hy: float, hz: float) -> list:
     """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)).
 
@@ -340,104 +242,133 @@ def _interior_gates(hx: float, hy: float, hz: float) -> list:
     ]
 
 
-def _case3(u_su4: np.ndarray) -> list:
-    l1, h, l2, _ = kak_decompose(u_su4)
+def _kak_gates(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list:
+    """Fewest-CNOT gates for L1 exp(i r.(XX, YY, ZZ)) L2, r reduced."""
+    zero = np.abs(r) <= _CLASS_TOL
+    if zero.all():
+        a, b = _tensor_split(l1 @ l2)
+        return [OneQubitGate(1, a), OneQubitGate(2, b)]
+    if zero.sum() == 2 and abs(math.pi / 4.0 - np.max(np.abs(r))) <= _CLASS_TOL:
+        # exp(i r ZZ) with r = +-pi/4 is (P x P) CZ up to phase
+        l1, r, l2 = _swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
+        p = np.diag([1.0, -1j * np.sign(r[2])])
+        l1 = l1 @ np.kron(p, p @ _H)
+        l2 = np.kron(np.eye(2), _H) @ l2
+        interior = [Cnot(1, 2)]
+    elif zero.any():
+        # CNOT(1,2) conjugation turns Rx x Rz into exp(i(r0 XX + r2 ZZ))
+        l1, r, l2 = _swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
+        interior = [
+            Cnot(1, 2),
+            OneQubitGate(1, _rx(-2.0 * r[0])),
+            OneQubitGate(2, _rz(-2.0 * r[2])),
+            Cnot(1, 2),
+        ]
+    else:
+        interior = _interior_gates(*r)
     a1, a2 = _tensor_split(l1)
     b1, b2 = _tensor_split(l2)
-    gates = [OneQubitGate(1, b1), OneQubitGate(2, b2)]
-    gates.extend(_interior_gates(*h))
-    gates.extend([OneQubitGate(1, a1), OneQubitGate(2, a2)])
-    return gates
+    return [
+        OneQubitGate(1, b1),
+        OneQubitGate(2, b2),
+        *interior,
+        OneQubitGate(1, a1),
+        OneQubitGate(2, a2),
+    ]
 
 
-_CASES = {0: _case0, 1: _case1, 2: _case2, 3: _case3}
+def _verify(matrix: np.ndarray, target: np.ndarray) -> None:
+    if phase_aligned_distance(matrix, target) > _VERIFY_TOL:
+        raise SynthesisError("two-qubit synthesis failed to verify")
 
 
 def synth_2q_unitary(u: np.ndarray) -> Circuit:
     """Circuit over {1q rotations, CNOT} equal to u up to global phase.
 
     Uses at most 3 CNOTs; tensor products need 0, the CNOT class needs 1 and
-    unitaries with a real gamma trace need 2.
+    unitaries with a vanishing Cartan coordinate need 2.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise BadDimensionError(f"expected a 4x4 matrix, got {u.shape}")
     require_unitary(u, what="two-qubit unitary")
-    u_su4 = to_su4(u)
-    for case in range(_classify(u_su4), 4):
-        try:
-            gates = _CASES[case](u_su4)
-        except (SynthesisError, np.linalg.LinAlgError):
-            continue
-        circ = Circuit(2, tuple(gates))
-        if phase_aligned_distance(circuit_unitary(circ), u) <= _VERIFY_TOL:
-            return circ
-    raise SynthesisError("two-qubit synthesis failed to verify")
+    l1, h, l2, _ = kak_decompose(u)
+    l1, r = _reduce(l1, h)
+    circ = Circuit(2, tuple(_kak_gates(l1, r, l2)))
+    _verify(circuit_unitary(circ), u)
+    return circ
+
+
+def _twisted(u_su4: np.ndarray, t: float) -> np.ndarray:
+    return u_su4 @ np.diag([1.0, 1.0, cmath.exp(-1j * t), cmath.exp(1j * t)])
+
+
+def _two_cnot_twist(u_su4: np.ndarray):
+    """Twist t and the reduced KAK (L1, r, L2) of u Delta(t)^dag with min |r| ~ 0.
+
+    The class condition -Re(phase^2) prod sin(2 h_a) is proportional to
+    Im tr gamma, a zero-mean sinusoid in t.  Its closed-form root from two
+    gamma traces is exact on generic inputs but loses accuracy near a
+    special stratum, where the trace goes as a product of small coordinates;
+    there the root is refined on the factored form, whose factors the KAK
+    coordinates give to full relative precision.
+    """
+    g0 = np.trace(_gamma(u_su4))
+    g1 = np.trace(_gamma(_twisted(u_su4, math.pi / 2.0)))
+    q14 = g0 / 4.0 + g1 / 4j
+    q23 = g1 / 4j - g0 / 4.0
+    t0 = math.atan2(-(q14.imag - q23.imag), q14.real + q23.real)
+
+    def at(t: float):
+        l1, h, l2, phase = kak_decompose(_twisted(u_su4, t))
+        cond = -(phase * phase).real * float(np.prod(np.sin(2.0 * h)))
+        l1, r = _reduce(l1, h)
+        return float(np.min(np.abs(r))), t, cond, (l1, r, l2)
+
+    def smallest(point):
+        return point[0]
+
+    best = at(t0)
+    if best[0] > _TWIST_TOL:
+        # f(t + pi) = -f(t), so t0 and one of t0 +- pi/2 bracket a root
+        end = at(t0 + math.pi / 2.0)
+        a, fa = t0, best[2]
+        b, fb = end[1:3] if fa * end[2] <= 0 else (t0 - math.pi / 2.0, -end[2])
+        best = min(best, end, key=smallest)
+        side = 0
+        for _ in range(_ROOT_MAX_ITER):  # Illinois regula falsi
+            if best[0] <= _TWIST_TOL or fa == fb:
+                break
+            t = (a * fb - b * fa) / (fb - fa)
+            if t in (a, b):
+                break
+            point = at(t)
+            best = min(best, point, key=smallest)
+            if point[2] * fb > 0:
+                b, fb = t, point[2]
+                if side == -1:
+                    fa /= 2.0
+                side = -1
+            else:
+                a, fa = t, point[2]
+                if side == 1:
+                    fb /= 2.0
+                side = 1
+    return best[1], best[3]
 
 
 def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
     """Split u into a circuit of at most 2 CNOTs and a trailing diagonal.
 
     Returns (circuit, delta) with u == matrix(circuit) @ diag(delta) up to
-    global phase.  The diagonal has the form (1, 1, e^{it}, e^{-it}); the
-    twist angle starts at the closed-form root of the gamma-trace condition
-    and is polished against the eigenphase pairing defect, whose linear
-    sensitivity survives near the class boundary where the trace goes blind.
-
-    Raises SynthesisError when no twist reaches the two-CNOT class: that
-    happens for inputs a small but resolvable distance (roughly 1e-9 to
-    1e-5) off a controlled-diagonal times one-qubit-gates form, where the
-    split has no exact solution at all.
+    global phase.  The diagonal has the form (1, 1, e^{it}, e^{-it}), with
+    the twist t chosen so that u diag(delta)^dag has a vanishing Cartan
+    coordinate; the circuit comes from that product's decomposition.
     """
     u = np.asarray(u, dtype=complex)
-    u_su4 = to_su4(u)
-    g0 = np.trace(_gamma(u_su4))
-    g1 = np.trace(_gamma(u_su4 @ np.diag([1.0, 1.0, -1j, 1j])))
-    q14 = g0 / 4.0 + g1 / 4j
-    q23 = g1 / 4j - g0 / 4.0
-    t0 = math.atan2(-(q14.imag - q23.imag), q14.real + q23.real)
-
-    def defect_at(t: float) -> float:
-        twist = np.diag([1.0, 1.0, cmath.exp(-1j * t), cmath.exp(1j * t)])
-        return _pairing_defect(u_su4 @ twist)
-
-    last_error = None
-    for t_root in (t0, t0 + math.pi):  # both roots of the trace-imag condition
-        # zeroing the gamma trace locates the two-CNOT class only to the
-        # square root of rounding near the class boundary; polishing the
-        # linearly-sensitive pairing defect pins the twist angle down
-        t = _golden_minimize(defect_at, t_root - 1e-3, t_root + 1e-3)
-        delta_dag = np.diag([1.0, 1.0, cmath.exp(-1j * t), cmath.exp(1j * t)])
-        remainder = u_su4 @ delta_dag
-        try:
-            circ = synth_2q_unitary(remainder)
-        except SynthesisError as exc:
-            last_error = exc
-            continue
-        if sum(1 for gate in circ.gates if isinstance(gate, Cnot)) > 2:
-            last_error = SynthesisError("two-CNOT remainder used more than 2 CNOTs")
-            continue
-        delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
-        return circ, delta
-    raise last_error
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_minimize(f, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+    t, (l1, r, l2) = _two_cnot_twist(to_su4(u))
+    r[np.argmin(np.abs(r))] = 0.0
+    circ = Circuit(2, tuple(_kak_gates(l1, r, l2)))
+    delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
+    _verify(circuit_unitary(circ) * delta[None, :], u)
+    return circ, delta

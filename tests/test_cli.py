@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from statesynth import fidelity, haar_state, parse_qasm, run, state_to_json, zero_state
+from statesynth import (
+    NotNormalizedError,
+    fidelity,
+    haar_state,
+    parse_qasm,
+    run,
+    state_to_json,
+    zero_state,
+)
 from statesynth.cli import main
+from statesynth.simulate import require_normalized
 
 
 @pytest.fixture
@@ -173,3 +182,33 @@ def test_bounds_command(capsys):
         "depth_lower": 7,
         "depth_upper_scheme": 22,
     }
+
+
+def test_nan_amplitude_is_not_normalized(tmp_path):
+    with pytest.raises(NotNormalizedError):
+        require_normalized(np.array([np.nan, 0.0, 0.0, 0.0]))
+    path = tmp_path / "nan.json"
+    amps = [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    path.write_text(json.dumps({"n": 2, "amplitudes": amps}))
+    assert main(["prepare", str(path)]) == 4
+    assert main(["prepare", str(path), "--normalize"]) == 4
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "u3(1/0,0,0) q[0];",
+        "u3(1e400,0,0) q[0];",
+        "u3(0,1e300*1e300-1e300*1e300,0) q[0];",
+        "u3(0,0,0) q[2];",
+        "cx q[0],q[2];",
+        "cx q[1],q[1];",
+    ],
+)
+def test_malformed_qasm_is_a_parse_error(tmp_path, statement, capsys):
+    qasm = tmp_path / "bad.qasm"
+    qasm.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n{statement}\n')
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    assert main(["verify", str(qasm), str(target)]) == 3
+    assert capsys.readouterr().err.startswith("error:")

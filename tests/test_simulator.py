@@ -100,6 +100,24 @@ def test_run_composes():
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+def test_batched_run_matches_per_state_runs():
+    """A (2^n, batch) stack evolves column by column; circuit_unitary is run(c, I)."""
+    rng = np.random.default_rng(5)
+    for n in range(2, 7):
+        c = _random_circuit(n, 12 * n, rng)
+        stack = np.stack([haar_state(n, rng) for _ in range(3)], axis=1)
+        batched = run(c, stack)
+        for j in range(3):
+            assert np.max(np.abs(batched[:, j] - run(c, stack[:, j]))) <= 1e-15
+        dim = 1 << n
+        columns = np.empty((dim, dim), dtype=complex)
+        for j in range(dim):
+            basis = np.zeros(dim, dtype=complex)
+            basis[j] = 1.0
+            columns[:, j] = run(c, basis)
+        assert np.max(np.abs(circuit_unitary(c) - columns)) <= 1e-15
+
+
 def test_run_rejects_wrong_width():
     with pytest.raises(DimensionMismatchError):
         run(Circuit(2, ()), zero_state(3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from statesynth import (
     BadLengthError,
@@ -235,6 +236,43 @@ def test_kq_structured_inputs_cost_no_more():
     c = synth_kq_unitary(u)
     assert cnot_count(c) <= 20
     assert phase_aligned_distance(circuit_unitary(c), u) < 1e-8
+
+
+def _near_tensor(rng, left_dim, right_dim, eps):
+    product = np.kron(haar_unitary(left_dim, rng), haar_unitary(right_dim, rng))
+    dim = left_dim * right_dim
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return product @ sla.expm(1j * eps * (g + g.conj().T))
+
+
+def _check_kq(u, k):
+    c = synth_kq_unitary(u)
+    assert cnot_count(c) <= unitary_cnot_ceiling(k)
+    assert phase_aligned_distance(circuit_unitary(c), u) < 1e-8
+
+
+def test_kq_near_tensor_k3():
+    """Three-qubit unitaries 1e-8 off a 1|2 tensor product; every leaf splits."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            _check_kq(_near_tensor(rng, 2, 4, 1e-8), 3)
+
+
+def test_kq_near_tensor_k4_pinned():
+    """Near-tensor four-qubit inputs with leaves hard against the two-CNOT class.
+
+    From a stream of 144 inputs (eps = 0 or log-uniform in [1e-12, 1e-5],
+    cuts 1|3, 2|2 and 3|1), these are the ones where a twist taken from the
+    gamma trace alone leaves a leaf that needs three CNOTs.
+    """
+    rng = np.random.default_rng(2024)
+    eps_values = [0.0, *(10.0 ** rng.uniform(-12, -5, 47))]
+    inputs = [
+        _near_tensor(rng, 1 << cut, 1 << (4 - cut), eps) for eps in eps_values for cut in (1, 2, 3)
+    ]
+    for index in (59, 94, 109, 133):
+        _check_kq(inputs[index], 4)
 
 
 def test_kq_count_ceiling_sweep():

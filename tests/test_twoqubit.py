@@ -1,8 +1,14 @@
 """Two-qubit synthesis: per-class CNOT counts and operator accuracy."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import statesynth
 from statesynth import (
     NotUnitaryError,
     circuit_unitary,
@@ -104,8 +110,6 @@ def test_kak_reconstruction():
     xx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(complex)
     yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
     zz = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
-    import scipy.linalg as sla
-
     for _ in range(25):
         u = haar_unitary(4, rng)
         l1, h, l2, phase = kak_decompose(u)
@@ -133,6 +137,62 @@ def test_up_to_diagonal_on_special_inputs():
         assert phase_aligned_distance(rebuilt, u) < 1e-9
 
 
+def _hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return g + g.conj().T
+
+
+def _local(rng):
+    return np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+
+
+def test_up_to_diagonal_near_special_strata():
+    """Blocks a hair off a tensor product, CZ or CNOT, or off the identity.
+
+    Every two-qubit unitary is two CNOTs times a diagonal, so each of these
+    splits exactly; near a tensor product or the identity the gamma trace
+    fixes the twist only to the square root of rounding.
+    """
+    rng = np.random.default_rng(17)
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    for eps in (0.0, *(10.0**-e for e in range(14, 3, -1))):
+        for base in (np.eye(4, dtype=complex), cz, CNOT_12, None):
+            for _ in range(3):
+                perturbation = sla.expm(1j * eps * _hermitian(rng, 4))
+                if base is None:
+                    u = perturbation
+                else:
+                    u = _local(rng) @ base @ _local(rng) @ perturbation
+                circ, delta = two_qubit_up_to_diagonal(u)
+                assert cnot_count(circ) <= 2
+                rebuilt = circuit_unitary(circ) @ np.diag(delta)
+                assert phase_aligned_distance(rebuilt, u) <= 1e-9
+
+
+def test_split_never_imports_scipy_optimize():
+    """The twist refinement uses no scipy root-finder (its import costs memory)."""
+    code = """
+import sys
+import numpy as np
+import statesynth
+import statesynth.twoqubit as tq
+
+calls = []
+kak = tq.kak_decompose
+tq.kak_decompose = lambda u: calls.append(1) or kak(u)
+rng = np.random.default_rng(3)
+g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+w, v = np.linalg.eigh(g + g.conj().T)
+near_tensor = np.kron(statesynth.haar_unitary(2, rng), statesynth.haar_unitary(2, rng))
+near_tensor = near_tensor @ v @ np.diag(np.exp(1e-8j * w)) @ v.conj().T
+statesynth.two_qubit_up_to_diagonal(near_tensor)
+assert len(calls) > 1, "the twist was not refined"
+assert "scipy.optimize" not in sys.modules
+"""
+    src = str(Path(statesynth.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+
+
 def test_synthesis_near_every_special_class():
     """Inputs a tiny distance off each entangling class still synthesize.
 
@@ -140,8 +200,6 @@ def test_synthesis_near_every_special_class():
     splittings at every scale; these perturbations used to leave quasi-
     degenerate gamma spectra unresolved.
     """
-    import scipy.linalg as sla
-
     rng = np.random.default_rng(7)
     bases = (np.eye(4, dtype=complex), CNOT_12, SWAP, np.diag([1, 1, 1, -1]).astype(complex))
     for eps in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
@@ -155,13 +213,7 @@ def test_synthesis_near_every_special_class():
 
 
 def test_kq_synthesis_with_near_special_blocks():
-    """Multiplexed near-controlled-diagonal blocks must not break the count.
-
-    The diagonal split of such blocks has no exact solution, so the recursion
-    retries under a random one-qubit change of frame.
-    """
-    import scipy.linalg as sla
-
+    """Multiplexed near-controlled-diagonal blocks must not break the count."""
     from statesynth import synth_kq_unitary
     from statesynth.synthesis import verify_unitary_circuit
 
