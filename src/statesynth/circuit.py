@@ -4,14 +4,13 @@ Qubit indices are 1-based; qubit 1 is the most significant bit of basis-state
 labels.  Circuits are immutable after construction.
 """
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, DimensionMismatchError
-from .linalg import require_unitary
+from .errors import BadDimensionError, DimensionMismatchError, NonFiniteError, NotUnitaryError
+from .linalg import INPUT_TOL
 
 PHASE_LABELS = ("P1", "P2", "P3", "P4")
 
@@ -19,6 +18,26 @@ PHASE_LABELS = ("P1", "P2", "P3", "P4")
 def _check_phase(label: str | None) -> None:
     if label is not None and label not in PHASE_LABELS:
         raise BadDimensionError(f"phase label must be one of {PHASE_LABELS} or None")
+
+
+def _require_unitary_2x2(m: np.ndarray) -> None:
+    """``linalg.require_unitary`` for a complex 2x2 array, in closed form.
+
+    Checks the max-norm of U^dag U - I entry by entry: the two column norms
+    and the column overlap (the other off-diagonal entry is its conjugate).
+    """
+    a, b, c, d = m.ravel().tolist()
+    col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0
+    col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0
+    overlap = abs(a.conjugate() * b + c.conjugate() * d)
+    # written as "not <=" so that a NaN residual is rejected
+    if not (abs(col0) <= INPUT_TOL and abs(col1) <= INPUT_TOL and overlap <= INPUT_TOL):
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteError("one-qubit gate matrix contains NaN or Inf entries")
+        defect = max(abs(col0), abs(col1), overlap)
+        raise NotUnitaryError(
+            f"one-qubit gate matrix is not unitary: residual {defect:.3e} > {INPUT_TOL:.1e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,9 +50,21 @@ class OneQubitGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise BadDimensionError(f"one-qubit gate matrix must be 2x2, got {m.shape}")
-        require_unitary(m, what="one-qubit gate matrix")
+        _require_unitary_2x2(m)
         object.__setattr__(self, "matrix", m)
         _check_phase(self.phase)
+
+
+def _rebuilt_1q(target: int, matrix: np.ndarray, phase: str | None) -> OneQubitGate:
+    """A one-qubit gate from parts that already passed the gate checks.
+
+    For IR rebuilds (relabelled qubits, a new phase label, the adjoint of a
+    checked unitary), which would otherwise re-run the unitarity check on
+    every gate.  Callers check ``phase`` themselves if it is new.
+    """
+    g = object.__new__(OneQubitGate)
+    g.__dict__.update(target=target, matrix=matrix, phase=phase)
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +152,7 @@ def inverse(c: Circuit) -> Circuit:
         if isinstance(g, Cnot):
             gates.append(g)
         else:
-            gates.append(OneQubitGate(g.target, g.matrix.conj().T, phase=g.phase))
+            gates.append(_rebuilt_1q(g.target, g.matrix.conj().T, g.phase))
     return Circuit(n_qubits=c.n_qubits, gates=tuple(gates))
 
 
@@ -132,13 +163,19 @@ def shift(c: Circuit, offset: int, n_qubits: int) -> Circuit:
         if isinstance(g, Cnot):
             gates.append(Cnot(g.control + offset, g.target + offset, phase=g.phase))
         else:
-            gates.append(OneQubitGate(g.target + offset, g.matrix, phase=g.phase))
+            gates.append(_rebuilt_1q(g.target + offset, g.matrix, g.phase))
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
 def with_phase(c: Circuit, label: str | None) -> Circuit:
     """Annotate every gate of the circuit with one phase label."""
-    gates = tuple(dataclasses.replace(g, phase=label) for g in c.gates)
+    _check_phase(label)
+    gates = tuple(
+        Cnot(g.control, g.target, phase=label)
+        if isinstance(g, Cnot)
+        else _rebuilt_1q(g.target, g.matrix, label)
+        for g in c.gates
+    )
     return Circuit(n_qubits=c.n_qubits, gates=gates)
 
 

@@ -31,10 +31,7 @@ EXIT_NOT_NORMALIZED = 4
 
 
 def _load_state(path: str, normalize: bool) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise
+    text = Path(path).read_text()
     try:
         return state_from_json(text, normalize=normalize)
     except NotNormalizedError:

@@ -4,6 +4,7 @@ Qubit j maps to register index j-1.  One-qubit gates are stored as full 2x2
 unitaries in the IR and converted to ZYZ Euler angles only here.
 """
 
+import cmath
 import math
 import re
 
@@ -38,8 +39,8 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     s = math.sin(theta / 2.0)
     return np.array(
         [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+            [c, -cmath.exp(1j * lam) * s],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
         ]
     )
 
@@ -57,10 +58,24 @@ def emit_qasm(c: Circuit) -> str:
 
 
 _TOKEN_RE = re.compile(r"\s*(pi|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|[-+*/()])")
+# a signed number token: what emit_qasm writes for a finite float
+_NUMBER_RE = re.compile(r"[-+]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?")
 
 
 def _eval_angle(expr: str) -> float:
     """Evaluate an angle expression over floats, pi, + - * / and parentheses."""
+    if _NUMBER_RE.fullmatch(expr):
+        # float() of a signed token is the negation of float() of the token
+        result = float(expr)
+    else:
+        result = _eval_expr(expr)
+    if not math.isfinite(result):
+        raise QasmParseError(f"angle {expr!r} is not finite")
+    return result
+
+
+def _eval_expr(expr: str) -> float:
+    """The angle grammar: a recursive-descent evaluator over the tokens."""
     tokens = []
     pos = 0
     while pos < len(expr):
@@ -114,8 +129,6 @@ def _eval_angle(expr: str) -> float:
     result = add()
     if pop() != "$":
         raise QasmParseError(f"trailing tokens in {expr!r}")
-    if not math.isfinite(result):
-        raise QasmParseError(f"angle {expr!r} is not finite")
     return result
 
 
@@ -127,6 +140,7 @@ _U_RE = re.compile(r"(u3|u)\s*\((.*)\)\s+(\w+)\[(\d+)\]")
 def parse_qasm(text: str) -> Circuit:
     """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit."""
     n_qubits = None
+    reg = None
     gates = []
     for raw_line in text.splitlines():
         line = raw_line.split("//")[0].strip()
@@ -142,16 +156,16 @@ def parse_qasm(text: str) -> Circuit:
             if m:
                 if n_qubits is not None:
                     raise QasmParseError("multiple qreg declarations are not supported")
-                n_qubits = int(m.group(2))
+                reg, n_qubits = m.group(1), int(m.group(2))
                 continue
             m = _CX_RE.fullmatch(stmt)
             if m:
                 if n_qubits is None:
                     raise QasmParseError("gate before qreg declaration")
-                control = _qubit(m.group(2), n_qubits)
-                target = _qubit(m.group(4), n_qubits)
+                control = _qubit(m.group(1), m.group(2), reg, n_qubits)
+                target = _qubit(m.group(3), m.group(4), reg, n_qubits)
                 if control == target:
-                    raise QasmParseError(f"cx control and target are both q[{control - 1}]")
+                    raise QasmParseError(f"cx control and target are both {reg}[{control - 1}]")
                 gates.append(Cnot(control, target))
                 continue
             m = _U_RE.fullmatch(stmt)
@@ -162,7 +176,7 @@ def parse_qasm(text: str) -> Circuit:
                 if len(args) != 3:
                     raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
                 theta, phi, lam = (_eval_angle(a) for a in args)
-                target = _qubit(m.group(4), n_qubits)
+                target = _qubit(m.group(3), m.group(4), reg, n_qubits)
                 gates.append(OneQubitGate(target, u3_matrix(theta, phi, lam)))
                 continue
             raise QasmParseError(f"unsupported statement {stmt!r}")
@@ -171,28 +185,27 @@ def parse_qasm(text: str) -> Circuit:
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
-def _qubit(index: str, n_qubits: int) -> int:
-    """1-based qubit for a register index, checked against the qreg size."""
+def _qubit(name: str, index: str, reg: str, n_qubits: int) -> int:
+    """1-based qubit for an operand, checked against the declared qreg."""
+    if name != reg:
+        raise QasmParseError(f"operand {name}[{index}] names no declared qreg (only {reg})")
     q = int(index)
     if q >= n_qubits:
-        raise QasmParseError(f"qubit q[{q}] outside qreg q[{n_qubits}]")
+        raise QasmParseError(f"qubit {reg}[{q}] outside qreg {reg}[{n_qubits}]")
     return q + 1
 
 
 def _split_args(text: str) -> list[str]:
+    """Split at the commas outside parentheses."""
     args = []
     level = 0
     current = []
-    for ch in text:
-        if ch == "(":
-            level += 1
-        elif ch == ")":
-            level -= 1
-        if ch == "," and level == 0:
-            args.append("".join(current))
+    for piece in text.split(","):
+        current.append(piece)
+        level += piece.count("(") - piece.count(")")
+        if level == 0:
+            args.append(",".join(current))
             current = []
-        else:
-            current.append(ch)
     if current:
-        args.append("".join(current))
+        args.append(",".join(current))
     return [a.strip() for a in args]

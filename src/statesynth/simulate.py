@@ -1,9 +1,11 @@
 """Statevector simulation for circuit verification.
 
 Amplitude index i labels the basis state whose binary expansion, most
-significant bit first, gives the values of qubits 1..n.  Gates are applied
-with in-place amplitude-pair updates, to one state or to a stack of states
-held as columns; no 2^n x 2^n gate matrices are formed.
+significant bit first, gives the values of qubits 1..n.  Gates act in place
+on one state or on a stack of states held as columns, through contiguous
+reshaped views that put the gate's qubits on axes of length 2: a one-qubit
+gate is one stacked 2x2 matrix product, a CNOT swaps two slices.  No
+2^n x 2^n gate matrices are formed.
 """
 
 import json
@@ -39,21 +41,30 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, target: int, shape: list) -> None:
-    # moveaxis yields a non-contiguous view; assign through it slab-wise
-    view = np.moveaxis(state.reshape(shape), target - 1, 0)
-    a0 = view[0].copy()
-    a1 = view[1].copy()
-    view[0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    view[1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+def _apply_1q(state: np.ndarray, matrix: np.ndarray, target: int) -> None:
+    # (above, target, below) view; below also holds the batch axis
+    above = 1 << (target - 1)
+    view = state.reshape(above, 2, -1)
+    # matmul loops over the stack axis, so stack along the shorter of the
+    # two: the rows of a 2x2 @ (2, below) product, or the columns of
+    # (above, 2) @ 2x2^T
+    if view.shape[2] >= above:
+        np.matmul(matrix, view, out=view)
+    else:
+        cols = view.transpose(2, 0, 1)
+        np.matmul(cols, matrix.T, out=cols)
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, shape: list) -> None:
-    view = state.reshape(shape)
-    view = np.moveaxis(view, (control - 1, target - 1), (0, 1))
-    tmp = view[1, 0].copy()
-    view[1, 0] = view[1, 1]
-    view[1, 1] = tmp
+def _apply_cnot(state: np.ndarray, control: int, target: int) -> None:
+    lo, hi = sorted((control, target))
+    view = state.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+    # swap the target-0 and target-1 halves of the control-1 slab
+    if control < target:
+        slab = view[:, 1]
+        slab[...] = slab[:, :, ::-1]
+    else:
+        slab = view[:, :, :, 1]
+        slab[...] = slab[:, ::-1]
 
 
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -62,18 +73,17 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     ``state`` is one state of shape (2^n,) or a stack of states as the
     columns of a (2^n, batch) array; every column is evolved independently.
     """
-    state = np.array(state, dtype=complex)
+    state = np.array(state, dtype=complex, order="C")  # the kernels reshape it in place
     n = num_qubits(state)
     if n != c.n_qubits:
         raise DimensionMismatchError(
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
-    shape = [2] * n + list(state.shape[1:])
     for g in c.gates:
         if isinstance(g, Cnot):
-            _apply_cnot(state, g.control, g.target, shape)
+            _apply_cnot(state, g.control, g.target)
         else:
-            _apply_1q(state, g.matrix, g.target, shape)
+            _apply_1q(state, g.matrix, g.target)
     return state
 
 

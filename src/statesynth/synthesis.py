@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, OneQubitGate
+from .circuit import Circuit, Cnot, OneQubitGate, shift
 from .errors import BadDimensionError, BadLengthError, NotNormalizedError, SynthesisError
 from .linalg import cosine_sine, require_unitary, svd, unitary_eig
 from .simulate import circuit_unitary
@@ -275,11 +275,7 @@ def _qsd_gates(u: np.ndarray, k: int) -> list:
     gates = []
     for item in sink:
         if isinstance(item, Circuit):
-            for g in item.gates:
-                if isinstance(g, Cnot):
-                    gates.append(Cnot(g.control + k - 2, g.target + k - 2))
-                else:
-                    gates.append(OneQubitGate(g.target + k - 2, g.matrix))
+            gates.extend(shift(item, k - 2, k).gates)
         else:
             gates.append(item)
     return gates

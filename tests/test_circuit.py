@@ -5,15 +5,19 @@ import json
 import numpy as np
 import pytest
 
+import statesynth.circuit
 from statesynth import (
     BadDimensionError,
     Circuit,
     Cnot,
+    NonFiniteError,
+    NotUnitaryError,
     OneQubitGate,
     cnot_count,
     concat,
     depth,
     haar_state,
+    haar_unitary,
     inverse,
     run,
     schmidt_prepare,
@@ -21,6 +25,7 @@ from statesynth import (
     with_phase,
     zero_state,
 )
+from statesynth.linalg import require_unitary, unitarity_defect
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -102,10 +107,94 @@ def test_gate_validation():
         Cnot(1, 1)
     with pytest.raises(BadDimensionError):
         Circuit(2, (Cnot(1, 3),))
-    with pytest.raises(Exception):
+    with pytest.raises(NotUnitaryError):
         OneQubitGate(1, np.ones((2, 2)))
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        for entry in range(4):
+            m = np.eye(2, dtype=complex)
+            m.flat[entry] = bad
+            with pytest.raises(NonFiniteError):
+                OneQubitGate(1, m)
+    with pytest.raises(BadDimensionError):
+        OneQubitGate(1, np.zeros((2, 3)))
     with pytest.raises(BadDimensionError):
         Cnot(1, 2, phase="P9")
+
+
+def _gate_check_verdict(make) -> str:
+    try:
+        make()
+    except (NonFiniteError, NotUnitaryError) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_gate_check_matches_require_unitary():
+    """The closed-form 2x2 check makes the generic check's decision.
+
+    Haar unitaries are pushed off the unitary group along a random direction
+    until the max-norm of U^dag U - I reaches each target residual; 1e-10 and
+    5e-9 sit below the 1e-8 input tolerance, 2e-8 and 1e-6 above it.
+    """
+    rng = np.random.default_rng(7)
+    verdicts = {}
+    for residual in (1e-10, 5e-9, 2e-8, 1e-6):
+        for _ in range(250):
+            u = haar_unitary(2, rng)
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            step = 1e-6 * g
+            m = u + step * residual / unitarity_defect(u + step)
+            assert unitarity_defect(m) == pytest.approx(residual, rel=0.01)
+            ours = _gate_check_verdict(lambda: OneQubitGate(1, m))
+            generic = _gate_check_verdict(lambda: require_unitary(m))
+            assert ours == generic
+            verdicts.setdefault(residual, set()).add(ours)
+    assert verdicts == {
+        1e-10: {"ok"},
+        5e-9: {"ok"},
+        2e-8: {"NotUnitaryError"},
+        1e-6: {"NotUnitaryError"},
+    }
+
+
+def test_ir_rebuilds_skip_the_gate_check(monkeypatch):
+    """shift, inverse and with_phase copy checked gates without re-checking."""
+    rng = np.random.default_rng(8)
+    c = schmidt_prepare(haar_state(4, rng)).total
+    ones = [g for g in c.gates if isinstance(g, OneQubitGate)]
+    calls = []
+    check = statesynth.circuit._require_unitary_2x2
+
+    def counting_check(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(statesynth.circuit, "_require_unitary_2x2", counting_check)
+    OneQubitGate(1, ones[0].matrix)
+    assert len(calls) == 1  # the counter sees direct constructions
+    calls.clear()
+    rebuilt = {
+        "shift": shift(c, 2, 6),
+        "with_phase": with_phase(c, "P3"),
+        "inverse": inverse(inverse(c)),
+    }
+    assert calls == []
+    for name, r in rebuilt.items():
+        assert [type(g) for g in r.gates] == [type(g) for g in c.gates], name
+        r_ones = [g for g in r.gates if isinstance(g, OneQubitGate)]
+        for g, orig in zip(r_ones, ones):
+            assert g.matrix.dtype == orig.matrix.dtype
+            assert g.matrix.tobytes() == orig.matrix.tobytes(), name
+    assert [g.target for g in rebuilt["shift"].gates if isinstance(g, OneQubitGate)] == [
+        g.target + 2 for g in ones
+    ]
+    assert {g.phase for g in rebuilt["with_phase"].gates} == {"P3"}
+    adjoint = [g for g in inverse(c).gates if isinstance(g, OneQubitGate)]
+    for g, orig in zip(adjoint, reversed(ones)):
+        assert np.array_equal(g.matrix, orig.matrix.conj().T)
+    assert calls == []
+    with pytest.raises(BadDimensionError):
+        with_phase(c, "P9")
 
 
 def test_cost_report_per_phase():

@@ -203,6 +203,9 @@ def test_nan_amplitude_is_not_normalized(tmp_path):
         "u3(0,0,0) q[2];",
         "cx q[0],q[2];",
         "cx q[1],q[1];",
+        "u3(0.1,0,0) r[0];",
+        "cx q[0],zz[1];",
+        "u3(0.1,0.2,0.3,) q[0];",
     ],
 )
 def test_malformed_qasm_is_a_parse_error(tmp_path, statement, capsys):

@@ -25,7 +25,7 @@ from statesynth import (
     schmidt_prepare,
     zero_state,
 )
-from statesynth.qasm import u3_matrix, zyz_angles
+from statesynth.qasm import _NUMBER_RE, _eval_angle, _eval_expr, u3_matrix, zyz_angles
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -143,3 +143,52 @@ def test_parse_rejects_garbage():
         parse_qasm("cx q[0],q[1];")
     with pytest.raises(QasmParseError):
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nu3(1,2) q[0];\n")
+
+
+def test_parse_rejects_undeclared_registers():
+    for stmt in ("u3(0.1,0,0) r[0];", "cx q[0],zz[1];", "cx zz[0],q[1];"):
+        with pytest.raises(QasmParseError):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{stmt}\n")
+    c = parse_qasm("OPENQASM 2.0;\nqreg r[2];\nu3(0.1,0,0) r[0];\ncx r[0],r[1];\n")
+    assert len(c) == 2
+
+
+def _grammar(expr: str) -> float | None:
+    """The value the recursive-descent grammar alone gives, or None if it rejects."""
+    try:
+        return _eval_expr(expr)
+    except QasmParseError:
+        return None
+
+
+def test_angle_fast_path_agrees_with_grammar():
+    """A plain signed number takes float(); it must be a string the grammar
+    accepts, with exactly the grammar's value (sign of zero included)."""
+    rng = np.random.default_rng(10)
+    values = list(rng.uniform(-2 * math.pi, 2 * math.pi, 300))
+    values += list(rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200))
+    values += [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1.7976931348623157e308]
+    reprs = [repr(float(v)) for v in values]
+    assert all(_NUMBER_RE.fullmatch(r) for r in reprs)  # what emit_qasm writes
+    texts = reprs + [".5", "+3", "1E+3", "-.5e-3", "007", " 0.25", "-pi", "2*pi", "-(1)"]
+    alphabet = list("0123456789.eE+- _") + ["pi", "*", "(", ")"]
+    texts += ["".join(rng.choice(alphabet, size=rng.integers(1, 8))) for _ in range(3000)]
+    fast = 0
+    for text in texts:
+        value = _grammar(text)
+        if _NUMBER_RE.fullmatch(text):
+            fast += 1
+            assert value is not None, text
+        expected = repr(value) if value is not None and math.isfinite(value) else "error"
+        try:
+            got = repr(_eval_angle(text))
+        except QasmParseError:
+            got = "error"
+        assert got == expected, text
+    assert fast > len(reprs) + 100
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "nan", "inf", "1.", "1_0", " 0.25 ", ""])
+def test_angle_rejects_what_the_grammar_rejects(text):
+    with pytest.raises(QasmParseError):
+        _eval_angle(text)

@@ -1,6 +1,7 @@
 """Simulator semantics: gate action, composition, norm, fidelity, file format."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -116,6 +117,42 @@ def test_batched_run_matches_per_state_runs():
             basis[j] = 1.0
             columns[:, j] = run(c, basis)
         assert np.max(np.abs(circuit_unitary(c) - columns)) <= 1e-15
+
+
+def _dense(n, factors):
+    """Kronecker product over qubits 1..n of {qubit: 2x2 matrix}, identity elsewhere."""
+    return reduce(np.kron, [factors.get(q, np.eye(2)) for q in range(1, n + 1)])
+
+
+def test_gate_kernels_match_dense_reference():
+    """Every one-qubit target and every ordered CNOT pair against dense kron matrices.
+
+    Each gate runs on one state, on a (2^n, 3) stack, and on the same stack
+    in Fortran order.
+    """
+    rng = np.random.default_rng(9)
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in range(1, 8):
+        cases = []
+        for t in range(1, n + 1):
+            u = haar_unitary(2, rng)
+            cases.append((OneQubitGate(t, u), _dense(n, {t: u})))
+        for c in range(1, n + 1):
+            for t in range(1, n + 1):
+                if c != t:
+                    dense = _dense(n, {c: p0}) + _dense(n, {c: p1, t: x})
+                    cases.append((Cnot(c, t), dense))
+        psi = haar_state(n, rng)
+        stack = np.stack([haar_state(n, rng) for _ in range(3)], axis=1)
+        for gate, dense in cases:
+            c = Circuit(n, (gate,))
+            assert np.max(np.abs(run(c, psi) - dense @ psi)) <= 1e-13
+            assert np.max(np.abs(run(c, stack) - dense @ stack)) <= 1e-13
+            fortran = np.asfortranarray(stack)
+            assert np.max(np.abs(run(c, fortran) - dense @ stack)) <= 1e-13
+            assert np.array_equal(fortran, stack)  # the input is not modified
 
 
 def test_run_rejects_wrong_width():
