@@ -40,6 +40,22 @@ def _require_unitary_2x2(m: np.ndarray) -> None:
         )
 
 
+def _require_unitary_stack(ms: np.ndarray) -> None:
+    """:func:`_require_unitary_2x2` for every matrix of a complex (G, 2, 2) stack.
+
+    The same residuals are computed for the whole stack at once; a matrix
+    they flag goes through the one-matrix check, which raises its error.
+    """
+    a, b, c, d = ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1]
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN/Inf entries fail below
+        col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0
+        col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0
+        overlap = np.abs(a.conj() * b + c.conj() * d)
+    ok = (np.abs(col0) <= INPUT_TOL) & (np.abs(col1) <= INPUT_TOL) & (overlap <= INPUT_TOL)
+    for m in ms[~ok]:
+        _require_unitary_2x2(m)
+
+
 @dataclass(frozen=True, eq=False)
 class OneQubitGate:
     target: int

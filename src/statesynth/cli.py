@@ -19,7 +19,7 @@ from .errors import (
 from .prepare import schmidt_prepare, transform
 from .qasm import emit_qasm, parse_qasm
 from .sampling import haar_state
-from .simulate import fidelity, run, state_from_json, zero_state
+from .simulate import fidelity, num_qubits, run, state_from_json, zero_state
 
 FIDELITY_GATE = 1.0 - 1e-9
 
@@ -63,7 +63,9 @@ def cmd_verify(args) -> int:
     qasm_text = Path(args.qasm).read_text()
     circuit = parse_qasm(qasm_text)
     target = _load_state(args.state, args.normalize)
-    out = run(circuit, zero_state(circuit.n_qubits))
+    # sized by the state, not the qreg: run then rejects a width mismatch
+    # before a wide qreg could allocate 2^n_qubits amplitudes
+    out = run(circuit, zero_state(num_qubits(target)))
     fid = fidelity(out, target)
     print(f"fidelity={fid!r}")
     return EXIT_OK if fid >= FIDELITY_GATE else EXIT_FAIL

@@ -1,58 +1,75 @@
 """OpenQASM 2.0 emission and parsing for the u3/cx gate subset.
 
 Qubit j maps to register index j-1.  One-qubit gates are stored as full 2x2
-unitaries in the IR and converted to ZYZ Euler angles only here.
+unitaries in the IR and converted to ZYZ Euler angles only here, once per
+circuit: emission turns the (G, 2, 2) stack of all one-qubit matrices into
+angles in one pass, and parsing collects every u3's angles, then builds and
+checks all the matrices as one stack.  A u3 statement of three plain numbers,
+the form emission writes, is read with one regex and float(); every other
+statement goes through the general dispatch and the angle grammar.
 """
 
-import cmath
 import math
 import re
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, OneQubitGate
+from .circuit import Circuit, Cnot, _rebuilt_1q, _require_unitary_stack
 from .errors import QasmParseError
 
 
-def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (theta, phi, lam) with u3(theta, phi, lam) == u up to global phase."""
-    u = np.asarray(u, dtype=complex)
-    a, b = u[0, 0], u[0, 1]
-    c, d = u[1, 0], u[1, 1]
-    theta = 2.0 * math.atan2(abs(c), abs(a))
-    if abs(c) < 1e-12:
-        # diagonal: only the relative phase matters
-        return 0.0, float(np.angle(d) - np.angle(a)), 0.0
-    if abs(a) < 1e-12:
-        # antidiagonal
-        return math.pi, float(np.angle(c) - np.angle(-b)), 0.0
+def zyz_angles(us: np.ndarray) -> np.ndarray:
+    """Angles (theta, phi, lam) per matrix of a (G, 2, 2) stack, as a (G, 3) array.
+
+    ``u3(theta, phi, lam)`` equals each matrix up to global phase.
+    """
+    us = np.asarray(us, dtype=complex).reshape(-1, 2, 2)
+    ang = np.angle(us)
     # lam as the diagonal phase sum minus phi keeps the large entries'
     # reconstruction error at rounding level even when theta is tiny
-    phi = float(np.angle(c) - np.angle(a))
-    lam = float(np.angle(d) - np.angle(c))
-    return theta, phi, lam
+    phi = ang[:, 1, 0] - ang[:, 0, 0]
+    lam = ang[:, 1, 1] - ang[:, 1, 0]
+    # theta and the branch tests use Python abs and math.atan2: np.abs and
+    # np.arctan2 on arrays differ from them in the last bit, which would
+    # change the emitted text
+    abs_a = [abs(x) for x in us[:, 0, 0].tolist()]
+    abs_c = [abs(x) for x in us[:, 1, 0].tolist()]
+    theta = np.array([2.0 * math.atan2(c, a) for a, c in zip(abs_a, abs_c)])
+    diag = np.array(abs_c) < 1e-12
+    anti = ~diag & (np.array(abs_a) < 1e-12)
+    # diagonal: only the relative phase matters
+    theta[diag] = 0.0
+    phi[diag] = ang[diag, 1, 1] - ang[diag, 0, 0]
+    # antidiagonal
+    theta[anti] = math.pi
+    phi[anti] = ang[anti, 1, 0] - np.angle(-us[anti, 0, 1])
+    lam[diag | anti] = 0.0
+    return np.stack([theta, phi, lam], axis=1)
 
 
-def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    """The OpenQASM u3 gate matrix."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ]
-    )
+def u3_matrix(theta: np.ndarray, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The OpenQASM u3 gate matrices for equal-length angle arrays, as (G, 2, 2)."""
+    theta, phi, lam = (np.asarray(x, dtype=float) for x in (theta, phi, lam))
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    out = np.empty((len(theta), 2, 2), dtype=complex)
+    out[:, 0, 0] = c
+    out[:, 0, 1] = -np.exp(1j * lam) * s
+    out[:, 1, 0] = np.exp(1j * phi) * s
+    out[:, 1, 1] = np.exp(1j * (phi + lam)) * c
+    return out
 
 
 def emit_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text using only u3 and cx."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.n_qubits}];"]
+    ones = [g.matrix for g in c.gates if not isinstance(g, Cnot)]
+    angles = iter(zyz_angles(np.array(ones)).tolist())
     for g in c.gates:
         if isinstance(g, Cnot):
             lines.append(f"cx q[{g.control - 1}],q[{g.target - 1}];")
         else:
-            theta, phi, lam = zyz_angles(g.matrix)
+            theta, phi, lam = next(angles)
             lines.append(f"u3({theta!r},{phi!r},{lam!r}) q[{g.target - 1}];")
     return "\n".join(lines) + "\n"
 
@@ -135,13 +152,21 @@ def _eval_expr(expr: str) -> float:
 _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
 _CX_RE = re.compile(r"cx\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\]")
 _U_RE = re.compile(r"(u3|u)\s*\((.*)\)\s+(\w+)\[(\d+)\]")
+# the u3 statements emit_qasm writes: three plain numbers, read with float()
+_NUM = r"\s*(" + _NUMBER_RE.pattern + r")\s*"
+_U_NUM_RE = re.compile(rf"(?:u3|u)\s*\({_NUM},{_NUM},{_NUM}\)\s+(\w+)\[(\d+)\]")
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit."""
+    """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit.
+
+    u3 angles are collected while reading; every u3 matrix is built and
+    checked at the end, as one stack.
+    """
     n_qubits = None
     reg = None
-    gates = []
+    gates = []  # Cnot gates, and the target qubit of each u3 in order
+    angles = []  # theta, phi, lam of each u3, flat
     for raw_line in text.splitlines():
         line = raw_line.split("//")[0].strip()
         if not line:
@@ -150,6 +175,17 @@ def parse_qasm(text: str) -> Circuit:
             stmt = stmt.strip()
             if not stmt:
                 continue
+            m = _U_NUM_RE.fullmatch(stmt)
+            if m:
+                if n_qubits is None:
+                    raise QasmParseError("gate before qreg declaration")
+                theta, phi, lam = float(m[1]), float(m[2]), float(m[3])
+                if not (math.isfinite(theta) and math.isfinite(phi) and math.isfinite(lam)):
+                    for arg in m.group(1, 2, 3):
+                        _eval_angle(arg)  # raises for the first non-finite angle
+                angles += (theta, phi, lam)
+                gates.append(_qubit(m[4], m[5], reg, n_qubits))
+                continue
             if stmt.startswith("OPENQASM") or stmt.startswith("include"):
                 continue
             m = _QREG_RE.fullmatch(stmt)
@@ -157,6 +193,8 @@ def parse_qasm(text: str) -> Circuit:
                 if n_qubits is not None:
                     raise QasmParseError("multiple qreg declarations are not supported")
                 reg, n_qubits = m.group(1), int(m.group(2))
+                if n_qubits < 1:
+                    raise QasmParseError(f"qreg {reg}[{n_qubits}] holds no qubit")
                 continue
             m = _CX_RE.fullmatch(stmt)
             if m:
@@ -175,13 +213,17 @@ def parse_qasm(text: str) -> Circuit:
                 args = _split_args(m.group(2))
                 if len(args) != 3:
                     raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
-                theta, phi, lam = (_eval_angle(a) for a in args)
-                target = _qubit(m.group(3), m.group(4), reg, n_qubits)
-                gates.append(OneQubitGate(target, u3_matrix(theta, phi, lam)))
+                angles += (_eval_angle(a) for a in args)
+                gates.append(_qubit(m.group(3), m.group(4), reg, n_qubits))
                 continue
             raise QasmParseError(f"unsupported statement {stmt!r}")
     if n_qubits is None:
         raise QasmParseError("missing qreg declaration")
+    theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
+    matrices = u3_matrix(theta, phi, lam)
+    _require_unitary_stack(matrices)
+    it = iter(matrices)
+    gates = [g if isinstance(g, Cnot) else _rebuilt_1q(g, next(it), None) for g in gates]
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 

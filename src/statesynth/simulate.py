@@ -5,7 +5,10 @@ significant bit first, gives the values of qubits 1..n.  Gates act in place
 on one state or on a stack of states held as columns, through contiguous
 reshaped views that put the gate's qubits on axes of length 2: a one-qubit
 gate is one stacked 2x2 matrix product, a CNOT swaps two slices.  No
-2^n x 2^n gate matrices are formed.
+2^n x 2^n gate matrices are formed.  Back-to-back one-qubit gates on a qubit
+are multiplied into one 2x2 matrix first, which is applied when a CNOT
+touches that qubit or the circuit ends; one-qubit gates on different qubits
+commute, so only the CNOTs order the kernels.
 """
 
 import json
@@ -79,11 +82,19 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
+    pending = {}  # qubit -> product of its one-qubit gates not yet applied
     for g in c.gates:
         if isinstance(g, Cnot):
+            for q in (g.control, g.target):
+                m = pending.pop(q, None)
+                if m is not None:
+                    _apply_1q(state, m, q)
             _apply_cnot(state, g.control, g.target)
         else:
-            _apply_1q(state, g.matrix, g.target)
+            m = pending.get(g.target)
+            pending[g.target] = g.matrix if m is None else g.matrix @ m
+    for q, m in pending.items():
+        _apply_1q(state, m, q)
     return state
 
 

@@ -14,12 +14,10 @@ import numpy as np
 from .circuit import Circuit, Cnot, OneQubitGate, shift
 from .errors import BadDimensionError, BadLengthError, NotNormalizedError, SynthesisError
 from .linalg import cosine_sine, require_unitary, svd, unitary_eig
-from .simulate import circuit_unitary
 from .twoqubit import (
     _H,
     _rx,
     _rz,
-    phase_aligned_distance,
     synth_2q_unitary,
     two_qubit_up_to_diagonal,
 )
@@ -309,8 +307,3 @@ def synth_kq_unitary(u: np.ndarray) -> Circuit:
             f"emitted {n_cnots} CNOTs, above the ceiling {unitary_cnot_ceiling(k)}"
         )
     return Circuit(k, tuple(gates))
-
-
-def verify_unitary_circuit(circ: Circuit, u: np.ndarray) -> float:
-    """Phase-aligned distance between the circuit's matrix and u."""
-    return phase_aligned_distance(circuit_unitary(circ), u)

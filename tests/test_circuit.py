@@ -25,6 +25,7 @@ from statesynth import (
     with_phase,
     zero_state,
 )
+from statesynth.circuit import _require_unitary_stack
 from statesynth.linalg import require_unitary, unitarity_defect
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -115,6 +116,9 @@ def test_gate_validation():
             m.flat[entry] = bad
             with pytest.raises(NonFiniteError):
                 OneQubitGate(1, m)
+            stack = np.array([np.eye(2), m, np.ones((2, 2))], dtype=complex)
+            with pytest.raises(NonFiniteError):
+                _require_unitary_stack(stack)
     with pytest.raises(BadDimensionError):
         OneQubitGate(1, np.zeros((2, 3)))
     with pytest.raises(BadDimensionError):
@@ -130,7 +134,8 @@ def _gate_check_verdict(make) -> str:
 
 
 def test_gate_check_matches_require_unitary():
-    """The closed-form 2x2 check makes the generic check's decision.
+    """The closed-form 2x2 check makes the generic check's decision, and the
+    stacked check makes the 2x2 check's decision.
 
     Haar unitaries are pushed off the unitary group along a random direction
     until the max-norm of U^dag U - I reaches each target residual; 1e-10 and
@@ -138,6 +143,7 @@ def test_gate_check_matches_require_unitary():
     """
     rng = np.random.default_rng(7)
     verdicts = {}
+    matrices = []
     for residual in (1e-10, 5e-9, 2e-8, 1e-6):
         for _ in range(250):
             u = haar_unitary(2, rng)
@@ -147,8 +153,20 @@ def test_gate_check_matches_require_unitary():
             assert unitarity_defect(m) == pytest.approx(residual, rel=0.01)
             ours = _gate_check_verdict(lambda: OneQubitGate(1, m))
             generic = _gate_check_verdict(lambda: require_unitary(m))
-            assert ours == generic
+            stacked = _gate_check_verdict(lambda: _require_unitary_stack(m[None]))
+            assert ours == generic == stacked
             verdicts.setdefault(residual, set()).add(ours)
+            matrices.append((m, ours))
+    stack = np.array([m for m, _ in matrices])
+    passing = np.array([v == "ok" for _, v in matrices])
+    _require_unitary_stack(stack[passing])
+    rng.shuffle(stack)
+    first_bad = next(m for m in stack if _gate_check_verdict(lambda: OneQubitGate(1, m)) != "ok")
+    with pytest.raises(NotUnitaryError) as stacked_exc:
+        _require_unitary_stack(stack)
+    with pytest.raises(NotUnitaryError) as single_exc:
+        OneQubitGate(1, first_bad)
+    assert str(stacked_exc.value) == str(single_exc.value)
     assert verdicts == {
         1e-10: {"ok"},
         5e-9: {"ok"},

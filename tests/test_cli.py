@@ -215,3 +215,23 @@ def test_malformed_qasm_is_a_parse_error(tmp_path, statement, capsys):
     target.write_text(state_to_json(zero_state(2)))
     assert main(["verify", str(qasm), str(target)]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_empty_qreg_is_a_parse_error(tmp_path, capsys):
+    qasm = tmp_path / "empty.qasm"
+    qasm.write_text("OPENQASM 2.0;\nqreg q[0];\n")
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    assert main(["verify", str(qasm), str(target)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_rejects_a_register_size_mismatch_before_simulating(tmp_path, capsys):
+    """A 60-qubit register against a 2-qubit state must not allocate 2^60 amplitudes."""
+    qasm = tmp_path / "wide.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[60];\ncx q[0],q[59];\n')
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    assert main(["verify", str(qasm), str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "60" in err

@@ -5,6 +5,7 @@ it parses the text with its own regexes and applies gates as dense Kronecker
 products.
 """
 
+import cmath
 import math
 import re
 
@@ -25,6 +26,7 @@ from statesynth import (
     schmidt_prepare,
     zero_state,
 )
+import statesynth.qasm
 from statesynth.qasm import _NUMBER_RE, _eval_angle, _eval_expr, u3_matrix, zyz_angles
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -108,31 +110,70 @@ def test_roundtrip_random_prep_circuits():
         assert fidelity(ref, target) > 1 - 1e-9
 
 
+def _equal_up_to_phase(u, v, tol=1e-9) -> bool:
+    k = np.unravel_index(np.argmax(np.abs(u)), (2, 2))
+    return np.max(np.abs(u - u[k] / v[k] * v)) < tol
+
+
 def test_zyz_angles_reconstruct():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        u = haar_unitary(2, rng)
-        theta, phi, lam = zyz_angles(u)
-        rebuilt = u3_matrix(theta, phi, lam)
-        # equal up to global phase
-        k = np.unravel_index(np.argmax(np.abs(u)), (2, 2))
-        phase = u[k] / rebuilt[k]
-        assert np.max(np.abs(u - phase * rebuilt)) < 1e-9
+    us = np.array([haar_unitary(2, rng) for _ in range(200)])
+    angles = zyz_angles(us)
+    assert angles.shape == (200, 3)
+    for u, rebuilt in zip(us, u3_matrix(*angles.T)):
+        assert _equal_up_to_phase(u, rebuilt)
+
+
+DEGENERATE = (
+    np.eye(2),
+    np.diag([1, 1j]),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    # |c| and |a| just below the 1e-12 branch threshold
+    np.array([[1, -1e-13], [1e-13, 1]]) * np.exp(0.3j),
+    np.array([[2e-13j, 1], [-1, -2e-13j]]),
+)
 
 
 def test_zyz_angles_degenerate_cases():
-    for u in (np.eye(2), np.diag([1, 1j]), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])):
-        theta, phi, lam = zyz_angles(np.asarray(u, dtype=complex))
-        rebuilt = u3_matrix(theta, phi, lam)
-        k = np.unravel_index(np.argmax(np.abs(u)), (2, 2))
-        phase = u[k] / rebuilt[k]
-        assert np.max(np.abs(u - phase * rebuilt)) < 1e-9
+    """Diagonal and antidiagonal matrices, directly and through emit -> parse."""
+    us = np.array(DEGENERATE, dtype=complex)
+    angles = zyz_angles(us)
+    assert angles[:, 2].tolist() == [0.0] * len(us)  # both branches set lam = 0
+    for u, rebuilt in zip(us, u3_matrix(*angles.T)):
+        assert _equal_up_to_phase(u, rebuilt)
+    c = Circuit(1, tuple(OneQubitGate(1, u) for u in us))
+    text = emit_qasm(c)
+    back = parse_qasm(text)
+    for u, g in zip(us, back.gates):
+        assert _equal_up_to_phase(u, g.matrix)
+
+
+def _u3_scalar(theta, phi, lam):
+    """The u3 matrix entry by entry with math/cmath (test-local reference)."""
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    return np.array(
+        [
+            [c, -cmath.exp(1j * lam) * s],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+        ]
+    )
+
+
+def test_stacked_u3_matrix_matches_scalar_reference():
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(-7, 7, size=(3000, 3))
+    angles[:300] *= 10.0 ** rng.integers(-300, 3, size=(300, 1))
+    stacked = u3_matrix(*angles.T)
+    reference = np.array([_u3_scalar(*a) for a in angles.tolist()])
+    assert stacked.tobytes() == reference.tobytes()
 
 
 def test_parse_pi_expressions():
     text = "OPENQASM 2.0;\nqreg q[1];\nu3(pi/2,-pi/4,2*pi) q[0];\n"
     c = parse_qasm(text)
-    expected = u3_matrix(math.pi / 2, -math.pi / 4, 2 * math.pi)
+    expected = _u3_scalar(math.pi / 2, -math.pi / 4, 2 * math.pi)
     assert np.max(np.abs(c.gates[0].matrix - expected)) < 1e-12
 
 
@@ -192,3 +233,48 @@ def test_angle_fast_path_agrees_with_grammar():
 def test_angle_rejects_what_the_grammar_rejects(text):
     with pytest.raises(QasmParseError):
         _eval_angle(text)
+
+
+def _parse_outcome(text: str):
+    """Targets and matrix bytes of the parsed gates, or the exception raised."""
+    try:
+        c = parse_qasm(text)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    return [
+        (g.control, g.target) if isinstance(g, Cnot) else (g.target, g.matrix.tobytes())
+        for g in c.gates
+    ]
+
+
+def test_number_lane_agrees_with_general_path(monkeypatch):
+    """A u3 statement of three plain numbers takes a regex lane with float();
+    with the lane disabled, the general path must give bitwise-equal gates or
+    the same exception with the same message."""
+    rng = np.random.default_rng(12)
+    tokens = [repr(float(v)) for v in rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, 40)]
+    tokens += ["0", "-0.0", "+3", ".5", "-.5e-3", "1E+3", "2e-308", "007", "1e999", "-1e999"]
+    tokens += ["nan", "inf", "1.", "1_0", "pi", "-pi/2", "", "(1)"]
+    spaces = ["", "", " ", "  ", "\t"]
+    lines = []
+    for _ in range(1500):
+        n_args = rng.choice([3, 3, 3, 3, 2, 4])
+        args = [
+            rng.choice(spaces) + rng.choice(tokens) + rng.choice(spaces) for _ in range(n_args)
+        ]
+        inner = ",".join(args) + ("," if rng.random() < 0.05 else "")
+        name = rng.choice(["u3", "u", "u3 ", "U3"])
+        target = rng.choice(["q[0]", "q[1]", "q[0]", "q[1]", "q[2]", "r[0]", "q [0]"])
+        lines.append(f"{name}({inner}) {target};")
+    header = "OPENQASM 2.0;\nqreg q[2];\n"
+    texts = [header + line for line in lines]
+    texts += [header + "\n".join(lines[i : i + 20]) for i in range(0, 400, 20)]
+    in_lane = sum(bool(statesynth.qasm._U_NUM_RE.fullmatch(line[:-1])) for line in lines)
+    lane = [_parse_outcome(t) for t in texts]
+    monkeypatch.setattr(statesynth.qasm, "_U_NUM_RE", re.compile(r"(?!)"))
+    general = [_parse_outcome(t) for t in texts]
+    for text, a, b in zip(texts, lane, general):
+        assert a == b, text
+    assert in_lane > 300
+    assert sum(isinstance(o, list) for o in lane) > 200
+    assert sum(o[0] is QasmParseError for o in lane if isinstance(o, tuple)) > 200

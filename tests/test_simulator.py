@@ -155,6 +155,45 @@ def test_gate_kernels_match_dense_reference():
             assert np.array_equal(fortran, stack)  # the input is not modified
 
 
+def test_fused_one_qubit_runs_match_dense_reference():
+    """Runs of one-qubit gates on a qubit are applied as one product; the result
+    must match the gate-by-gate dense product, including runs still pending at
+    the end of the circuit, on one state, a (2^n, 3) stack and a Fortran stack."""
+    rng = np.random.default_rng(10)
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in range(1, 6):
+        for _ in range(4):
+            gates = []
+            for _ in range(6):
+                # a long run on one qubit, a few scattered gates, then a CNOT
+                t = int(rng.integers(1, n + 1))
+                gates += [OneQubitGate(t, haar_unitary(2, rng)) for _ in range(rng.integers(1, 8))]
+                for q in rng.integers(1, n + 1, size=3):
+                    gates.append(OneQubitGate(int(q), haar_unitary(2, rng)))
+                if n > 1:
+                    ctrl, tgt = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+                    gates.append(Cnot(int(ctrl), int(tgt)))
+            for q in range(1, n + 1):  # trailing runs on every qubit
+                gates += [OneQubitGate(q, haar_unitary(2, rng)) for _ in range(3)]
+            dense = np.eye(1 << n, dtype=complex)
+            for g in gates:
+                if isinstance(g, Cnot):
+                    step = _dense(n, {g.control: p0}) + _dense(n, {g.control: p1, g.target: x})
+                else:
+                    step = _dense(n, {g.target: g.matrix})
+                dense = step @ dense
+            c = Circuit(n, tuple(gates))
+            psi = haar_state(n, rng)
+            stack = np.stack([haar_state(n, rng) for _ in range(3)], axis=1)
+            assert np.max(np.abs(run(c, psi) - dense @ psi)) <= 1e-13
+            assert np.max(np.abs(run(c, stack) - dense @ stack)) <= 1e-13
+            fortran = np.asfortranarray(stack)
+            assert np.max(np.abs(run(c, fortran) - dense @ stack)) <= 1e-13
+            assert np.array_equal(fortran, stack)
+
+
 def test_run_rejects_wrong_width():
     with pytest.raises(DimensionMismatchError):
         run(Circuit(2, ()), zero_state(3))
