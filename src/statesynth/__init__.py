@@ -26,7 +26,6 @@ from .circuit import (
     depth,
     inverse,
     shift,
-    with_phase,
 )
 from .errors import (
     BadDimensionError,
@@ -138,6 +137,5 @@ __all__ = [
     "unitary_cnot_ceiling",
     "unitary_eig",
     "unitary_upper_bound",
-    "with_phase",
     "zero_state",
 ]

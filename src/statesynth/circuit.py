@@ -12,13 +12,6 @@ import numpy as np
 from .errors import BadDimensionError, DimensionMismatchError, NonFiniteError, NotUnitaryError
 from .linalg import INPUT_TOL
 
-PHASE_LABELS = ("P1", "P2", "P3", "P4")
-
-
-def _check_phase(label: str | None) -> None:
-    if label is not None and label not in PHASE_LABELS:
-        raise BadDimensionError(f"phase label must be one of {PHASE_LABELS} or None")
-
 
 def _require_unitary_2x2(m: np.ndarray) -> None:
     """``linalg.require_unitary`` for a complex 2x2 array, in closed form.
@@ -60,7 +53,6 @@ def _require_unitary_stack(ms: np.ndarray) -> None:
 class OneQubitGate:
     target: int
     matrix: np.ndarray
-    phase: str | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -68,18 +60,16 @@ class OneQubitGate:
             raise BadDimensionError(f"one-qubit gate matrix must be 2x2, got {m.shape}")
         _require_unitary_2x2(m)
         object.__setattr__(self, "matrix", m)
-        _check_phase(self.phase)
 
 
-def _rebuilt_1q(target: int, matrix: np.ndarray, phase: str | None) -> OneQubitGate:
+def _rebuilt_1q(target: int, matrix: np.ndarray) -> OneQubitGate:
     """A one-qubit gate from parts that already passed the gate checks.
 
-    For IR rebuilds (relabelled qubits, a new phase label, the adjoint of a
-    checked unitary), which would otherwise re-run the unitarity check on
-    every gate.  Callers check ``phase`` themselves if it is new.
+    For IR rebuilds (relabelled qubits, the adjoint of a checked unitary),
+    which would otherwise re-run the unitarity check on every gate.
     """
     g = object.__new__(OneQubitGate)
-    g.__dict__.update(target=target, matrix=matrix, phase=phase)
+    g.__dict__.update(target=target, matrix=matrix)
     return g
 
 
@@ -87,12 +77,10 @@ def _rebuilt_1q(target: int, matrix: np.ndarray, phase: str | None) -> OneQubitG
 class Cnot:
     control: int
     target: int
-    phase: str | None = None
 
     def __post_init__(self):
         if self.control == self.target:
             raise BadDimensionError("CNOT control and target must differ")
-        _check_phase(self.phase)
 
 
 Gate = OneQubitGate | Cnot
@@ -168,7 +156,7 @@ def inverse(c: Circuit) -> Circuit:
         if isinstance(g, Cnot):
             gates.append(g)
         else:
-            gates.append(_rebuilt_1q(g.target, g.matrix.conj().T, g.phase))
+            gates.append(_rebuilt_1q(g.target, g.matrix.conj().T))
     return Circuit(n_qubits=c.n_qubits, gates=tuple(gates))
 
 
@@ -177,22 +165,10 @@ def shift(c: Circuit, offset: int, n_qubits: int) -> Circuit:
     gates: list[Gate] = []
     for g in c.gates:
         if isinstance(g, Cnot):
-            gates.append(Cnot(g.control + offset, g.target + offset, phase=g.phase))
+            gates.append(Cnot(g.control + offset, g.target + offset))
         else:
-            gates.append(_rebuilt_1q(g.target + offset, g.matrix, g.phase))
+            gates.append(_rebuilt_1q(g.target + offset, g.matrix))
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
-
-
-def with_phase(c: Circuit, label: str | None) -> Circuit:
-    """Annotate every gate of the circuit with one phase label."""
-    _check_phase(label)
-    gates = tuple(
-        Cnot(g.control, g.target, phase=label)
-        if isinstance(g, Cnot)
-        else _rebuilt_1q(g.target, g.matrix, label)
-        for g in c.gates
-    )
-    return Circuit(n_qubits=c.n_qubits, gates=gates)
 
 
 @dataclass(frozen=True)
@@ -223,17 +199,17 @@ def cost_report(
     c: Circuit,
     cnot_lower: int | None = None,
     cnot_upper_scheme: int | None = None,
+    per_phase: dict[str, int] | None = None,
 ) -> CostReport:
-    """CNOT count, CNOT-layer depth, and per-phase CNOT breakdown."""
-    per_phase: dict[str, int] = {}
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            key = g.phase if g.phase is not None else "unlabeled"
-            per_phase[key] = per_phase.get(key, 0) + 1
+    """CNOT count and CNOT-layer depth of the circuit, with the given bounds.
+
+    ``per_phase`` maps phase names to CNOT counts; the circuit does not know
+    its phases, so a caller that built it from phase circuits passes them.
+    """
     return CostReport(
         cnot_count=cnot_count(c),
         depth=depth(c),
-        per_phase=per_phase,
+        per_phase=dict(per_phase or {}),
         cnot_lower=cnot_lower,
         cnot_upper_scheme=cnot_upper_scheme,
     )

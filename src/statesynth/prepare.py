@@ -16,12 +16,12 @@ from .circuit import (
     Circuit,
     Cnot,
     OneQubitGate,
+    cnot_count,
     concat,
     cost_report,
     CostReport,
     inverse,
     shift,
-    with_phase,
 )
 from .errors import BadLengthError, DimensionMismatchError, TooFewQubitsError
 from .linalg import svd
@@ -72,6 +72,11 @@ def schmidt_decompose(s: np.ndarray) -> SchmidtForm:
 def _map_zero_to(a: complex, b: complex) -> np.ndarray:
     """Unitary sending |0> to (a, b); the pair must have norm one."""
     return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+def _load_1q(amps: np.ndarray) -> Circuit:
+    """One-gate circuit preparing a normalized one-qubit state."""
+    return Circuit(1, (OneQubitGate(1, _map_zero_to(amps[0], amps[1])),))
 
 
 def baseline_prepare(s: np.ndarray) -> Circuit:
@@ -131,13 +136,11 @@ def _phase4_unitary(basis_right: np.ndarray, k1: int, k2: int) -> np.ndarray:
 def _phase1_circuit(alphas: np.ndarray, k1: int, mode: str) -> Circuit:
     """Coefficient loader on the left half: baseline or recursive pipeline."""
     if k1 == 1:
-        return Circuit(1, (OneQubitGate(1, _map_zero_to(alphas[0], alphas[1])),))
+        return _load_1q(alphas)
     if mode == "auto":
         recursive = bounds_mod.scheme_upper_bound(k1) < bounds_mod.baseline_upper_bound(k1)
-    elif mode in ("baseline", "recursive"):
-        recursive = mode == "recursive"
     else:
-        raise BadLengthError(f"unknown phase1 mode {mode!r}")
+        recursive = mode == "recursive"
     if recursive:
         return schmidt_prepare(alphas, phase1=mode).total
     return baseline_prepare(alphas)
@@ -163,58 +166,59 @@ def schmidt_prepare(s: np.ndarray, phase1: str = "auto", rank_aware: bool = Fals
     the cheaper of the baseline cascade and the recursive pipeline, ties to
     baseline).  ``rank_aware`` shortcuts product states across the cut by
     preparing the two halves independently; it is off by default and excluded
-    from the cost guarantees.
+    from the cost guarantees.  A one-qubit state is one gate, in phase 1.
     """
+    if phase1 not in ("auto", "baseline", "recursive"):
+        raise BadLengthError(f"unknown phase1 mode {phase1!r}")
     s = require_normalized(np.asarray(s, dtype=complex))
     n = num_qubits(s)
-    if n < 2:
-        raise TooFewQubitsError("schmidt_prepare needs at least 2 qubits")
+    if n == 1:
+        p1 = _load_1q(s)
+        sf = SchmidtForm(
+            k1=0,
+            k2=1,
+            alphas=np.ones(1, dtype=complex),
+            basis_left=np.eye(1, dtype=complex),
+            basis_right=p1.gates[0].matrix,
+        )
+        empty = Circuit(1, ())
+        return _plan(sf, p1, empty, empty, empty)
     sf = schmidt_decompose(s)
     k1, k2 = sf.k1, sf.k2
 
     if rank_aware and len(sf.alphas) > 1 and abs(sf.alphas[1]) < 1e-12:
-        return _prepare_product(s, sf, n)
+        return _prepare_product(sf, n)
 
-    p1 = with_phase(shift(_phase1_circuit(sf.alphas, k1, phase1), 0, n), "P1")
-    p2 = Circuit(n, tuple(Cnot(j, j + k1, phase="P2") for j in range(1, k1 + 1)))
-    p3 = with_phase(shift(synth_kq_unitary(sf.basis_left), 0, n), "P3")
-    p4_mat = _phase4_unitary(sf.basis_right, k1, k2)
-    p4 = with_phase(shift(synth_kq_unitary(p4_mat), k1, n), "P4")
+    p1 = shift(_phase1_circuit(sf.alphas, k1, phase1), 0, n)
+    p2 = Circuit(n, tuple(Cnot(j, j + k1) for j in range(1, k1 + 1)))
+    p3 = shift(synth_kq_unitary(sf.basis_left), 0, n)
+    p4 = shift(synth_kq_unitary(_phase4_unitary(sf.basis_right, k1, k2)), k1, n)
+    return _plan(sf, p1, p2, p3, p4)
+
+
+def _plan(sf: SchmidtForm, p1: Circuit, p2: Circuit, p3: Circuit, p4: Circuit) -> PrepPlan:
+    """The plan for four phase circuits on one register, with its cost report."""
+    n = p1.n_qubits
     total = concat(p1, p2, p3, p4)
     report = cost_report(
         total,
         cnot_lower=bounds_mod.cnot_lower_bound(n),
-        cnot_upper_scheme=bounds_mod.scheme_upper_bound(n),
+        # the scheme's ceiling is defined from two qubits on
+        cnot_upper_scheme=bounds_mod.scheme_upper_bound(n) if n > 1 else None,
+        per_phase={f"P{i}": cnot_count(p) for i, p in enumerate((p1, p2, p3, p4), 1)},
     )
     return PrepPlan(
         phase1=p1, phase2=p2, phase3=p3, phase4=p4, total=total, report=report, schmidt=sf
     )
 
 
-def _prepare_state_any(s: np.ndarray, label: str, rank_aware: bool) -> Circuit:
-    n = num_qubits(s)
-    if n == 1:
-        return Circuit(1, (OneQubitGate(1, _map_zero_to(s[0], s[1]), phase=label),))
-    return with_phase(schmidt_prepare(s, rank_aware=rank_aware).total, label)
-
-
-def _prepare_product(s: np.ndarray, sf: SchmidtForm, n: int) -> PrepPlan:
+def _prepare_product(sf: SchmidtForm, n: int) -> PrepPlan:
     """Rank-1 shortcut: prepare the two halves independently, no CNOT fan."""
     left = sf.basis_left[:, 0] * sf.alphas[0]
     right = sf.basis_right[:, 0]
-    p1 = Circuit(n, ())
-    p2 = Circuit(n, ())
-    p3 = shift(_prepare_state_any(left, "P3", True), 0, n)
-    p4 = shift(_prepare_state_any(right, "P4", True), sf.k1, n)
-    total = concat(p1, p2, p3, p4)
-    report = cost_report(
-        total,
-        cnot_lower=bounds_mod.cnot_lower_bound(n),
-        cnot_upper_scheme=bounds_mod.scheme_upper_bound(n),
-    )
-    return PrepPlan(
-        phase1=p1, phase2=p2, phase3=p3, phase4=p4, total=total, report=report, schmidt=sf
-    )
+    p3 = shift(schmidt_prepare(left, rank_aware=True).total, 0, n)
+    p4 = shift(schmidt_prepare(right, rank_aware=True).total, sf.k1, n)
+    return _plan(sf, Circuit(n, ()), Circuit(n, ()), p3, p4)
 
 
 def transform(psi: np.ndarray, phi: np.ndarray, phase1: str = "auto") -> Circuit:

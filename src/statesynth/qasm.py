@@ -6,7 +6,8 @@ circuit: emission turns the (G, 2, 2) stack of all one-qubit matrices into
 angles in one pass, and parsing collects every u3's angles, then builds and
 checks all the matrices as one stack.  A u3 statement of three plain numbers,
 the form emission writes, is read with one regex and float(); every other
-statement goes through the general dispatch and the angle grammar.
+statement goes through the general dispatch, and each of its angles, a plain
+number included, through the angle grammar.
 """
 
 import math
@@ -81,11 +82,7 @@ _NUMBER_RE = re.compile(r"[-+]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?")
 
 def _eval_angle(expr: str) -> float:
     """Evaluate an angle expression over floats, pi, + - * / and parentheses."""
-    if _NUMBER_RE.fullmatch(expr):
-        # float() of a signed token is the negation of float() of the token
-        result = float(expr)
-    else:
-        result = _eval_expr(expr)
+    result = _eval_expr(expr)
     if not math.isfinite(result):
         raise QasmParseError(f"angle {expr!r} is not finite")
     return result
@@ -223,7 +220,7 @@ def parse_qasm(text: str) -> Circuit:
     matrices = u3_matrix(theta, phi, lam)
     _require_unitary_stack(matrices)
     it = iter(matrices)
-    gates = [g if isinstance(g, Cnot) else _rebuilt_1q(g, next(it), None) for g in gates]
+    gates = [g if isinstance(g, Cnot) else _rebuilt_1q(g, next(it)) for g in gates]
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 

@@ -16,13 +16,12 @@ from .errors import BadDimensionError, BadLengthError, NotNormalizedError, Synth
 from .linalg import cosine_sine, require_unitary, svd, unitary_eig
 from .twoqubit import (
     _H,
+    _Z,
     _rx,
     _rz,
     synth_2q_unitary,
     two_qubit_up_to_diagonal,
 )
-
-_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def _ry(theta: float) -> np.ndarray:

@@ -22,7 +22,6 @@ from statesynth import (
     run,
     schmidt_prepare,
     shift,
-    with_phase,
     zero_state,
 )
 from statesynth.circuit import _require_unitary_stack
@@ -121,8 +120,6 @@ def test_gate_validation():
                 _require_unitary_stack(stack)
     with pytest.raises(BadDimensionError):
         OneQubitGate(1, np.zeros((2, 3)))
-    with pytest.raises(BadDimensionError):
-        Cnot(1, 2, phase="P9")
 
 
 def _gate_check_verdict(make) -> str:
@@ -176,7 +173,7 @@ def test_gate_check_matches_require_unitary():
 
 
 def test_ir_rebuilds_skip_the_gate_check(monkeypatch):
-    """shift, inverse and with_phase copy checked gates without re-checking."""
+    """shift and inverse copy checked gates without re-checking."""
     rng = np.random.default_rng(8)
     c = schmidt_prepare(haar_state(4, rng)).total
     ones = [g for g in c.gates if isinstance(g, OneQubitGate)]
@@ -193,7 +190,6 @@ def test_ir_rebuilds_skip_the_gate_check(monkeypatch):
     calls.clear()
     rebuilt = {
         "shift": shift(c, 2, 6),
-        "with_phase": with_phase(c, "P3"),
         "inverse": inverse(inverse(c)),
     }
     assert calls == []
@@ -206,13 +202,10 @@ def test_ir_rebuilds_skip_the_gate_check(monkeypatch):
     assert [g.target for g in rebuilt["shift"].gates if isinstance(g, OneQubitGate)] == [
         g.target + 2 for g in ones
     ]
-    assert {g.phase for g in rebuilt["with_phase"].gates} == {"P3"}
     adjoint = [g for g in inverse(c).gates if isinstance(g, OneQubitGate)]
     for g, orig in zip(adjoint, reversed(ones)):
         assert np.array_equal(g.matrix, orig.matrix.conj().T)
     assert calls == []
-    with pytest.raises(BadDimensionError):
-        with_phase(c, "P9")
 
 
 def test_cost_report_per_phase():
@@ -226,11 +219,18 @@ def test_cost_report_per_phase():
     payload = json.loads(rep.to_json())
     assert payload["cnot_count"] == 9
     assert payload["per_phase"]["P2"] == 2
-
-
-def test_with_phase_annotation():
-    c = with_phase(Circuit(2, (Cnot(1, 2),)), "P2")
-    assert c.gates[0].phase == "P2"
+    # n = 8 loads phase 1 with the recursive pipeline; the product state
+    # takes the rank-aware shortcut, which leaves phases 1 and 2 empty
+    plans = [schmidt_prepare(haar_state(n, rng)) for n in (2, 3, 4, 5, 6, 8)]
+    product = np.kron(haar_state(3, rng), haar_state(3, rng))
+    plans.append(schmidt_prepare(product, rank_aware=True))
+    for plan in plans:
+        phases = (plan.phase1, plan.phase2, plan.phase3, plan.phase4)
+        counts = {f"P{i}": cnot_count(p) for i, p in enumerate(phases, 1)}
+        assert plan.report.per_phase == counts
+        assert sum(counts.values()) == cnot_count(plan.total) == plan.report.cnot_count
+    assert plans[-1].report.per_phase["P1"] == plans[-1].report.per_phase["P2"] == 0
+    assert cnot_count(plans[-1].total) > 0
 
 
 def test_depth_ceiling_respects_half_register():

@@ -163,6 +163,21 @@ def test_prepare_json_format_and_flags(state_file):
     assert payload["report"]["cnot_count"] <= 11
 
 
+def test_prepare_one_qubit_state(tmp_path, capsys):
+    state = np.array([0.6, 0.8j])
+    path = tmp_path / "one.json"
+    path.write_text(state_to_json(state))
+    assert main(["prepare", str(path)]) == 0
+    assert "cnots=0 depth=0" in capsys.readouterr().out
+    lines = path.with_suffix(".qasm").read_text().splitlines()
+    assert sum(line.startswith("u3(") for line in lines) == 1
+    assert not any(line.startswith("cx ") for line in lines)
+    report = json.loads(path.with_suffix(".report.json").read_text())
+    assert report["per_phase"] == {"P1": 0, "P2": 0, "P3": 0, "P4": 0}
+    assert report["fidelity"] >= 1 - 1e-9
+    assert main(["verify", str(path.with_suffix(".qasm")), str(path)]) == 0
+
+
 def test_prepare_output_is_deterministic(state_file):
     path, _ = state_file
     out1 = path.parent / "a.qasm"

@@ -203,8 +203,9 @@ def _grammar(expr: str) -> float | None:
 
 
 def test_angle_fast_path_agrees_with_grammar():
-    """A plain signed number takes float(); it must be a string the grammar
-    accepts, with exactly the grammar's value (sign of zero included)."""
+    """A plain signed number, the form emit_qasm writes and the parser's u3
+    lane reads with float(), must be a string the grammar accepts; every
+    angle gets exactly the grammar's value (sign of zero included)."""
     rng = np.random.default_rng(10)
     values = list(rng.uniform(-2 * math.pi, 2 * math.pi, 300))
     values += list(rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statesynth import (
+    BadLengthError,
     NotNormalizedError,
     TooFewQubitsError,
     baseline_prepare,
@@ -153,8 +154,21 @@ def test_rank_aware_shrinks_product_states():
 def test_prepare_rejects_bad_inputs():
     with pytest.raises(NotNormalizedError):
         schmidt_prepare(np.ones(16, dtype=complex))
-    with pytest.raises(TooFewQubitsError):
-        schmidt_prepare(np.array([0.6, 0.8], dtype=complex))
+    for n in (1, 2, 3, 4):
+        with pytest.raises(BadLengthError):
+            schmidt_prepare(haar_state(n, 1), phase1="bogus")
+    with pytest.raises(BadLengthError):
+        transform(haar_state(3, 1), haar_state(3, 2), phase1="bogus")
+
+
+def test_prepare_one_qubit_state():
+    for s in (np.array([0.6, 0.8]), np.array([0.6, 0.8j]), np.array([0, 1]), haar_state(1, 3)):
+        plan = schmidt_prepare(s)
+        assert len(plan.total) == len(plan.phase1) == 1
+        assert cnot_count(plan.total) == 0 and plan.report.depth == 0
+        assert plan.report.per_phase == {"P1": 0, "P2": 0, "P3": 0, "P4": 0}
+        assert fidelity(run(plan.total, zero_state(1)), s) >= 1 - 1e-9
+        assert fidelity(plan.schmidt.reassemble(), s) >= 1 - 1e-9
 
 
 # -- transform -----------------------------------------------------------------
