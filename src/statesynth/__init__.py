@@ -68,7 +68,6 @@ from .synthesis import (
     synth_kq_unitary,
     synth_multiplexed_rotation,
     uc_su2_up_to_diagonal,
-    unitary_cnot_ceiling,
 )
 from .twoqubit import kak_decompose, phase_aligned_distance, two_qubit_up_to_diagonal
 
@@ -134,7 +133,6 @@ __all__ = [
     "two_qubit_up_to_diagonal",
     "uc_su2_up_to_diagonal",
     "unitarity_defect",
-    "unitary_cnot_ceiling",
     "unitary_eig",
     "unitary_upper_bound",
     "zero_state",

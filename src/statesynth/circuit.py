@@ -112,6 +112,24 @@ class Circuit:
         return len(self.gates)
 
 
+def _rewrapped(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
+    """A circuit from a gate tuple whose qubits are known to lie in 1..n_qubits.
+
+    For IR rebuilds whose width check already covers every gate, which would
+    otherwise re-check each gate's qubits.
+    """
+    c = object.__new__(Circuit)
+    c.__dict__.update(n_qubits=n_qubits, gates=gates)
+    return c
+
+
+def _widened(c: Circuit, n_qubits: int) -> Circuit:
+    """The same gates on a register of ``n_qubits`` >= ``c.n_qubits`` qubits."""
+    if n_qubits < c.n_qubits:
+        raise BadDimensionError(f"cannot narrow a {c.n_qubits}-qubit circuit to {n_qubits}")
+    return _rewrapped(n_qubits, c.gates)
+
+
 def cnot_count(c: Circuit) -> int:
     """Number of CNOT gates in the circuit."""
     return sum(1 for g in c.gates if isinstance(g, Cnot))
@@ -146,7 +164,7 @@ def concat(*circuits: Circuit) -> Circuit:
     gates: list[Gate] = []
     for c in circuits:
         gates.extend(c.gates)
-    return Circuit(n_qubits=n, gates=tuple(gates))
+    return _rewrapped(n, tuple(gates))
 
 
 def inverse(c: Circuit) -> Circuit:
@@ -160,15 +178,23 @@ def inverse(c: Circuit) -> Circuit:
     return Circuit(n_qubits=c.n_qubits, gates=tuple(gates))
 
 
+def _shifted_gates(gates, offset: int) -> list[Gate]:
+    """The gates with every qubit index moved up by ``offset``."""
+    out: list[Gate] = []
+    for g in gates:
+        if isinstance(g, Cnot):
+            out.append(Cnot(g.control + offset, g.target + offset))
+        else:
+            out.append(_rebuilt_1q(g.target + offset, g.matrix))
+    return out
+
+
 def shift(c: Circuit, offset: int, n_qubits: int) -> Circuit:
     """Re-embed a circuit with all qubit indices moved up by ``offset``."""
-    gates: list[Gate] = []
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            gates.append(Cnot(g.control + offset, g.target + offset))
-        else:
-            gates.append(_rebuilt_1q(g.target + offset, g.matrix))
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+    gates = tuple(_shifted_gates(c.gates, offset))
+    if offset >= 0 and c.n_qubits + offset <= n_qubits:
+        return _rewrapped(n_qubits, gates)
+    return Circuit(n_qubits=n_qubits, gates=gates)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Amplitude index i labels the basis state whose binary expansion, most
 significant bit first, gives the values of qubits 1..n.  Gates act in place
 on one state or on a stack of states held as columns, through contiguous
-reshaped views that put the gate's qubits on axes of length 2: a one-qubit
-gate is one stacked 2x2 matrix product, a CNOT swaps two slices.  No
+reshaped views that put the gate's qubits on axes of length 2.  No
 2^n x 2^n gate matrices are formed.  Back-to-back one-qubit gates on a qubit
-are multiplied into one 2x2 matrix first, which is applied when a CNOT
-touches that qubit or the circuit ends; one-qubit gates on different qubits
-commute, so only the CNOTs order the kernels.
+are multiplied into one pending 2x2 matrix; one-qubit gates on different
+qubits commute, so only the CNOTs order the kernels.  A CNOT takes in the
+pending matrices of its two qubits and is applied as one 4x4 matrix product
+over the pair (through a transposed copy when the pair is not adjacent).  A
+CNOT with nothing pending swaps two slices, and what is still pending when
+the circuit ends is applied as stacked 2x2 products.
 """
 
 import json
@@ -44,13 +46,14 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, target: int) -> None:
-    # (above, target, below) view; below also holds the batch axis
-    above = 1 << (target - 1)
-    view = state.reshape(above, 2, -1)
+def _apply_local(state: np.ndarray, matrix: np.ndarray, first: int) -> None:
+    # matrix on the qubits first, first + 1, ... (2x2 for one, 4x4 for two)
+    # through an (above, local, below) view; below also holds the batch axis
+    above = 1 << (first - 1)
+    view = state.reshape(above, len(matrix), -1)
     # matmul loops over the stack axis, so stack along the shorter of the
-    # two: the rows of a 2x2 @ (2, below) product, or the columns of
-    # (above, 2) @ 2x2^T
+    # two: the rows of a matrix @ (local, below) product, or the columns of
+    # (above, local) @ matrix^T
     if view.shape[2] >= above:
         np.matmul(matrix, view, out=view)
     else:
@@ -70,6 +73,29 @@ def _apply_cnot(state: np.ndarray, control: int, target: int) -> None:
         slab[...] = slab[:, ::-1]
 
 
+_I2 = np.eye(2, dtype=complex)
+# CNOT as a row permutation of a 4x4 matrix on a qubit pair lo < hi, indexed
+# 2 * bit(lo) + bit(hi); keyed by whether the control is lo
+_CNOT_ROWS = {True: np.array([0, 1, 3, 2]), False: np.array([0, 3, 2, 1])}
+
+
+def _apply_fused_cnot(state: np.ndarray, g: Cnot, m_control, m_target) -> None:
+    """The CNOT after the pending products on its qubits (None: none), as one 4x4 kernel."""
+    control_lo = g.control < g.target
+    lo, hi = sorted((g.control, g.target))
+    a, b = (m_control, m_target) if control_lo else (m_target, m_control)
+    a = _I2 if a is None else a
+    b = _I2 if b is None else b
+    pair = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)[_CNOT_ROWS[control_lo]]
+    if hi == lo + 1:
+        _apply_local(state, pair, lo)
+        return
+    # the pair axes go first in one copy, one matrix product, and the result
+    # is copied back through the same transposed view
+    view = state.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1).transpose(1, 3, 0, 2, 4)
+    view[...] = (pair @ view.reshape(4, -1)).reshape(view.shape)
+
+
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in order to the input state.
 
@@ -85,16 +111,17 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     pending = {}  # qubit -> product of its one-qubit gates not yet applied
     for g in c.gates:
         if isinstance(g, Cnot):
-            for q in (g.control, g.target):
-                m = pending.pop(q, None)
-                if m is not None:
-                    _apply_1q(state, m, q)
-            _apply_cnot(state, g.control, g.target)
+            m_control = pending.pop(g.control, None)
+            m_target = pending.pop(g.target, None)
+            if m_control is None and m_target is None:
+                _apply_cnot(state, g.control, g.target)
+            else:
+                _apply_fused_cnot(state, g, m_control, m_target)
         else:
             m = pending.get(g.target)
             pending[g.target] = g.matrix if m is None else g.matrix @ m
     for q, m in pending.items():
-        _apply_1q(state, m, q)
+        _apply_local(state, m, q)
     return state
 
 

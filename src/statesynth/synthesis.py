@@ -7,11 +7,13 @@ convention of the rest of the library.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, OneQubitGate, shift
+from .bounds import unitary_upper_bound
+from .circuit import Circuit, Cnot, OneQubitGate, _shifted_gates
 from .errors import BadDimensionError, BadLengthError, NotNormalizedError, SynthesisError
 from .linalg import cosine_sine, require_unitary, svd, unitary_eig
 from .twoqubit import (
@@ -76,6 +78,21 @@ def _gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
+@functools.cache
+def _gray_signs(size: int) -> np.ndarray:
+    """(-1)^popcount(gray(l) & i) at [i, l], read-only: it is shared."""
+    signs = np.array(
+        [[(-1) ** bin(_gray(l) & i).count("1") for l in range(size)] for i in range(size)]
+    )
+    signs.flags.writeable = False
+    return signs
+
+
+@functools.cache
+def _h_gate(target: int) -> OneQubitGate:
+    return OneQubitGate(target, _H)
+
+
 def _ucr_gates(
     axis: str,
     angles: np.ndarray,
@@ -99,10 +116,7 @@ def _ucr_gates(
     if c == 0:
         return [OneQubitGate(target, rot(float(angles[0])))]
     # invert angle_i = sum_l (-1)^popcount(gray(l) & i) phi_l
-    signs = np.array(
-        [[(-1) ** bin(_gray(l) & i).count("1") for l in range(size)] for i in range(size)]
-    )
-    phis = signs.T @ np.asarray(angles, dtype=float) / size
+    phis = _gray_signs(size).T @ np.asarray(angles, dtype=float) / size
     gates = []
     for l in range(size):
         gates.append(OneQubitGate(target, rot(float(phis[l]))))
@@ -113,9 +127,9 @@ def _ucr_gates(
         if entangler == "cx":
             gates.append(Cnot(select, target))
         else:  # cz, symmetric; one CNOT plus basis changes on the target
-            gates.append(OneQubitGate(target, _H))
+            gates.append(_h_gate(target))
             gates.append(Cnot(select, target))
-            gates.append(OneQubitGate(target, _H))
+            gates.append(_h_gate(target))
     return gates
 
 
@@ -201,9 +215,9 @@ def uc_su2_up_to_diagonal(
     v_list = [v_list[j] @ np.diag(w_delta[2 * j : 2 * j + 2]) for j in range(half)]
     v_gates, v_delta = uc_su2_up_to_diagonal(v_list, rest, target)
     gates = list(w_gates)
-    gates.append(OneQubitGate(target, _H))
+    gates.append(_h_gate(target))
     gates.append(Cnot(controls[0], target))
-    gates.append(OneQubitGate(target, _H))
+    gates.append(_h_gate(target))
     gates.extend(v_gates)
     delta = np.empty(2 * len(mats), dtype=complex)
     delta[: 2 * half] = v_delta
@@ -249,13 +263,6 @@ def _qsd_demux(u0: np.ndarray, u1: np.ndarray, qubits: list[int], sink: list) ->
     _qsd(v, qubits[1:], sink)
 
 
-def unitary_cnot_ceiling(k: int) -> float:
-    """Closed-form CNOT cost of the recursion for a k-qubit unitary."""
-    if k <= 1:
-        return 0.0
-    return 23.0 / 48.0 * 4**k - 1.5 * 2**k + 4.0 / 3.0
-
-
 def _qsd_gates(u: np.ndarray, k: int) -> list:
     sink: list = []
     _qsd(u, list(range(1, k + 1)), sink)
@@ -269,10 +276,11 @@ def _qsd_gates(u: np.ndarray, k: int) -> list:
         sink[prev].matrix = np.diag(delta) @ sink[prev].matrix
         sink[pos] = circ
     sink[leaf_positions[0]] = synth_2q_unitary(sink[leaf_positions[0]].matrix)
+    # one pass re-embeds every leaf on qubits k-1, k
     gates = []
     for item in sink:
         if isinstance(item, Circuit):
-            gates.extend(shift(item, k - 2, k).gates)
+            gates.extend(_shifted_gates(item.gates, k - 2))
         else:
             gates.append(item)
     return gates
@@ -301,8 +309,8 @@ def synth_kq_unitary(u: np.ndarray) -> Circuit:
         return synth_2q_unitary(u)
     gates = _qsd_gates(u, k)
     n_cnots = sum(1 for g in gates if isinstance(g, Cnot))
-    if n_cnots > unitary_cnot_ceiling(k):
+    if n_cnots > unitary_upper_bound(k):
         raise SynthesisError(
-            f"emitted {n_cnots} CNOTs, above the ceiling {unitary_cnot_ceiling(k)}"
+            f"emitted {n_cnots} CNOTs, above the ceiling {unitary_upper_bound(k)}"
         )
     return Circuit(k, tuple(gates))

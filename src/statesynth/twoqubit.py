@@ -8,7 +8,10 @@ the circuit built from the same factors: none when all vanish, one for a
 single +-pi/4, two when any vanishes and three otherwise.
 
 Every synthesized circuit is verified against the input before it is
-returned.
+returned: the gates are built first, then the 4x4 product of their matrices
+is compared with the input.  The check multiplies 4x4 matrices directly, with
+no Circuit and no simulation; the Circuit is built once the check has passed.
+The fixed gates of the CNOT interiors are built once, at import.
 """
 
 import cmath
@@ -19,7 +22,6 @@ import numpy as np
 from .circuit import Circuit, Cnot, OneQubitGate
 from .errors import BadDimensionError, SynthesisError
 from .linalg import require_unitary
-from .simulate import circuit_unitary
 
 # magic basis: columns are Bell-like states; maps SU(2)xSU(2) to SO(4)
 MAGIC = np.array(
@@ -37,11 +39,21 @@ _SQRT_X = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2.0)
 # XX, YY, ZZ: the interaction axes of the Cartan coordinates
 _AXES = tuple(np.kron(p, p) for p in (_X, _Y, _Z))
 
-# c with (c x c) exchanging two interaction axes and fixing the third
-_AXIS_SWAP = {(0, 1): _S, (1, 2): _SQRT_X, (0, 2): _H}
+# (c x c) for a c exchanging two interaction axes and fixing the third
+_AXIS_SWAP = {(0, 1): np.kron(_S, _S), (1, 2): np.kron(_SQRT_X, _SQRT_X), (0, 2): np.kron(_H, _H)}
 
 # eigenvector basis of ZX = iY, used when a CZ is merged into a trailing CNOT
 _G_MERGE = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
+
+# the fixed gates of the CNOT interiors
+_CX = Cnot(1, 2)
+_H_2 = OneQubitGate(2, _H)
+_S_1 = OneQubitGate(1, _S)
+_G_MERGE_DAG_2 = OneQubitGate(2, _G_MERGE.conj().T)
+
+# CNOT(1,2) @ m permutes the rows of m, CZ @ m flips the sign of its last row
+_CX_ORDER = [0, 1, 3, 2]
+_CZ_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])[:, None]
 
 # diagonal patterns of XX, YY, ZZ in the magic basis; rows of the linear
 # system mapping (h0, hx, hy, hz) to the four interaction phases
@@ -211,70 +223,73 @@ def _swap_axes(l1, r, l2, i: int, j: int):
     """Same matrix with coordinates i and j exchanged, via a local frame."""
     if i == j:
         return l1, r, l2
-    c = _AXIS_SWAP[(min(i, j), max(i, j))]
-    cc = np.kron(c, c)
+    cc = _AXIS_SWAP[(min(i, j), max(i, j))]
     r = r.copy()
     r[[i, j]] = r[[j, i]]
     return l1 @ cc, r, cc.conj().T @ l2
 
 
-def _interior_gates(hx: float, hy: float, hz: float) -> list:
-    """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)).
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for 2x2 a and b."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+_I2 = np.eye(2, dtype=complex)
+_CX_MATRIX = np.eye(4, dtype=complex)[_CX_ORDER]
+# H CNOT(1,2) H on qubit 2 is CZ; CZ (1 x G_MERGE^dag) opens the 3-CNOT interior
+_CZ_G_MERGE_DAG = _CZ_SIGNS * _kron(_I2, _G_MERGE_DAG_2.matrix)
+
+
+def _interior_gates(hx: float, hy: float, hz: float) -> tuple[list, np.ndarray]:
+    """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)), and its matrix.
 
     Conjugating by CNOT(1,2) turns the interaction into a rotation on qubit 1
     multiplexed by qubit 2 plus a z-rotation on qubit 2; the trailing
     CZ-CNOT pair merges into a single CNOT with one-qubit corrections.
     """
     u_angle, v_angle, c_angle = -2.0 * hx, 2.0 * hy, -2.0 * hz
-    return [
-        OneQubitGate(2, _G_MERGE.conj().T),
-        OneQubitGate(2, _H),
-        Cnot(1, 2),
-        OneQubitGate(2, _H),
-        OneQubitGate(1, _S),
-        OneQubitGate(2, _rz(c_angle) @ _G_MERGE),
-        OneQubitGate(1, _rx(v_angle)),
-        OneQubitGate(2, _H),
-        Cnot(1, 2),
-        OneQubitGate(2, _H),
-        OneQubitGate(1, _rx(u_angle)),
-        Cnot(1, 2),
-    ]
+    rz_g = OneQubitGate(2, _rz(c_angle) @ _G_MERGE)
+    rx_v = OneQubitGate(1, _rx(v_angle))
+    rx_u = OneQubitGate(1, _rx(u_angle))
+    gates = [_G_MERGE_DAG_2, _H_2, _CX, _H_2, _S_1, rz_g, rx_v, _H_2, _CX, _H_2, rx_u, _CX]
+    m = (_CZ_SIGNS * _kron(rx_v.matrix @ _S_1.matrix, rz_g.matrix)) @ _CZ_G_MERGE_DAG
+    return gates, (_kron(rx_u.matrix, _I2) @ m)[_CX_ORDER]
 
 
-def _kak_gates(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list:
-    """Fewest-CNOT gates for L1 exp(i r.(XX, YY, ZZ)) L2, r reduced."""
+def _kak_gates(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> tuple[list, np.ndarray]:
+    """Fewest-CNOT gates for L1 exp(i r.(XX, YY, ZZ)) L2, r reduced.
+
+    Returns the gates on qubits (1, 2) and the 4x4 product of their matrices.
+    """
     zero = np.abs(r) <= _CLASS_TOL
     if zero.all():
         a, b = _tensor_split(l1 @ l2)
-        return [OneQubitGate(1, a), OneQubitGate(2, b)]
+        gates = [OneQubitGate(1, a), OneQubitGate(2, b)]
+        return gates, _kron(gates[0].matrix, gates[1].matrix)
     if zero.sum() == 2 and abs(math.pi / 4.0 - np.max(np.abs(r))) <= _CLASS_TOL:
         # exp(i r ZZ) with r = +-pi/4 is (P x P) CZ up to phase
         l1, r, l2 = _swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
         p = np.diag([1.0, -1j * np.sign(r[2])])
         l1 = l1 @ np.kron(p, p @ _H)
         l2 = np.kron(np.eye(2), _H) @ l2
-        interior = [Cnot(1, 2)]
+        interior, m = [_CX], _CX_MATRIX
     elif zero.any():
         # CNOT(1,2) conjugation turns Rx x Rz into exp(i(r0 XX + r2 ZZ))
         l1, r, l2 = _swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
-        interior = [
-            Cnot(1, 2),
-            OneQubitGate(1, _rx(-2.0 * r[0])),
-            OneQubitGate(2, _rz(-2.0 * r[2])),
-            Cnot(1, 2),
-        ]
+        rx = OneQubitGate(1, _rx(-2.0 * r[0]))
+        rz = OneQubitGate(2, _rz(-2.0 * r[2]))
+        interior = [_CX, rx, rz, _CX]
+        m = _kron(rx.matrix, rz.matrix)[_CX_ORDER][:, _CX_ORDER]
     else:
-        interior = _interior_gates(*r)
+        interior, m = _interior_gates(*r)
     a1, a2 = _tensor_split(l1)
     b1, b2 = _tensor_split(l2)
-    return [
-        OneQubitGate(1, b1),
-        OneQubitGate(2, b2),
-        *interior,
-        OneQubitGate(1, a1),
-        OneQubitGate(2, a2),
-    ]
+    first = [OneQubitGate(1, b1), OneQubitGate(2, b2)]
+    last = [OneQubitGate(1, a1), OneQubitGate(2, a2)]
+    matrix = (
+        _kron(last[0].matrix, last[1].matrix) @ m @ _kron(first[0].matrix, first[1].matrix)
+    )
+    return [*first, *interior, *last], matrix
 
 
 def _verify(matrix: np.ndarray, target: np.ndarray) -> None:
@@ -294,9 +309,9 @@ def synth_2q_unitary(u: np.ndarray) -> Circuit:
     require_unitary(u, what="two-qubit unitary")
     l1, h, l2, _ = kak_decompose(u)
     l1, r = _reduce(l1, h)
-    circ = Circuit(2, tuple(_kak_gates(l1, r, l2)))
-    _verify(circuit_unitary(circ), u)
-    return circ
+    gates, matrix = _kak_gates(l1, r, l2)
+    _verify(matrix, u)
+    return Circuit(2, tuple(gates))
 
 
 def _twisted(u_su4: np.ndarray, t: float) -> np.ndarray:
@@ -368,7 +383,7 @@ def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
     u = np.asarray(u, dtype=complex)
     t, (l1, r, l2) = _two_cnot_twist(to_su4(u))
     r[np.argmin(np.abs(r))] = 0.0
-    circ = Circuit(2, tuple(_kak_gates(l1, r, l2)))
+    gates, matrix = _kak_gates(l1, r, l2)
     delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
-    _verify(circuit_unitary(circ) * delta[None, :], u)
-    return circ, delta
+    _verify(matrix * delta[None, :], u)
+    return Circuit(2, tuple(gates)), delta

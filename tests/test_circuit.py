@@ -10,6 +10,7 @@ from statesynth import (
     BadDimensionError,
     Circuit,
     Cnot,
+    DimensionMismatchError,
     NonFiniteError,
     NotUnitaryError,
     OneQubitGate,
@@ -24,7 +25,7 @@ from statesynth import (
     shift,
     zero_state,
 )
-from statesynth.circuit import _require_unitary_stack
+from statesynth.circuit import _require_unitary_stack, _widened
 from statesynth.linalg import require_unitary, unitarity_defect
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -100,6 +101,24 @@ def test_shift_relabels_qubits():
     c = Circuit(2, (Cnot(1, 2),))
     s = shift(c, 2, 4)
     assert s.gates[0].control == 3 and s.gates[0].target == 4
+
+
+def test_ir_rebuilds_keep_the_width_check():
+    """shift, concat and widening skip the per-gate qubit check only where the
+    register widths already guarantee it; every other case is still checked."""
+    wide = Circuit(4, (Cnot(1, 2),))
+    assert shift(wide, 2, 4).gates[0].target == 4  # the gates fit, the width does not
+    assert shift(Circuit(3, (Cnot(2, 3),)), -1, 2).gates[0].control == 1
+    with pytest.raises(BadDimensionError):
+        shift(Circuit(2, (Cnot(1, 2),)), 2, 3)
+    with pytest.raises(BadDimensionError):
+        shift(Circuit(2, (Cnot(1, 2),)), -1, 2)
+    with pytest.raises(DimensionMismatchError):
+        concat(Circuit(2, ()), wide)
+    widened = _widened(wide, 6)
+    assert widened.n_qubits == 6 and widened.gates == wide.gates
+    with pytest.raises(BadDimensionError):
+        _widened(wide, 3)
 
 
 def test_gate_validation():

@@ -194,6 +194,49 @@ def test_fused_one_qubit_runs_match_dense_reference():
             assert np.array_equal(fortran, stack)
 
 
+def test_fused_cnot_kernel_matches_dense_reference():
+    """A CNOT takes in the pending one-qubit products on its qubits and runs as
+    one 4x4 kernel.  Every ordered pair, with pending gates on neither qubit,
+    the control, the target or both, followed by back-to-back CNOTs on the
+    same pair (the second with nothing pending) and a pending gate on a third
+    qubit, must match the gate-by-gate dense product on one state, a (2^n, 3)
+    stack and a Fortran-ordered stack."""
+    rng = np.random.default_rng(11)
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in range(2, 7):
+        psi = haar_state(n, rng)
+        stack = np.stack([haar_state(n, rng) for _ in range(3)], axis=1)
+        fortran = np.asfortranarray(stack)
+        for ctrl in range(1, n + 1):
+            for tgt in range(1, n + 1):
+                if ctrl == tgt:
+                    continue
+                cnot = _dense(n, {ctrl: p0}) + _dense(n, {ctrl: p1, tgt: x})
+                for pending in ((), (ctrl,), (tgt,), (ctrl, tgt)):
+                    gates, dense = [], np.eye(1 << n, dtype=complex)
+                    for q in pending:
+                        u = haar_unitary(2, rng)
+                        gates.append(OneQubitGate(q, u))
+                        dense = _dense(n, {q: u}) @ dense
+                    gates += [Cnot(ctrl, tgt), Cnot(ctrl, tgt)]
+                    dense = cnot @ cnot @ dense
+                    others = [q for q in range(1, n + 1) if q not in (ctrl, tgt)]
+                    if others:
+                        u = haar_unitary(2, rng)
+                        gates.append(OneQubitGate(others[0], u))
+                        dense = _dense(n, {others[0]: u}) @ dense
+                    u = haar_unitary(2, rng)
+                    gates += [OneQubitGate(tgt, u), Cnot(ctrl, tgt)]
+                    dense = cnot @ _dense(n, {tgt: u}) @ dense
+                    c = Circuit(n, tuple(gates))
+                    assert np.max(np.abs(run(c, psi) - dense @ psi)) <= 1e-13
+                    assert np.max(np.abs(run(c, stack) - dense @ stack)) <= 1e-13
+                    assert np.max(np.abs(run(c, fortran) - dense @ stack)) <= 1e-13
+                    assert np.array_equal(fortran, stack)  # the input is not modified
+
+
 def test_run_rejects_wrong_width():
     with pytest.raises(DimensionMismatchError):
         run(Circuit(2, ()), zero_state(3))

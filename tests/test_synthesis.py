@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from statesynth import simulate, synthesis, twoqubit
 from statesynth import (
     BadLengthError,
     Circuit,
     NotNormalizedError,
     NotUnitaryError,
+    SynthesisError,
     circuit_unitary,
     cnot_count,
     demultiplex,
@@ -22,7 +24,7 @@ from statesynth import (
     synth_kq_unitary,
     synth_multiplexed_rotation,
     uc_su2_up_to_diagonal,
-    unitary_cnot_ceiling,
+    unitary_upper_bound,
     zero_state,
 )
 
@@ -201,10 +203,10 @@ def test_uc_su2_rejects_bad_count():
 
 
 def test_kq_ceiling_values():
-    assert unitary_cnot_ceiling(1) < 1
-    assert unitary_cnot_ceiling(2) == 3
-    assert unitary_cnot_ceiling(3) == 20
-    assert unitary_cnot_ceiling(4) == 100
+    assert unitary_upper_bound(1) == 0
+    assert unitary_upper_bound(2) == 3
+    assert unitary_upper_bound(3) == 20
+    assert unitary_upper_bound(4) == 100
 
 
 @pytest.mark.parametrize("k,dim,exact", [(2, 4, 3), (3, 8, 20), (4, 16, 100)])
@@ -247,7 +249,7 @@ def _near_tensor(rng, left_dim, right_dim, eps):
 
 def _check_kq(u, k):
     c = synth_kq_unitary(u)
-    assert cnot_count(c) <= unitary_cnot_ceiling(k)
+    assert cnot_count(c) <= unitary_upper_bound(k)
     assert phase_aligned_distance(circuit_unitary(c), u) < 1e-8
 
 
@@ -281,5 +283,50 @@ def test_kq_count_ceiling_sweep():
         for _ in range(20):
             u = haar_unitary(dim, rng)
             c = synth_kq_unitary(u)
-            assert cnot_count(c) <= unitary_cnot_ceiling(k)
+            assert cnot_count(c) <= unitary_upper_bound(k)
             assert phase_aligned_distance(circuit_unitary(c), u) < 1e-8
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    func = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k,splits", [(3, 3), (4, 15)])
+def test_kq_leaves_route_without_simulation(monkeypatch, k, splits):
+    """Every leaf but the first is split up to a diagonal, the first is one full
+    two-qubit synthesis, and no leaf check simulates a circuit."""
+    splits_seen = _counting(monkeypatch, synthesis, "two_qubit_up_to_diagonal")
+    full_seen = _counting(monkeypatch, synthesis, "synth_2q_unitary")
+    runs_seen = _counting(monkeypatch, simulate, "run")
+    u = haar_unitary(1 << k, np.random.default_rng(40 + k))
+    c = synth_kq_unitary(u)
+    assert (len(splits_seen), len(full_seen), len(runs_seen)) == (splits, 1, 0)
+    assert cnot_count(c) == unitary_upper_bound(k)
+
+
+def test_perturbed_leaf_gate_fails_the_leaf_check(monkeypatch):
+    """An x-rotation of every leaf emitted about 1e-7 off its exact angle must
+    fail the 1e-9 leaf check in each synthesis entry point."""
+    rng = np.random.default_rng(41)
+    u4, u16 = haar_unitary(4, rng), haar_unitary(16, rng)
+    exact_rx = twoqubit._rx
+    monkeypatch.setattr(twoqubit, "_rx", lambda theta: exact_rx(theta + 2e-7))
+    with pytest.raises(SynthesisError):
+        twoqubit.synth_2q_unitary(u4)
+    with pytest.raises(SynthesisError):
+        twoqubit.two_qubit_up_to_diagonal(u4)
+    with pytest.raises(SynthesisError):
+        synth_kq_unitary(u16)
+    monkeypatch.setattr(twoqubit, "_rx", exact_rx)
+    for synth in (twoqubit.synth_2q_unitary, twoqubit.two_qubit_up_to_diagonal):
+        synth(u4)
+    synth_kq_unitary(u16)
