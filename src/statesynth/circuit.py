@@ -123,13 +123,6 @@ def _rewrapped(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
     return c
 
 
-def _widened(c: Circuit, n_qubits: int) -> Circuit:
-    """The same gates on a register of ``n_qubits`` >= ``c.n_qubits`` qubits."""
-    if n_qubits < c.n_qubits:
-        raise BadDimensionError(f"cannot narrow a {c.n_qubits}-qubit circuit to {n_qubits}")
-    return _rewrapped(n_qubits, c.gates)
-
-
 def cnot_count(c: Circuit) -> int:
     """Number of CNOT gates in the circuit."""
     return sum(1 for g in c.gates if isinstance(g, Cnot))
@@ -191,6 +184,8 @@ def _shifted_gates(gates, offset: int) -> list[Gate]:
 
 def shift(c: Circuit, offset: int, n_qubits: int) -> Circuit:
     """Re-embed a circuit with all qubit indices moved up by ``offset``."""
+    if offset == 0 and c.n_qubits <= n_qubits:
+        return _rewrapped(n_qubits, c.gates)  # the same gates on a wider register
     gates = tuple(_shifted_gates(c.gates, offset))
     if offset >= 0 and c.n_qubits + offset <= n_qubits:
         return _rewrapped(n_qubits, gates)

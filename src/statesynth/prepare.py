@@ -20,7 +20,6 @@ from .circuit import (
     concat,
     cost_report,
     CostReport,
-    _widened,
     inverse,
     shift,
 )
@@ -190,9 +189,9 @@ def schmidt_prepare(s: np.ndarray, phase1: str = "auto", rank_aware: bool = Fals
     if rank_aware and len(sf.alphas) > 1 and abs(sf.alphas[1]) < 1e-12:
         return _prepare_product(sf, n)
 
-    p1 = _widened(_phase1_circuit(sf.alphas, k1, phase1), n)
+    p1 = shift(_phase1_circuit(sf.alphas, k1, phase1), 0, n)
     p2 = Circuit(n, tuple(Cnot(j, j + k1) for j in range(1, k1 + 1)))
-    p3 = _widened(synth_kq_unitary(sf.basis_left), n)
+    p3 = shift(synth_kq_unitary(sf.basis_left), 0, n)
     p4 = shift(synth_kq_unitary(_phase4_unitary(sf.basis_right, k1, k2)), k1, n)
     return _plan(sf, p1, p2, p3, p4)
 
@@ -217,7 +216,7 @@ def _prepare_product(sf: SchmidtForm, n: int) -> PrepPlan:
     """Rank-1 shortcut: prepare the two halves independently, no CNOT fan."""
     left = sf.basis_left[:, 0] * sf.alphas[0]
     right = sf.basis_right[:, 0]
-    p3 = _widened(schmidt_prepare(left, rank_aware=True).total, n)
+    p3 = shift(schmidt_prepare(left, rank_aware=True).total, 0, n)
     p4 = shift(schmidt_prepare(right, rank_aware=True).total, sf.k1, n)
     return _plan(sf, Circuit(n, ()), Circuit(n, ()), p3, p4)
 

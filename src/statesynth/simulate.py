@@ -7,10 +7,10 @@ reshaped views that put the gate's qubits on axes of length 2.  No
 2^n x 2^n gate matrices are formed.  Back-to-back one-qubit gates on a qubit
 are multiplied into one pending 2x2 matrix; one-qubit gates on different
 qubits commute, so only the CNOTs order the kernels.  A CNOT takes in the
-pending matrices of its two qubits and is applied as one 4x4 matrix product
-over the pair (through a transposed copy when the pair is not adjacent).  A
-CNOT with nothing pending swaps two slices, and what is still pending when
-the circuit ends is applied as stacked 2x2 products.
+pending matrices of its two qubits (identity where none) and is applied as
+one 4x4 matrix product over the pair: in place for adjacent qubits, through
+a transposed copy otherwise.  What is still pending when the circuit ends is
+applied as stacked 2x2 products.
 """
 
 import json
@@ -61,18 +61,6 @@ def _apply_local(state: np.ndarray, matrix: np.ndarray, first: int) -> None:
         np.matmul(cols, matrix.T, out=cols)
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int) -> None:
-    lo, hi = sorted((control, target))
-    view = state.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
-    # swap the target-0 and target-1 halves of the control-1 slab
-    if control < target:
-        slab = view[:, 1]
-        slab[...] = slab[:, :, ::-1]
-    else:
-        slab = view[:, :, :, 1]
-        slab[...] = slab[:, ::-1]
-
-
 _I2 = np.eye(2, dtype=complex)
 # CNOT as a row permutation of a 4x4 matrix on a qubit pair lo < hi, indexed
 # 2 * bit(lo) + bit(hi); keyed by whether the control is lo
@@ -87,7 +75,7 @@ def _apply_fused_cnot(state: np.ndarray, g: Cnot, m_control, m_target) -> None:
     a = _I2 if a is None else a
     b = _I2 if b is None else b
     pair = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)[_CNOT_ROWS[control_lo]]
-    if hi == lo + 1:
+    if hi == lo + 1:  # one contiguous axis of length 4: in place, no copy
         _apply_local(state, pair, lo)
         return
     # the pair axes go first in one copy, one matrix product, and the result
@@ -111,12 +99,7 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     pending = {}  # qubit -> product of its one-qubit gates not yet applied
     for g in c.gates:
         if isinstance(g, Cnot):
-            m_control = pending.pop(g.control, None)
-            m_target = pending.pop(g.target, None)
-            if m_control is None and m_target is None:
-                _apply_cnot(state, g.control, g.target)
-            else:
-                _apply_fused_cnot(state, g, m_control, m_target)
+            _apply_fused_cnot(state, g, pending.pop(g.control, None), pending.pop(g.target, None))
         else:
             m = pending.get(g.target)
             pending[g.target] = g.matrix if m is None else g.matrix @ m

@@ -8,10 +8,10 @@ the circuit built from the same factors: none when all vanish, one for a
 single +-pi/4, two when any vanishes and three otherwise.
 
 Every synthesized circuit is verified against the input before it is
-returned: the gates are built first, then the 4x4 product of their matrices
-is compared with the input.  The check multiplies 4x4 matrices directly, with
-no Circuit and no simulation; the Circuit is built once the check has passed.
-The fixed gates of the CNOT interiors are built once, at import.
+returned: the emitted gate list is folded, gate by gate, into its 4x4 matrix,
+which is compared with the input.  The fold works on the 4x4 matrix directly,
+with no Circuit and no simulation; the Circuit is built once the check has
+passed.  The fixed gates of the CNOT interiors are built once, at import.
 """
 
 import cmath
@@ -51,9 +51,8 @@ _H_2 = OneQubitGate(2, _H)
 _S_1 = OneQubitGate(1, _S)
 _G_MERGE_DAG_2 = OneQubitGate(2, _G_MERGE.conj().T)
 
-# CNOT(1,2) @ m permutes the rows of m, CZ @ m flips the sign of its last row
-_CX_ORDER = [0, 1, 3, 2]
-_CZ_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])[:, None]
+# CNOT @ m permutes the rows of m; keyed by the control qubit
+_CNOT_ROWS = {1: [0, 1, 3, 2], 2: [0, 3, 2, 1]}
 
 # diagonal patterns of XX, YY, ZZ in the magic basis; rows of the linear
 # system mapping (h0, hx, hy, hz) to the four interaction phases
@@ -229,67 +228,76 @@ def _swap_axes(l1, r, l2, i: int, j: int):
     return l1 @ cc, r, cc.conj().T @ l2
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b for 2x2 a and b."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
-_I2 = np.eye(2, dtype=complex)
-_CX_MATRIX = np.eye(4, dtype=complex)[_CX_ORDER]
-# H CNOT(1,2) H on qubit 2 is CZ; CZ (1 x G_MERGE^dag) opens the 3-CNOT interior
-_CZ_G_MERGE_DAG = _CZ_SIGNS * _kron(_I2, _G_MERGE_DAG_2.matrix)
-
-
-def _interior_gates(hx: float, hy: float, hz: float) -> tuple[list, np.ndarray]:
-    """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)), and its matrix.
+def _interior_gates(hx: float, hy: float, hz: float) -> list:
+    """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)).
 
     Conjugating by CNOT(1,2) turns the interaction into a rotation on qubit 1
     multiplexed by qubit 2 plus a z-rotation on qubit 2; the trailing
     CZ-CNOT pair merges into a single CNOT with one-qubit corrections.
     """
     u_angle, v_angle, c_angle = -2.0 * hx, 2.0 * hy, -2.0 * hz
-    rz_g = OneQubitGate(2, _rz(c_angle) @ _G_MERGE)
-    rx_v = OneQubitGate(1, _rx(v_angle))
-    rx_u = OneQubitGate(1, _rx(u_angle))
-    gates = [_G_MERGE_DAG_2, _H_2, _CX, _H_2, _S_1, rz_g, rx_v, _H_2, _CX, _H_2, rx_u, _CX]
-    m = (_CZ_SIGNS * _kron(rx_v.matrix @ _S_1.matrix, rz_g.matrix)) @ _CZ_G_MERGE_DAG
-    return gates, (_kron(rx_u.matrix, _I2) @ m)[_CX_ORDER]
+    return [
+        _G_MERGE_DAG_2,
+        _H_2,
+        _CX,
+        _H_2,
+        _S_1,
+        OneQubitGate(2, _rz(c_angle) @ _G_MERGE),
+        OneQubitGate(1, _rx(v_angle)),
+        _H_2,
+        _CX,
+        _H_2,
+        OneQubitGate(1, _rx(u_angle)),
+        _CX,
+    ]
 
 
-def _kak_gates(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> tuple[list, np.ndarray]:
-    """Fewest-CNOT gates for L1 exp(i r.(XX, YY, ZZ)) L2, r reduced.
-
-    Returns the gates on qubits (1, 2) and the 4x4 product of their matrices.
-    """
+def _kak_gates(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list:
+    """Fewest-CNOT gates for L1 exp(i r.(XX, YY, ZZ)) L2, r reduced."""
     zero = np.abs(r) <= _CLASS_TOL
     if zero.all():
         a, b = _tensor_split(l1 @ l2)
-        gates = [OneQubitGate(1, a), OneQubitGate(2, b)]
-        return gates, _kron(gates[0].matrix, gates[1].matrix)
+        return [OneQubitGate(1, a), OneQubitGate(2, b)]
     if zero.sum() == 2 and abs(math.pi / 4.0 - np.max(np.abs(r))) <= _CLASS_TOL:
         # exp(i r ZZ) with r = +-pi/4 is (P x P) CZ up to phase
         l1, r, l2 = _swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
         p = np.diag([1.0, -1j * np.sign(r[2])])
         l1 = l1 @ np.kron(p, p @ _H)
         l2 = np.kron(np.eye(2), _H) @ l2
-        interior, m = [_CX], _CX_MATRIX
+        interior = [_CX]
     elif zero.any():
         # CNOT(1,2) conjugation turns Rx x Rz into exp(i(r0 XX + r2 ZZ))
         l1, r, l2 = _swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
-        rx = OneQubitGate(1, _rx(-2.0 * r[0]))
-        rz = OneQubitGate(2, _rz(-2.0 * r[2]))
-        interior = [_CX, rx, rz, _CX]
-        m = _kron(rx.matrix, rz.matrix)[_CX_ORDER][:, _CX_ORDER]
+        interior = [
+            _CX,
+            OneQubitGate(1, _rx(-2.0 * r[0])),
+            OneQubitGate(2, _rz(-2.0 * r[2])),
+            _CX,
+        ]
     else:
-        interior, m = _interior_gates(*r)
+        interior = _interior_gates(*r)
     a1, a2 = _tensor_split(l1)
     b1, b2 = _tensor_split(l2)
-    first = [OneQubitGate(1, b1), OneQubitGate(2, b2)]
-    last = [OneQubitGate(1, a1), OneQubitGate(2, a2)]
-    matrix = (
-        _kron(last[0].matrix, last[1].matrix) @ m @ _kron(first[0].matrix, first[1].matrix)
-    )
-    return [*first, *interior, *last], matrix
+    return [
+        OneQubitGate(1, b1),
+        OneQubitGate(2, b2),
+        *interior,
+        OneQubitGate(1, a1),
+        OneQubitGate(2, a2),
+    ]
+
+
+def _gates_matrix(gates: list) -> np.ndarray:
+    """4x4 matrix of gates on qubits (1, 2), folded in gate order."""
+    m = np.eye(4, dtype=complex)
+    for g in gates:
+        if isinstance(g, Cnot):
+            m = m[_CNOT_ROWS[g.control]]
+        elif g.target == 1:
+            m = (g.matrix @ m.reshape(2, 8)).reshape(4, 4)
+        else:
+            m = (g.matrix @ m.reshape(2, 2, 4)).reshape(4, 4)
+    return m
 
 
 def _verify(matrix: np.ndarray, target: np.ndarray) -> None:
@@ -309,8 +317,8 @@ def synth_2q_unitary(u: np.ndarray) -> Circuit:
     require_unitary(u, what="two-qubit unitary")
     l1, h, l2, _ = kak_decompose(u)
     l1, r = _reduce(l1, h)
-    gates, matrix = _kak_gates(l1, r, l2)
-    _verify(matrix, u)
+    gates = _kak_gates(l1, r, l2)
+    _verify(_gates_matrix(gates), u)
     return Circuit(2, tuple(gates))
 
 
@@ -383,7 +391,7 @@ def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
     u = np.asarray(u, dtype=complex)
     t, (l1, r, l2) = _two_cnot_twist(to_su4(u))
     r[np.argmin(np.abs(r))] = 0.0
-    gates, matrix = _kak_gates(l1, r, l2)
+    gates = _kak_gates(l1, r, l2)
     delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
-    _verify(matrix * delta[None, :], u)
+    _verify(_gates_matrix(gates) * delta[None, :], u)
     return Circuit(2, tuple(gates)), delta

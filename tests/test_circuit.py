@@ -25,7 +25,7 @@ from statesynth import (
     shift,
     zero_state,
 )
-from statesynth.circuit import _require_unitary_stack, _widened
+from statesynth.circuit import _require_unitary_stack
 from statesynth.linalg import require_unitary, unitarity_defect
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -104,8 +104,8 @@ def test_shift_relabels_qubits():
 
 
 def test_ir_rebuilds_keep_the_width_check():
-    """shift, concat and widening skip the per-gate qubit check only where the
-    register widths already guarantee it; every other case is still checked."""
+    """shift and concat skip the per-gate qubit check only where the register
+    widths already guarantee it; every other case is still checked."""
     wide = Circuit(4, (Cnot(1, 2),))
     assert shift(wide, 2, 4).gates[0].target == 4  # the gates fit, the width does not
     assert shift(Circuit(3, (Cnot(2, 3),)), -1, 2).gates[0].control == 1
@@ -115,10 +115,11 @@ def test_ir_rebuilds_keep_the_width_check():
         shift(Circuit(2, (Cnot(1, 2),)), -1, 2)
     with pytest.raises(DimensionMismatchError):
         concat(Circuit(2, ()), wide)
-    widened = _widened(wide, 6)
-    assert widened.n_qubits == 6 and widened.gates == wide.gates
+    widened = shift(wide, 0, 6)  # width only: the gate tuple is shared
+    assert widened.n_qubits == 6 and widened.gates is wide.gates
+    assert shift(wide, 0, 3).gates[0].target == 2  # narrower, but the gates fit
     with pytest.raises(BadDimensionError):
-        _widened(wide, 3)
+        shift(Circuit(4, (Cnot(1, 4),)), 0, 3)
 
 
 def test_gate_validation():

@@ -330,3 +330,30 @@ def test_perturbed_leaf_gate_fails_the_leaf_check(monkeypatch):
     for synth in (twoqubit.synth_2q_unitary, twoqubit.two_qubit_up_to_diagonal):
         synth(u4)
     synth_kq_unitary(u16)
+
+
+@pytest.mark.parametrize("mutation", ["swap", "drop"])
+def test_reordered_leaf_gate_fails_the_leaf_check(monkeypatch, mutation):
+    """The leaf check folds the emitted gate list itself: swapping the first two
+    interior gates of every leaf (non-commuting in both the two- and the
+    three-CNOT interior), or dropping the first, must fail it in each
+    synthesis entry point."""
+    rng = np.random.default_rng(42)
+    u4, u16 = haar_unitary(4, rng), haar_unitary(16, rng)
+    exact_kak_gates = twoqubit._kak_gates
+
+    def mutated(*args):
+        gates = exact_kak_gates(*args)
+        if mutation == "swap":
+            gates[2], gates[3] = gates[3], gates[2]
+        else:
+            del gates[2]
+        return gates
+
+    monkeypatch.setattr(twoqubit, "_kak_gates", mutated)
+    with pytest.raises(SynthesisError):
+        twoqubit.synth_2q_unitary(u4)
+    with pytest.raises(SynthesisError):
+        twoqubit.two_qubit_up_to_diagonal(u4)
+    with pytest.raises(SynthesisError):
+        synth_kq_unitary(u16)
