@@ -48,6 +48,7 @@ from .prepare import (
     baseline_prepare,
     schmidt_decompose,
     schmidt_prepare,
+    synth_2q_state,
     transform,
 )
 from .qasm import emit_qasm, parse_qasm
@@ -62,11 +63,8 @@ from .simulate import (
 )
 from .synthesis import (
     demultiplex,
-    synth_1q,
-    synth_2q_state,
     synth_2q_unitary,
     synth_kq_unitary,
-    synth_multiplexed_rotation,
     uc_su2_up_to_diagonal,
 )
 from .twoqubit import kak_decompose, phase_aligned_distance, two_qubit_up_to_diagonal
@@ -124,11 +122,9 @@ __all__ = [
     "state_from_json",
     "state_to_json",
     "svd",
-    "synth_1q",
     "synth_2q_state",
     "synth_2q_unitary",
     "synth_kq_unitary",
-    "synth_multiplexed_rotation",
     "transform",
     "two_qubit_up_to_diagonal",
     "uc_su2_up_to_diagonal",

@@ -25,7 +25,7 @@ FIDELITY_GATE = 1.0 - 1e-9
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_NOT_FOUND = 2
+EXIT_NOT_FOUND = 2  # argparse also exits 2 on a command-line usage error
 EXIT_PARSE = 3
 EXIT_NOT_NORMALIZED = 4
 
@@ -42,7 +42,7 @@ def _load_state(path: str, normalize: bool) -> np.ndarray:
 
 def cmd_prepare(args) -> int:
     state = _load_state(args.state, args.normalize)
-    plan = schmidt_prepare(state, phase1=args.phase1, rank_aware=args.rank_aware)
+    plan = schmidt_prepare(state)
     fid = fidelity(run(plan.total, zero_state(plan.total.n_qubits)), state)
     report_dict = plan.report.to_dict()
     report_dict["fidelity"] = fid
@@ -74,7 +74,7 @@ def cmd_verify(args) -> int:
 def cmd_transform(args) -> int:
     psi = _load_state(args.psi, args.normalize)
     phi = _load_state(args.phi, args.normalize)
-    circuit = transform(psi, phi, phase1=args.phase1)
+    circuit = transform(psi, phi)
     fid = fidelity(run(circuit, psi), phi)
     out = Path(args.output) if args.output else Path(args.phi).with_suffix(".transform.qasm")
     out.write_text(emit_qasm(circuit))
@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="cost report path (default: <output>.report.json)")
     p.add_argument("--normalize", action="store_true", help="renormalize the input state")
     p.add_argument("--format", choices=("qasm", "json"), default="qasm")
-    p.add_argument("--rank-aware", action="store_true", help="shortcut product states")
-    p.add_argument("--phase1", choices=("auto", "baseline", "recursive"), default="auto")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("verify", help="simulate a QASM file against a target state")
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi")
     p.add_argument("-o", "--output")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--phase1", choices=("auto", "baseline", "recursive"), default="auto")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("bench", help="synthesize random states and tabulate costs")

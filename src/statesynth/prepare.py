@@ -2,9 +2,11 @@
 
 Pipeline: load the Schmidt coefficients on the first half of the register,
 copy the basis with a CNOT fan, then rotate each half into its Schmidt basis
-with one k-qubit unitary per half.  The fan uses control j -> target j+k1;
-for odd n the appended right-half qubit stays |0>, so the right basis change
-reads its input from the strided columns.
+with one k-qubit unitary per half.  The fan uses control j -> target j+k2, so
+it writes the low k1 qubits of the right half; for odd n the right half's
+first qubit stays |0>, and the right basis change is the right Schmidt basis
+itself, pinned on its first 2^k1 columns.  A state of Schmidt rank one skips
+the fan: its two halves are prepared independently.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .circuit import (
     inverse,
     shift,
 )
-from .errors import BadLengthError, DimensionMismatchError, TooFewQubitsError
+from .errors import BadDimensionError, DimensionMismatchError, TooFewQubitsError
 from .linalg import svd
 from .simulate import num_qubits, require_normalized
 from .synthesis import synth_kq_unitary, uc_su2_up_to_diagonal
@@ -113,36 +115,15 @@ def baseline_prepare(s: np.ndarray) -> Circuit:
     return inverse(Circuit(n, tuple(gates)))
 
 
-def _phase4_unitary(basis_right: np.ndarray, k1: int, k2: int) -> np.ndarray:
-    """Right-half basis change reading its input from the strided columns.
+def _phase1_circuit(alphas: np.ndarray, k1: int) -> Circuit:
+    """Coefficient loader on the left half: the one with the lower ceiling.
 
-    After the CNOT fan the right register holds i * 2^(k2-k1), so column
-    i * 2^(k2-k1) must map to the i-th right Schmidt vector; the completion
-    columns fill the never-populated slots.
+    Ties go to the baseline cascade.
     """
-    if k1 == k2:
-        return basis_right
-    dim = 1 << k2
-    r = 1 << k1
-    stride = 1 << (k2 - k1)
-    main = [i * stride for i in range(r)]
-    rest = [c for c in range(dim) if c % stride != 0]
-    u = np.empty((dim, dim), dtype=complex)
-    u[:, main] = basis_right[:, :r]
-    u[:, rest] = basis_right[:, r:]
-    return u
-
-
-def _phase1_circuit(alphas: np.ndarray, k1: int, mode: str) -> Circuit:
-    """Coefficient loader on the left half: baseline or recursive pipeline."""
     if k1 == 1:
         return _load_1q(alphas)
-    if mode == "auto":
-        recursive = bounds_mod.scheme_upper_bound(k1) < bounds_mod.baseline_upper_bound(k1)
-    else:
-        recursive = mode == "recursive"
-    if recursive:
-        return schmidt_prepare(alphas, phase1=mode).total
+    if bounds_mod.scheme_upper_bound(k1) < bounds_mod.baseline_upper_bound(k1):
+        return schmidt_prepare(alphas).total
     return baseline_prepare(alphas)
 
 
@@ -159,17 +140,13 @@ class PrepPlan:
     schmidt: SchmidtForm
 
 
-def schmidt_prepare(s: np.ndarray, phase1: str = "auto", rank_aware: bool = False) -> PrepPlan:
+def schmidt_prepare(s: np.ndarray) -> PrepPlan:
     """Synthesize a circuit preparing the given state from |0...0>.
 
-    ``phase1`` selects how the coefficient register is loaded ("auto" picks
-    the cheaper of the baseline cascade and the recursive pipeline, ties to
-    baseline).  ``rank_aware`` shortcuts product states across the cut by
-    preparing the two halves independently; it is off by default and excluded
-    from the cost guarantees.  A one-qubit state is one gate, in phase 1.
+    The input alone picks the path: a one-qubit state is one gate, in phase
+    1; a state of Schmidt rank one across the cut has its halves prepared
+    independently; any other state runs the four phases.
     """
-    if phase1 not in ("auto", "baseline", "recursive"):
-        raise BadLengthError(f"unknown phase1 mode {phase1!r}")
     s = require_normalized(np.asarray(s, dtype=complex))
     n = num_qubits(s)
     if n == 1:
@@ -185,14 +162,13 @@ def schmidt_prepare(s: np.ndarray, phase1: str = "auto", rank_aware: bool = Fals
         return _plan(sf, p1, empty, empty, empty)
     sf = schmidt_decompose(s)
     k1, k2 = sf.k1, sf.k2
-
-    if rank_aware and len(sf.alphas) > 1 and abs(sf.alphas[1]) < 1e-12:
+    if abs(sf.alphas[1]) < 1e-12:
         return _prepare_product(sf, n)
 
-    p1 = shift(_phase1_circuit(sf.alphas, k1, phase1), 0, n)
-    p2 = Circuit(n, tuple(Cnot(j, j + k1) for j in range(1, k1 + 1)))
+    p1 = shift(_phase1_circuit(sf.alphas, k1), 0, n)
+    p2 = Circuit(n, tuple(Cnot(j, j + k2) for j in range(1, k1 + 1)))
     p3 = shift(synth_kq_unitary(sf.basis_left), 0, n)
-    p4 = shift(synth_kq_unitary(_phase4_unitary(sf.basis_right, k1, k2)), k1, n)
+    p4 = shift(synth_kq_unitary(sf.basis_right), k1, n)
     return _plan(sf, p1, p2, p3, p4)
 
 
@@ -216,12 +192,12 @@ def _prepare_product(sf: SchmidtForm, n: int) -> PrepPlan:
     """Rank-1 shortcut: prepare the two halves independently, no CNOT fan."""
     left = sf.basis_left[:, 0] * sf.alphas[0]
     right = sf.basis_right[:, 0]
-    p3 = shift(schmidt_prepare(left, rank_aware=True).total, 0, n)
-    p4 = shift(schmidt_prepare(right, rank_aware=True).total, sf.k1, n)
+    p3 = shift(schmidt_prepare(left).total, 0, n)
+    p4 = shift(schmidt_prepare(right).total, sf.k1, n)
     return _plan(sf, Circuit(n, ()), Circuit(n, ()), p3, p4)
 
 
-def transform(psi: np.ndarray, phi: np.ndarray, phase1: str = "auto") -> Circuit:
+def transform(psi: np.ndarray, phi: np.ndarray) -> Circuit:
     """Circuit mapping psi to phi: un-prepare psi, then prepare phi.
 
     Costs at most twice the preparation ceiling for the register size.
@@ -232,6 +208,18 @@ def transform(psi: np.ndarray, phi: np.ndarray, phase1: str = "auto") -> Circuit
         raise DimensionMismatchError(
             f"states act on different registers: {len(psi)} vs {len(phi)}"
         )
-    unprepare = inverse(schmidt_prepare(psi, phase1=phase1).total)
-    prepare = schmidt_prepare(phi, phase1=phase1).total
+    unprepare = inverse(schmidt_prepare(psi).total)
+    prepare = schmidt_prepare(phi).total
     return concat(unprepare, prepare)
+
+
+def synth_2q_state(amps: np.ndarray) -> Circuit:
+    """Prepare a two-qubit state from |00> with at most one CNOT.
+
+    This is ``schmidt_prepare`` on four amplitudes: a product state needs no
+    CNOT.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    if amps.shape != (4,):
+        raise BadDimensionError(f"expected 4 amplitudes, got shape {amps.shape}")
+    return schmidt_prepare(amps).total

@@ -1,6 +1,6 @@
-"""Synthesis primitives: one-qubit gates, two-qubit state prep, multiplexed
-rotations and uniformly controlled gates, and the recursive decomposition of
-k-qubit unitaries into at most 23/48*4^k - 3/2*2^k + 4/3 CNOTs.
+"""Synthesis primitives: multiplexed rotations and uniformly controlled
+gates, and the recursive decomposition of k-qubit unitaries into at most
+23/48*4^k - 3/2*2^k + 4/3 CNOTs.
 
 Qubit blocks are indexed most-significant first, matching the basis-label
 convention of the rest of the library.
@@ -14,12 +14,11 @@ import numpy as np
 
 from .bounds import unitary_upper_bound
 from .circuit import Circuit, Cnot, OneQubitGate, _shifted_gates
-from .errors import BadDimensionError, BadLengthError, NotNormalizedError, SynthesisError
-from .linalg import cosine_sine, require_unitary, svd, unitary_eig
+from .errors import BadDimensionError, BadLengthError, SynthesisError
+from .linalg import cosine_sine, require_unitary, unitary_eig
 from .twoqubit import (
     _H,
     _Z,
-    _rx,
     _rz,
     synth_2q_unitary,
     two_qubit_up_to_diagonal,
@@ -31,47 +30,7 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-_ROTATIONS = {"Y": _ry, "Z": _rz, "X": _rx}
-
-
-def synth_1q(u: np.ndarray) -> Circuit:
-    """One-gate circuit for a single-qubit unitary (ZYZ angles at emission)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise BadDimensionError(f"expected a 2x2 matrix, got {u.shape}")
-    require_unitary(u, what="one-qubit unitary")
-    return Circuit(1, (OneQubitGate(1, u),))
-
-
-def synth_2q_state(amps: np.ndarray) -> Circuit:
-    """Prepare an arbitrary two-qubit state from |00> with at most one CNOT.
-
-    The state is Schmidt-decomposed across the 1|1 cut; the Schmidt angle is
-    loaded on qubit 1, copied by a CNOT, and both local bases are rotated in
-    place.  Product states (second Schmidt coefficient below 1e-12) need no
-    CNOT at all.
-    """
-    amps = np.asarray(amps, dtype=complex)
-    if amps.shape != (4,):
-        raise BadDimensionError(f"expected 4 amplitudes, got shape {amps.shape}")
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-8:
-        raise NotNormalizedError(f"amplitudes have norm {norm!r}")
-    res = svd(amps.reshape(2, 2))
-    s1, s2 = res.singular_values
-    left = res.u
-    right = res.v_dagger.T  # column i must be the i-th right Schmidt vector
-    if s2 < 1e-12:
-        gates = (OneQubitGate(1, left), OneQubitGate(2, right))
-    else:
-        loader = np.array([[s1, -s2], [s2, s1]], dtype=complex)
-        gates = (
-            OneQubitGate(1, loader),
-            Cnot(1, 2),
-            OneQubitGate(1, left),
-            OneQubitGate(2, right),
-        )
-    return Circuit(2, gates)
+_ROTATIONS = {"Y": _ry, "Z": _rz}
 
 
 def _gray(i: int) -> int:
@@ -131,21 +90,6 @@ def _ucr_gates(
             gates.append(Cnot(select, target))
             gates.append(_h_gate(target))
     return gates
-
-
-def synth_multiplexed_rotation(
-    axis: str, angles: np.ndarray, controls: list[int], target: int, n_qubits: int | None = None
-) -> Circuit:
-    """For each control basis value j, rotate the target by angles[j].
-
-    Costs 2^c CNOTs for c >= 1 controls and none for c = 0.
-    """
-    if axis not in ("Y", "Z"):
-        raise BadLengthError(f"axis must be Y or Z, got {axis!r}")
-    gates = _ucr_gates(axis, np.asarray(angles, dtype=float), list(controls), target)
-    if n_qubits is None:
-        n_qubits = max([target, *controls]) if controls else target
-    return Circuit(n_qubits, tuple(gates))
 
 
 def demultiplex(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

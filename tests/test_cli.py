@@ -146,21 +146,28 @@ def test_bench_json_summary(capsys):
 def test_prepare_json_format_and_flags(state_file):
     path, state = state_file
     out = path.parent / "combined.json"
-    rc = main(
-        [
-            "prepare", str(path),
-            "-o", str(out),
-            "--format", "json",
-            "--phase1", "baseline",
-            "--rank-aware",
-        ]
-    )
+    rc = main(["prepare", str(path), "-o", str(out), "--format", "json"])
     assert rc == 0
     payload = json.loads(out.read_text())
     circ = parse_qasm(payload["qasm"])
     assert fidelity(run(circ, zero_state(4)), state) >= 1 - 1e-9
-    # the baseline coefficient loader may cost more than the recursive one
-    assert payload["report"]["cnot_count"] <= 11
+    assert payload["report"]["cnot_count"] <= 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prepare", "s.json", "--phase1", "baseline"],
+        ["prepare", "s.json", "--rank-aware"],
+        ["transform", "a.json", "b.json", "--phase1", "recursive"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: statesynth") and "unrecognized arguments" in err
 
 
 def test_prepare_one_qubit_state(tmp_path, capsys):

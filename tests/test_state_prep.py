@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from statesynth import (
-    BadLengthError,
     NotNormalizedError,
     TooFewQubitsError,
     baseline_prepare,
+    circuit_unitary,
     cnot_count,
     depth,
     fidelity,
     haar_state,
+    phase_aligned_distance,
     run,
+    scheme_depth_upper_bound,
+    scheme_upper_bound,
     schmidt_decompose,
     schmidt_prepare,
     transform,
@@ -102,14 +105,21 @@ def test_prepare_zero_state_input():
 
 def test_prepare_phase_structure():
     rng = np.random.default_rng(40)
-    plan = schmidt_prepare(haar_state(5, rng))
-    # phase 2 is the CNOT fan, control j -> target j+k1
-    fan = [g for g in plan.phase2.gates]
-    assert [(g.control, g.target) for g in fan] == [(1, 3), (2, 4)]
-    # phases 3 and 4 act on disjoint halves
-    p3_qubits = {q for g in plan.phase3.gates for q in ((g.target,) if not hasattr(g, "control") else (g.control, g.target))}
-    p4_qubits = {q for g in plan.phase4.gates for q in ((g.target,) if not hasattr(g, "control") else (g.control, g.target))}
-    assert p3_qubits <= {1, 2} and p4_qubits <= {3, 4, 5}
+    for n in (3, 5, 7):
+        plan = schmidt_prepare(haar_state(n, rng))
+        sf = plan.schmidt
+        k1, k2 = sf.k1, sf.k2
+        # phase 2 is the CNOT fan, control j -> target j+k2: it writes the
+        # low k1 qubits of the right half, whose first qubit stays |0>
+        fan = [(g.control, g.target) for g in plan.phase2.gates]
+        assert fan == [(j, j + k2) for j in range(1, k1 + 1)]
+        # phases 3 and 4 act on disjoint halves
+        p3_qubits = {q for g in plan.phase3.gates for q in ((g.target,) if not hasattr(g, "control") else (g.control, g.target))}
+        p4_qubits = {q for g in plan.phase4.gates for q in ((g.target,) if not hasattr(g, "control") else (g.control, g.target))}
+        assert p3_qubits <= set(range(1, k1 + 1)) and p4_qubits <= set(range(k1 + 1, n + 1))
+        # phase 4 is the right Schmidt basis itself, with no column reordering
+        expected = np.kron(np.eye(1 << k1), sf.basis_right)
+        assert phase_aligned_distance(circuit_unitary(plan.phase4), expected) < 1e-9
 
 
 def test_phases_3_and_4_commute():
@@ -131,34 +141,53 @@ def test_depth_decomposes_over_phases():
         assert depth(plan.total) <= bound
 
 
-def test_prepare_phase1_modes_agree():
-    rng = np.random.default_rng(43)
-    s = haar_state(4, rng)
-    for mode in ("auto", "baseline", "recursive"):
-        plan = schmidt_prepare(s, phase1=mode)
-        assert fidelity(run(plan.total, zero_state(4)), s) > 1 - 1e-9
-    # for n=4 the recursive coefficient loader is what achieves 9 CNOTs
-    assert cnot_count(schmidt_prepare(s, phase1="auto").total) == 9
-
-
-def test_rank_aware_shrinks_product_states():
+def test_product_states_prepare_each_half():
+    # Schmidt rank one across the cut: no coefficient load and no fan
     rng = np.random.default_rng(44)
     s = np.kron(haar_state(2, rng), haar_state(2, rng))
-    default_plan = schmidt_prepare(s)
-    aware_plan = schmidt_prepare(s, rank_aware=True)
-    assert fidelity(run(aware_plan.total, zero_state(4)), s) > 1 - 1e-9
-    assert cnot_count(aware_plan.total) <= cnot_count(default_plan.total)
-    assert cnot_count(aware_plan.total) <= 2
+    plan = schmidt_prepare(s)
+    assert fidelity(run(plan.total, zero_state(4)), s) > 1 - 1e-9
+    assert plan.report.per_phase == {"P1": 0, "P2": 0, "P3": 1, "P4": 1}
+
+
+def _structured_states(n, rng):
+    dim = 1 << n
+    basis = np.zeros(dim, dtype=complex)
+    basis[5 % dim] = 1.0
+    ghz = np.zeros(dim, dtype=complex)
+    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+    w = np.zeros(dim, dtype=complex)
+    w[[1 << j for j in range(n)]] = 1 / np.sqrt(n)
+    product = np.kron(haar_state(n // 2, rng), haar_state(n - n // 2, rng))
+    return {"basis": basis, "ghz": ghz, "w": w, "product": product}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_basis_states_cost_no_cnot(n):
+    dim = 1 << n
+    for index in sorted({0, 5 % dim, dim - 1}):
+        s = np.zeros(dim, dtype=complex)
+        s[index] = 1.0
+        plan = schmidt_prepare(s)
+        assert cnot_count(plan.total) == 0
+        assert fidelity(run(plan.total, zero_state(n)), s) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_structured_states_within_ceilings(n):
+    rng = np.random.default_rng(45 + n)
+    for name, s in _structured_states(n, rng).items():
+        plan = schmidt_prepare(s)
+        assert cnot_count(plan.total) <= scheme_upper_bound(n), name
+        assert depth(plan.total) <= scheme_depth_upper_bound(n), name
+        assert fidelity(run(plan.total, zero_state(n)), s) >= 1 - 1e-9, name
 
 
 def test_prepare_rejects_bad_inputs():
     with pytest.raises(NotNormalizedError):
         schmidt_prepare(np.ones(16, dtype=complex))
-    for n in (1, 2, 3, 4):
-        with pytest.raises(BadLengthError):
-            schmidt_prepare(haar_state(n, 1), phase1="bogus")
-    with pytest.raises(BadLengthError):
-        transform(haar_state(3, 1), haar_state(3, 2), phase1="bogus")
+    with pytest.raises(NotNormalizedError):
+        transform(haar_state(3, 1), np.ones(8, dtype=complex))
 
 
 def test_prepare_one_qubit_state():

@@ -19,10 +19,8 @@ from statesynth import (
     haar_unitary,
     phase_aligned_distance,
     run,
-    synth_1q,
     synth_2q_state,
     synth_kq_unitary,
-    synth_multiplexed_rotation,
     uc_su2_up_to_diagonal,
     unitary_upper_bound,
     zero_state,
@@ -37,16 +35,16 @@ def _rz(t):
     return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
 
 
-# -- one-qubit ---------------------------------------------------------------
+# -- one-qubit: synth_kq_unitary at k = 1 -----------------------------------
 
 
 def test_synth_1q_identity():
-    c = synth_1q(np.eye(2))
+    c = synth_kq_unitary(np.eye(2))
     assert cnot_count(c) == 0 and len(c.gates) == 1
 
 
 def test_synth_1q_pauli_z():
-    c = synth_1q(np.diag([1.0, -1.0]))
+    c = synth_kq_unitary(np.diag([1.0, -1.0]))
     assert phase_aligned_distance(circuit_unitary(c), np.diag([1.0, -1.0])) < 1e-12
 
 
@@ -54,13 +52,13 @@ def test_synth_1q_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = haar_unitary(2, rng)
-        c = synth_1q(u)
+        c = synth_kq_unitary(u)
         assert phase_aligned_distance(circuit_unitary(c), u) < 1e-9
 
 
 def test_synth_1q_rejects_nonunitary():
     with pytest.raises(NotUnitaryError):
-        synth_1q(np.array([[1, 1], [0, 1]], dtype=complex))
+        synth_kq_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 # -- two-qubit state prep ----------------------------------------------------
@@ -104,15 +102,21 @@ def test_synth_2q_state_rejects_unnormalized():
 # -- multiplexed rotations ---------------------------------------------------
 
 
+def _ucr_circuit(axis, angles, controls, target):
+    """The Gray-code ladder of one multiplexed rotation as a circuit."""
+    gates = synthesis._ucr_gates(axis, np.asarray(angles, dtype=float), controls, target)
+    return Circuit(max([target, *controls]), tuple(gates))
+
+
 def test_multiplexed_rotation_no_controls():
-    c = synth_multiplexed_rotation("Y", [0.7], [], 1)
+    c = _ucr_circuit("Y", [0.7], [], 1)
     assert cnot_count(c) == 0
     assert phase_aligned_distance(circuit_unitary(c), _ry(0.7)) < 1e-12
 
 
 def test_multiplexed_rotation_one_control():
     t0, t1 = 0.9, -1.7
-    c = synth_multiplexed_rotation("Y", [t0, t1], [1], 2)
+    c = _ucr_circuit("Y", [t0, t1], [1], 2)
     assert cnot_count(c) == 2
     u = circuit_unitary(c)
     assert np.max(np.abs(u[:2, :2] - _ry(t0))) < 1e-12
@@ -123,7 +127,7 @@ def test_multiplexed_rotation_one_control():
 def test_multiplexed_rotation_two_controls(axis, rot):
     rng = np.random.default_rng(3)
     angles = rng.uniform(-np.pi, np.pi, 4)
-    c = synth_multiplexed_rotation(axis, angles, [1, 2], 3)
+    c = _ucr_circuit(axis, angles, [1, 2], 3)
     assert cnot_count(c) == 4
     u = circuit_unitary(c)
     expected = np.zeros((8, 8), dtype=complex)
@@ -133,7 +137,7 @@ def test_multiplexed_rotation_two_controls(axis, rot):
 
 
 def test_multiplexed_rotation_zero_angles_is_identity():
-    c = synth_multiplexed_rotation("Y", np.zeros(4), [1, 2], 3)
+    c = _ucr_circuit("Y", np.zeros(4), [1, 2], 3)
     assert cnot_count(c) == 4  # the ladder CNOTs cancel pairwise in simulation
     rng = np.random.default_rng(4)
     s = haar_state(3, rng)
@@ -142,7 +146,7 @@ def test_multiplexed_rotation_zero_angles_is_identity():
 
 def test_multiplexed_rotation_rejects_bad_length():
     with pytest.raises(BadLengthError):
-        synth_multiplexed_rotation("Y", [0.1, 0.2, 0.3], [1, 2], 3)
+        _ucr_circuit("Y", [0.1, 0.2, 0.3], [1, 2], 3)
 
 
 # -- demultiplexing ----------------------------------------------------------
