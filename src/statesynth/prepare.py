@@ -77,8 +77,13 @@ def _map_zero_to(a: complex, b: complex) -> np.ndarray:
 
 
 def _load_1q(amps: np.ndarray) -> Circuit:
-    """One-gate circuit preparing a normalized one-qubit state."""
-    return Circuit(1, (OneQubitGate(1, _map_zero_to(amps[0], amps[1])),))
+    """One-gate circuit preparing a one-qubit state.
+
+    The pair is divided by its norm, which the accepted input may carry off
+    by up to 1e-8: the gate is built from the unit vector.
+    """
+    a, b = amps / np.linalg.norm(amps)
+    return Circuit(1, (OneQubitGate(1, _map_zero_to(a, b)),))
 
 
 def baseline_prepare(s: np.ndarray) -> Circuit:
@@ -110,7 +115,7 @@ def baseline_prepare(s: np.ndarray) -> Circuit:
                 for j, p in enumerate(pairs)
             ]
         )
-    a, b = state
+    a, b = state / np.linalg.norm(state)  # the input's norm, off by up to 1e-8
     gates.append(OneQubitGate(1, np.array([[np.conj(a), np.conj(b)], [-b, a]])))
     return inverse(Circuit(n, tuple(gates)))
 

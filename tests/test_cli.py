@@ -95,6 +95,16 @@ def test_unnormalized_exit_code(tmp_path):
     assert main(["prepare", str(path), "--normalize"]) == 0
 
 
+@pytest.mark.parametrize("eps", [-0.9e-8, 0.9e-8])
+def test_prepare_accepts_states_off_norm_within_tolerance(tmp_path, eps, capsys):
+    for n in (2, 4):
+        state = haar_state(n, 1) * (1 + eps)
+        path = tmp_path / f"off{n}.json"
+        path.write_text(state_to_json(state))
+        assert main(["prepare", str(path)]) == 0
+        assert main(["verify", str(path.with_suffix(".qasm")), str(path)]) == 0
+
+
 def test_transform_command(tmp_path, capsys):
     rng = np.random.default_rng(1)
     psi, phi = haar_state(3, rng), haar_state(3, rng)

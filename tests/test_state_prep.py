@@ -183,6 +183,20 @@ def test_structured_states_within_ceilings(n):
         assert fidelity(run(plan.total, zero_state(n)), s) >= 1 - 1e-9, name
 
 
+@pytest.mark.parametrize("eps", [-0.9e-8, 0.6e-8, 0.9e-8])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_states_off_norm_within_tolerance(n, eps):
+    # require_normalized accepts |norm - 1| <= 1e-8; every accepted state
+    # must compile, with the loaders fed its unit vector
+    basis = np.zeros(1 << n, dtype=complex)
+    basis[5 % (1 << n)] = 1.0
+    for s in (haar_state(n, 1), basis):
+        s = s * (1 + eps)
+        unit = s / np.linalg.norm(s)
+        for c in (schmidt_prepare(s).total, baseline_prepare(s)):
+            assert fidelity(run(c, zero_state(n)), unit) >= 1 - 1e-9
+
+
 def test_prepare_rejects_bad_inputs():
     with pytest.raises(NotNormalizedError):
         schmidt_prepare(np.ones(16, dtype=complex))
