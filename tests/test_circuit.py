@@ -239,9 +239,9 @@ def test_cost_report_per_phase():
     payload = json.loads(rep.to_json())
     assert payload["cnot_count"] == 9
     assert payload["per_phase"]["P2"] == 2
-    # n = 8 and 9 load phase 1 with the recursive pipeline; the product
-    # state prepares its halves independently, leaving phases 1 and 2 empty
-    plans = [schmidt_prepare(haar_state(n, rng)) for n in (2, 3, 4, 5, 6, 8, 9)]
+    # n = 8 loads phase 1 with the recursive pipeline; the product state
+    # prepares its halves independently, leaving phases 1 and 2 empty
+    plans = [schmidt_prepare(haar_state(n, rng)) for n in (2, 3, 4, 5, 6, 8)]
     product = np.kron(haar_state(3, rng), haar_state(3, rng))
     plans.append(schmidt_prepare(product))
     for plan in plans:
