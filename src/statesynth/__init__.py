@@ -63,11 +63,15 @@ from .simulate import (
 )
 from .synthesis import (
     demultiplex,
-    synth_2q_unitary,
     synth_kq_unitary,
     uc_su2_up_to_diagonal,
 )
-from .twoqubit import kak_decompose, phase_aligned_distance, two_qubit_up_to_diagonal
+from .twoqubit import (
+    kak_decompose,
+    phase_aligned_distance,
+    synth_2q_unitary,
+    two_qubit_up_to_diagonal,
+)
 
 __version__ = "0.1.0"
 

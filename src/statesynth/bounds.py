@@ -1,6 +1,7 @@
 """Lower-bound calculators from parameter counting and upper-bound cost
 models of the four-phase scheme, in exact integer arithmetic."""
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ def depth_lower_bound(n: int) -> int:
     return math.ceil(cnot_lower_bound(n) / (n // 2))
 
 
+@functools.cache
 def unitary_upper_bound(k: int) -> int:
     """CNOT ceiling 23/48*4^k - 3/2*2^k + 4/3 for a k-qubit unitary.
 

@@ -36,17 +36,21 @@ def _require_unitary_2x2(m: np.ndarray) -> None:
 def _require_unitary_stack(ms: np.ndarray) -> None:
     """:func:`_require_unitary_2x2` for every matrix of a complex (G, 2, 2) stack.
 
-    The same residuals are computed for the whole stack at once; a matrix
-    they flag goes through the one-matrix check, which raises its error.
+    The same residuals are computed for the whole stack at once; if any is
+    above the tolerance, the matrices go through the one-matrix check in
+    order, and the first it rejects raises its error.
     """
-    a, b, c, d = ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1]
+    flat = ms.reshape(-1, 4)  # entries a, b, c, d of each matrix
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/Inf entries fail below
-        col0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0
-        col1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0
-        overlap = np.abs(a.conj() * b + c.conj() * d)
-    ok = (np.abs(col0) <= INPUT_TOL) & (np.abs(col1) <= INPUT_TOL) & (overlap <= INPUT_TOL)
-    for m in ms[~ok]:
-        _require_unitary_2x2(m)
+        squares = flat.real * flat.real + flat.imag * flat.imag
+        cols = squares[:, :2] + squares[:, 2:] - 1.0
+        overlap = flat[:, 0].conj() * flat[:, 1] + flat[:, 2].conj() * flat[:, 3]
+        # written as "not <=" so that a NaN residual is rejected
+        ok = np.abs(cols).max(initial=0.0) <= INPUT_TOL
+        ok = ok and np.abs(overlap).max(initial=0.0) <= INPUT_TOL
+    if not ok:
+        for m in ms:
+            _require_unitary_2x2(m)
 
 
 @dataclass(frozen=True, eq=False)

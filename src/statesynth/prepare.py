@@ -7,6 +7,11 @@ it writes the low k1 qubits of the right half; for odd n the right half's
 first qubit stays |0>, and the right basis change is the right Schmidt basis
 itself, pinned on its first 2^k1 columns.  A state of Schmidt rank one skips
 the fan: its two halves are prepared independently.
+
+Phases 3 and 4 are synthesized by one call, each on its final qubits, so the
+two-qubit leaves of both bases form one stack: the serial twist chain of each
+basis, then one stacked Cartan decomposition, then stacked emission and
+checks (see ``twoqubit``).
 """
 
 from dataclasses import dataclass
@@ -28,7 +33,7 @@ from .circuit import (
 from .errors import BadDimensionError, DimensionMismatchError, TooFewQubitsError
 from .linalg import svd
 from .simulate import num_qubits, require_normalized
-from .synthesis import synth_kq_unitary, uc_su2_up_to_diagonal
+from .synthesis import _synth_blocks, uc_su2_up_to_diagonal
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,7 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
 
     p1 = shift(_phase1_circuit(sf.alphas, k1), 0, n)
     p2 = Circuit(n, tuple(Cnot(j, j + k2) for j in range(1, k1 + 1)))
-    p3 = shift(synth_kq_unitary(sf.basis_left), 0, n)
-    p4 = shift(synth_kq_unitary(sf.basis_right), k1, n)
+    p3, p4 = _synth_blocks([(sf.basis_left, 1), (sf.basis_right, k1 + 1)], n)
     return _plan(sf, p1, p2, p3, p4)
 
 

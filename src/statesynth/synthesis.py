@@ -2,6 +2,11 @@
 gates, and the recursive decomposition of k-qubit unitaries into at most
 23/48*4^k - 3/2*2^k + 4/3 CNOTs.
 
+The cosine-sine recursion of a k-qubit unitary leaves 4^(k-2) two-qubit
+leaves.  The leaves of every unitary handed to one call form one stack (see
+``twoqubit``): the serial twist chain, then one stacked Cartan decomposition,
+then stacked emission and checks.  Every gate is built on its final qubit.
+
 Qubit blocks are indexed most-significant first, matching the basis-label
 convention of the rest of the library.
 """
@@ -13,16 +18,17 @@ import math
 import numpy as np
 
 from .bounds import unitary_upper_bound
-from .circuit import Circuit, Cnot, OneQubitGate, _shifted_gates
+from .circuit import (
+    Circuit,
+    Cnot,
+    OneQubitGate,
+    _rebuilt_1q,
+    _require_unitary_stack,
+    _rewrapped,
+)
 from .errors import BadDimensionError, BadLengthError, SynthesisError
 from .linalg import cosine_sine, require_unitary, unitary_eig
-from .twoqubit import (
-    _H,
-    _Z,
-    _rz,
-    synth_2q_unitary,
-    two_qubit_up_to_diagonal,
-)
+from .twoqubit import _H, _Z, _Leaf, _rz, _synth_leaves
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -76,9 +82,11 @@ def _ucr_gates(
         return [OneQubitGate(target, rot(float(angles[0])))]
     # invert angle_i = sum_l (-1)^popcount(gray(l) & i) phi_l
     phis = _gray_signs(size).T @ np.asarray(angles, dtype=float) / size
+    mats = [rot(phi) for phi in phis.tolist()]
+    _require_unitary_stack(np.array(mats))
     gates = []
     for l in range(size):
-        gates.append(OneQubitGate(target, rot(float(phis[l]))))
+        gates.append(_rebuilt_1q(target, mats[l]))
         if skip_last and l == size - 1:
             break
         diff = _gray(l) ^ _gray((l + 1) % size)
@@ -174,18 +182,9 @@ def uc_su2_up_to_diagonal(
 # k-qubit unitaries: cosine-sine recursion with both CNOT-saving merges
 
 
-class _Leaf:
-    """Pending two-qubit block on the two least significant qubits."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-
 def _qsd(u: np.ndarray, qubits: list[int], sink: list) -> None:
     if len(qubits) == 2:
-        sink.append(_Leaf(u))
+        sink.append(_Leaf(u, qubits[0] - 1))
         return
     csd = cosine_sine(u)
     _qsd_demux(csd.r0, csd.r1, qubits, sink)
@@ -207,27 +206,46 @@ def _qsd_demux(u0: np.ndarray, u1: np.ndarray, qubits: list[int], sink: list) ->
     _qsd(v, qubits[1:], sink)
 
 
-def _qsd_gates(u: np.ndarray, k: int) -> list:
-    sink: list = []
-    _qsd(u, list(range(1, k + 1)), sink)
-    leaf_positions = [i for i, item in enumerate(sink) if isinstance(item, _Leaf)]
-    # rewrite every block after the first as (<=2-CNOT circuit) * diagonal and
-    # push the diagonal back through the multiplexed-rotation CNOTs, whose
-    # controls sit on the block qubits, into the previous block
-    for pos in reversed(leaf_positions[1:]):
-        circ, delta = two_qubit_up_to_diagonal(sink[pos].matrix)
-        prev = max(p for p in leaf_positions if p < pos)
-        sink[prev].matrix = np.diag(delta) @ sink[prev].matrix
-        sink[pos] = circ
-    sink[leaf_positions[0]] = synth_2q_unitary(sink[leaf_positions[0]].matrix)
-    # one pass re-embeds every leaf on qubits k-1, k
-    gates = []
-    for item in sink:
-        if isinstance(item, Circuit):
-            gates.extend(_shifted_gates(item.gates, k - 2))
+def _synth_blocks(blocks: list[tuple[np.ndarray, int]], n: int) -> list[Circuit]:
+    """Circuits on n qubits for unitaries given as (u, first qubit).
+
+    Each k-qubit u acts on qubits first..first+k-1.  The cosine-sine recursion
+    leaves every block's two-qubit leaves on its two least significant qubits;
+    all but the first are rewritten as a two-CNOT circuit times a diagonal,
+    and the diagonal is pushed back through the multiplexed-rotation CNOTs,
+    whose controls sit on the leaf qubits, into the previous leaf.  The leaves
+    of all blocks are synthesized as one stack.
+    """
+    sinks, leaves = [], []
+    for u, first in blocks:
+        k = len(u).bit_length() - 1
+        require_unitary(u, what="k-qubit unitary")
+        sink: list = []
+        if k == 1:
+            sink.append(OneQubitGate(first, u))
         else:
-            gates.append(item)
-    return gates
+            _qsd(u, list(range(first, first + k)), sink)
+        block_leaves = [item for item in sink if isinstance(item, _Leaf)]
+        for prev, leaf in zip(block_leaves, block_leaves[1:]):
+            leaf.twisted, leaf.prev = True, prev
+        leaves.extend(reversed(block_leaves))
+        sinks.append(sink)
+    if leaves:
+        _synth_leaves(leaves)
+    circuits = []
+    for (u, _), sink in zip(blocks, sinks):
+        gates = []
+        for item in sink:
+            if isinstance(item, _Leaf):
+                gates.extend(item.gates)
+            else:
+                gates.append(item)
+        n_cnots = sum(1 for g in gates if isinstance(g, Cnot))
+        ceiling = unitary_upper_bound(len(u).bit_length() - 1)
+        if n_cnots > ceiling:
+            raise SynthesisError(f"emitted {n_cnots} CNOTs, above the ceiling {ceiling}")
+        circuits.append(_rewrapped(n, tuple(gates)))
+    return circuits
 
 
 def synth_kq_unitary(u: np.ndarray) -> Circuit:
@@ -246,15 +264,4 @@ def synth_kq_unitary(u: np.ndarray) -> Circuit:
     k = dim.bit_length() - 1
     if dim != 1 << k or k < 1:
         raise BadDimensionError(f"dimension {dim} is not a power of two >= 2")
-    require_unitary(u, what="k-qubit unitary")
-    if k == 1:
-        return Circuit(1, (OneQubitGate(1, u),))
-    if k == 2:
-        return synth_2q_unitary(u)
-    gates = _qsd_gates(u, k)
-    n_cnots = sum(1 for g in gates if isinstance(g, Cnot))
-    if n_cnots > unitary_upper_bound(k):
-        raise SynthesisError(
-            f"emitted {n_cnots} CNOTs, above the ceiling {unitary_upper_bound(k)}"
-        )
-    return Circuit(k, tuple(gates))
+    return _synth_blocks([(u, 1)], k)[0]

@@ -1,25 +1,37 @@
 """Two-qubit unitary synthesis with at most three CNOTs.
 
-Every two-qubit block goes through one Cartan decomposition
+Every two-qubit block (a leaf) goes through one Cartan decomposition
 U = phase * (A1 x A2) exp(i(hx XX + hy YY + hz ZZ)) (B1 x B2), built from a
 real orthogonal diagonalization of the magic-basis (Bell-basis) image.  The
 coordinates h, reduced modulo pi/2 into [-pi/4, pi/4], fix the CNOT count of
 the circuit built from the same factors: none when all vanish, one for a
 single +-pi/4, two when any vanishes and three otherwise.
 
-Every synthesized circuit is verified against the input before it is
-returned: the emitted gate list is folded, gate by gate, into its 4x4 matrix,
-which is compared with the input.  The fold works on the 4x4 matrix directly,
-with no Circuit and no simulation; the Circuit is built once the check has
-passed.  The fixed gates of the CNOT interiors are built once, at import.
+Leaves are synthesized as one stack, in three stages:
+
+1. the twist chain, serial: a leaf realized up to a diagonal takes the
+   closed-form twist, and its diagonal multiplies the leaf it is pushed into;
+2. one stacked Cartan decomposition of every leaf, from numpy's stacked
+   det/eigvalsh/eigh/solve; only leaves with clustered eigenvalues go through
+   the recursive joint diagonalization.  A twist that leaves the smallest
+   coordinate above _TWIST_TOL is refined, and the chain restarts after that
+   leaf;
+3. emit and check: one stacked SVD splits every local factor, the gates are
+   built on their final qubits, every one-qubit matrix passes one stacked
+   unitarity check, and every leaf's emitted gate list is folded into its 4x4
+   matrix and compared with the leaf at 1e-9.  The fold is stacked over the
+   leaves whose gate lists have the same layout; nothing is simulated.
+
+The public functions are one-leaf stacks.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, OneQubitGate
+from .circuit import Circuit, Cnot, OneQubitGate, _rebuilt_1q, _require_unitary_stack
 from .errors import BadDimensionError, SynthesisError
 from .linalg import require_unitary
 
@@ -45,14 +57,11 @@ _AXIS_SWAP = {(0, 1): np.kron(_S, _S), (1, 2): np.kron(_SQRT_X, _SQRT_X), (0, 2)
 # eigenvector basis of ZX = iY, used when a CZ is merged into a trailing CNOT
 _G_MERGE = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
 
-# the fixed gates of the CNOT interiors
-_CX = Cnot(1, 2)
-_H_2 = OneQubitGate(2, _H)
-_S_1 = OneQubitGate(1, _S)
-_G_MERGE_DAG_2 = OneQubitGate(2, _G_MERGE.conj().T)
-
 # CNOT @ m permutes the rows of m; keyed by the control qubit
 _CNOT_ROWS = {1: [0, 1, 3, 2], 2: [0, 3, 2, 1]}
+
+_EYE4 = np.eye(4, dtype=complex)
+_NO_DIAGONAL = np.ones(4)
 
 # diagonal patterns of XX, YY, ZZ in the magic basis; rows of the linear
 # system mapping (h0, hx, hy, hz) to the four interaction phases
@@ -94,19 +103,25 @@ def _gamma(u_su4: np.ndarray) -> np.ndarray:
     return m @ m.T
 
 
+def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-norm distance between a[i] and b[i] after aligning global phases."""
+    a = a.reshape(len(a), -1)
+    b = b.reshape(len(b), -1)
+    rows = np.arange(len(b))
+    flat = np.argmax(np.abs(b), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = a[rows, flat] / b[rows, flat]
+        # no phase is aligned against a vanishing pivot or a vanishing ratio
+        aligned = (np.abs(b[rows, flat]) >= 1e-12) & (np.abs(phase) >= 1e-12)
+        phase = np.where(aligned, phase / np.abs(phase), 1.0)
+    return np.max(np.abs(a - phase[:, None] * b), axis=1)
+
+
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max-norm distance between a and b after aligning global phases."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    flat = np.argmax(np.abs(b))
-    idx = np.unravel_index(flat, b.shape)
-    if abs(b[idx]) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    phase = a[idx] / b[idx]
-    if abs(phase) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    phase /= abs(phase)
-    return float(np.max(np.abs(a - phase * b)))
+    return float(_phase_aligned_distances(a[None], b[None])[0])
 
 
 def _centered(m: np.ndarray) -> np.ndarray:
@@ -116,7 +131,7 @@ def _centered(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / len(m)) * np.eye(len(m))
 
 
-def _joint_diagonalize(a: np.ndarray, b: np.ndarray, _depth: int = 0) -> np.ndarray:
+def _joint_diagonalize(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
     """Common orthonormal eigenbasis of commuting real symmetric a and b.
 
     Always splits on the matrix with the wider spectrum: clustering its
@@ -133,9 +148,20 @@ def _joint_diagonalize(a: np.ndarray, b: np.ndarray, _depth: int = 0) -> np.ndar
     if wb[-1] - wb[0] > wa[-1] - wa[0]:
         a, b = b, a
         wa = wb
-    spread = wa[-1] - wa[0]
     w, p = np.linalg.eigh(a)
-    if spread < 1e-13 or _depth > 12:
+    return _split_clusters(a, b, w, p, wa[-1] - wa[0], depth)
+
+
+def _split_clusters(
+    a: np.ndarray, b: np.ndarray, w: np.ndarray, p: np.ndarray, spread: float, depth: int
+) -> np.ndarray:
+    """Eigenbasis p of a (eigenvalues w, spread ``spread``) resolved by b.
+
+    Within each cluster of w, closer than spread / (4n), the basis is rotated
+    to diagonalize b as well; p is updated in place and returned.
+    """
+    n = len(w)
+    if spread < 1e-13 or depth > 12:
         # both matrices are scalar on this block; any orthonormal basis works
         return p
     tol = spread / (4.0 * n)
@@ -148,34 +174,64 @@ def _joint_diagonalize(a: np.ndarray, b: np.ndarray, _depth: int = 0) -> np.ndar
             cols = p[:, i:j]
             sub_a = _centered(cols.T @ a @ cols)
             sub_b = _centered(cols.T @ b @ cols)
-            rot = _joint_diagonalize(sub_a, sub_b, _depth + 1)
+            rot = _joint_diagonalize(sub_a, sub_b, depth + 1)
             p[:, i:j] = cols @ rot
         i = j
     return p
 
 
-def _orth_diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real orthogonal P and complex eigenvalues with P^T g P diagonal.
+def _orth_bases(g: np.ndarray) -> np.ndarray:
+    """Real orthogonal P[i] with P[i]^T g[i] P[i] diagonal, for a (N, 4, 4) stack.
 
-    g must be complex symmetric unitary (its real and imaginary parts then
-    commute), which holds for every gamma matrix handled here.
+    Each g[i] must be complex symmetric unitary (its real and imaginary parts
+    then commute), which holds for every gamma matrix handled here.  The
+    stack takes the eigenbasis of whichever part has the wider spectrum; a
+    leaf where that spectrum clusters goes through _split_clusters.
     """
-    a = (g + g.T).real / 2.0
-    b = (g + g.T).imag / 2.0
-    p = _joint_diagonalize(a, b)
-    eig = np.diag(p.T @ g @ p).copy()
-    return p, eig
+    sym = g + g.transpose(0, 2, 1)
+    a = sym.real / 2.0
+    b = sym.imag / 2.0
+    wa = np.linalg.eigvalsh(a)
+    wb = np.linalg.eigvalsh(b)
+    spread_a = wa[:, -1] - wa[:, 0]
+    spread_b = wb[:, -1] - wb[:, 0]
+    wider_b = (spread_b > spread_a)[:, None, None]
+    spread = np.where(wider_b[:, 0, 0], spread_b, spread_a)
+    wide = np.where(wider_b, b, a)
+    w, p = np.linalg.eigh(wide)
+    # the cluster threshold of _split_clusters, for n = 4
+    clustered = (w[:, 1:] - w[:, :-1] < (spread / (4.0 * 4))[:, None]).any(axis=1)
+    for i in clustered.nonzero()[0]:
+        _split_clusters(wide[i], np.where(wider_b[i], a[i], b[i]), w[i], p[i], spread[i], 0)
+    return p
 
 
-def _tensor_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (a, b) with a (x) b == m, for m an exact tensor product."""
-    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u_, s_, vh_ = np.linalg.svd(r)
-    if s_[1] > 1e-6:
-        raise SynthesisError("matrix is not a one-qubit tensor product")
-    a = (u_[:, 0] * np.sqrt(s_[0])).reshape(2, 2)
-    b = (vh_[0] * np.sqrt(s_[0])).reshape(2, 2)
-    return a, b
+def _kak_stack(xs: np.ndarray):
+    """Cartan decompositions of a (N, 4, 4) stack of unitaries.
+
+    Returns (L1, h, L2, phases, failed), with L1[i] exp(i h[i].(XX, YY, ZZ))
+    L2[i] * phases[i] == xs[i] as in :func:`kak_decompose`; ``failed`` flags
+    the leaves whose magic-basis bidiagonalization failed.
+    """
+    dets = np.linalg.det(xs)
+    scale = np.array([cmath.exp(-1j * cmath.phase(d) / 4.0) for d in dets.tolist()])
+    m = MAGIC_DAG @ (xs * scale[:, None, None]) @ MAGIC
+    g = m @ m.transpose(0, 2, 1)
+    p = _orth_bases(g)
+    eig = np.diagonal(p.transpose(0, 2, 1) @ g @ p, axis1=1, axis2=2).copy()
+    flip = np.linalg.det(p) < 0
+    p[flip, :, 0] = -p[flip, :, 0]
+    d = np.exp(1j * np.angle(eig) / 2.0)
+    r = (p.transpose(0, 2, 1) @ m) / d[:, :, None]
+    flip = np.linalg.det(r).real < 0
+    r[flip, 0, :] = -r[flip, 0, :]
+    d[flip, 0] = -d[flip, 0]
+    failed = np.max(np.abs(r.imag), axis=(1, 2)) > 1e-6
+    l1 = MAGIC @ p @ MAGIC_DAG
+    l2 = MAGIC @ r.real @ MAGIC_DAG
+    coeffs = np.linalg.solve(_PATTERN, np.angle(d)[:, :, None])[:, :, 0]
+    phases = [cmath.exp(1j * c) for c in coeffs[:, 0].tolist()]
+    return l1, coeffs[:, 1:], l2, phases, failed
 
 
 def kak_decompose(
@@ -186,23 +242,22 @@ def kak_decompose(
     Returns (L1, h, L2, phase) with h = (hx, hy, hz) and L1, L2 one-qubit
     tensor products.
     """
-    u_su4 = to_su4(np.asarray(u, dtype=complex))
-    m = MAGIC_DAG @ u_su4 @ MAGIC
-    p, eig = _orth_diagonalize(m @ m.T)
-    if np.linalg.det(p) < 0:
-        p[:, 0] = -p[:, 0]
-    d = np.exp(1j * np.angle(eig) / 2.0)
-    r = (p.T @ m) / d[:, None]
-    if np.linalg.det(r).real < 0:
-        r[0, :] = -r[0, :]
-        d[0] = -d[0]
-    if np.max(np.abs(r.imag)) > 1e-6:
+    l1, h, l2, phases, failed = _kak_stack(np.asarray(u, dtype=complex)[None])
+    if failed[0]:
         raise SynthesisError("magic-basis bidiagonalization failed")
-    l1 = MAGIC @ p @ MAGIC_DAG
-    l2 = MAGIC @ r.real @ MAGIC_DAG
-    coeffs = np.linalg.solve(_PATTERN, np.angle(d))
-    phase = cmath.exp(1j * coeffs[0])
-    return l1, coeffs[1:], l2, phase
+    return l1[0], h[0], l2[0], phases[0]
+
+
+def _tensor_split(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (a, b) with a[i] (x) b[i] == ms[i], for a stack of exact tensor products."""
+    r = ms.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    u_, s_, vh_ = np.linalg.svd(r)
+    if np.any(s_[:, 1] > 1e-6):
+        raise SynthesisError("matrix is not a one-qubit tensor product")
+    root = np.sqrt(s_[:, :1])
+    a = (u_[:, :, 0] * root).reshape(-1, 2, 2)
+    b = (vh_[:, 0] * root).reshape(-1, 2, 2)
+    return a, b
 
 
 def _reduce(l1: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,81 +283,275 @@ def _swap_axes(l1, r, l2, i: int, j: int):
     return l1 @ cc, r, cc.conj().T @ l2
 
 
-def _interior_gates(hx: float, hy: float, hz: float) -> list:
+@functools.cache
+def _fixed_gates(offset: int) -> tuple:
+    """CNOT(1, 2), H on 2, S on 1 and G_merge^dag on 2, on qubits offset+1, offset+2."""
+    q1, q2 = offset + 1, offset + 2
+    return (
+        Cnot(q1, q2),
+        OneQubitGate(q2, _H),
+        OneQubitGate(q1, _S),
+        OneQubitGate(q2, _G_MERGE.conj().T),
+    )
+
+
+def _interior_gates(hx: float, hy: float, hz: float, offset: int) -> list:
     """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)).
 
     Conjugating by CNOT(1,2) turns the interaction into a rotation on qubit 1
     multiplexed by qubit 2 plus a z-rotation on qubit 2; the trailing
-    CZ-CNOT pair merges into a single CNOT with one-qubit corrections.
+    CZ-CNOT pair merges into a single CNOT with one-qubit corrections.  The
+    rotations are checked with the rest of the stack.
     """
+    cx, h_2, s_1, g_merge_dag_2 = _fixed_gates(offset)
     u_angle, v_angle, c_angle = -2.0 * hx, 2.0 * hy, -2.0 * hz
     return [
-        _G_MERGE_DAG_2,
-        _H_2,
-        _CX,
-        _H_2,
-        _S_1,
-        OneQubitGate(2, _rz(c_angle) @ _G_MERGE),
-        OneQubitGate(1, _rx(v_angle)),
-        _H_2,
-        _CX,
-        _H_2,
-        OneQubitGate(1, _rx(u_angle)),
-        _CX,
+        g_merge_dag_2,
+        h_2,
+        cx,
+        h_2,
+        s_1,
+        _rebuilt_1q(offset + 2, _rz(c_angle) @ _G_MERGE),
+        _rebuilt_1q(offset + 1, _rx(v_angle)),
+        h_2,
+        cx,
+        h_2,
+        _rebuilt_1q(offset + 1, _rx(u_angle)),
+        cx,
     ]
 
 
-def _kak_gates(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list:
-    """Fewest-CNOT gates for L1 exp(i r.(XX, YY, ZZ)) L2, r reduced."""
+def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray, offset: int):
+    """Fewest-CNOT layout of L1 exp(i r.(XX, YY, ZZ)) L2, r reduced.
+
+    Returns (frames, interior): the local tensor products to split, right
+    frame first (L1 L2 alone when the interior is empty), and the interior
+    gates on qubits offset+1, offset+2.
+    """
+    cx = _fixed_gates(offset)[0]
     zero = np.abs(r) <= _CLASS_TOL
     if zero.all():
-        a, b = _tensor_split(l1 @ l2)
-        return [OneQubitGate(1, a), OneQubitGate(2, b)]
+        return [l1 @ l2], []
     if zero.sum() == 2 and abs(math.pi / 4.0 - np.max(np.abs(r))) <= _CLASS_TOL:
         # exp(i r ZZ) with r = +-pi/4 is (P x P) CZ up to phase
         l1, r, l2 = _swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
         p = np.diag([1.0, -1j * np.sign(r[2])])
         l1 = l1 @ np.kron(p, p @ _H)
         l2 = np.kron(np.eye(2), _H) @ l2
-        interior = [_CX]
+        interior = [cx]
     elif zero.any():
         # CNOT(1,2) conjugation turns Rx x Rz into exp(i(r0 XX + r2 ZZ))
         l1, r, l2 = _swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
         interior = [
-            _CX,
-            OneQubitGate(1, _rx(-2.0 * r[0])),
-            OneQubitGate(2, _rz(-2.0 * r[2])),
-            _CX,
+            cx,
+            _rebuilt_1q(offset + 1, _rx(-2.0 * r[0])),
+            _rebuilt_1q(offset + 2, _rz(-2.0 * r[2])),
+            cx,
         ]
     else:
-        interior = _interior_gates(*r)
-    a1, a2 = _tensor_split(l1)
-    b1, b2 = _tensor_split(l2)
-    return [
-        OneQubitGate(1, b1),
-        OneQubitGate(2, b2),
-        *interior,
-        OneQubitGate(1, a1),
-        OneQubitGate(2, a2),
-    ]
+        interior = _interior_gates(*r, offset)
+    return [l2, l1], interior
 
 
-def _gates_matrix(gates: list) -> np.ndarray:
-    """4x4 matrix of gates on qubits (1, 2), folded in gate order."""
-    m = np.eye(4, dtype=complex)
-    for g in gates:
-        if isinstance(g, Cnot):
-            m = m[_CNOT_ROWS[g.control]]
-        elif g.target == 1:
-            m = (g.matrix @ m.reshape(2, 8)).reshape(4, 4)
+def _kak_gates(factors: list, interior: list, offset: int) -> list:
+    """A leaf's gates on qubits offset+1, offset+2.
+
+    ``factors`` holds the one-qubit factor pair of each frame of
+    :func:`_kak_frames`, right frame first; the matrices are checked with the
+    rest of the stack.
+    """
+    (b1, b2), *left = factors
+    gates = [_rebuilt_1q(offset + 1, b1), _rebuilt_1q(offset + 2, b2), *interior]
+    for a1, a2 in left:
+        gates += [_rebuilt_1q(offset + 1, a1), _rebuilt_1q(offset + 2, a2)]
+    return gates
+
+
+def _check_leaves(leaves: list) -> None:
+    """Check every one-qubit matrix, then fold every leaf's gates against it.
+
+    The leaves are grouped by the layout of their gate lists (gate kind and
+    qubit, position by position); each group is folded as one stack.
+    """
+    groups: dict[tuple, list] = {}
+    for leaf in leaves:
+        # a CNOT is coded by its control, a one-qubit gate by minus its target
+        off = leaf.offset
+        layout = tuple(g.control - off if type(g) is Cnot else off - g.target for g in leaf.gates)
+        groups.setdefault(layout, []).append(leaf)
+    columns = {
+        layout: [
+            None if code > 0 else np.array([g.matrix for g in column])
+            for code, column in zip(layout, zip(*[leaf.gates for leaf in group]))
+        ]
+        for layout, group in groups.items()
+    }
+    _require_unitary_stack(
+        np.concatenate([mats for stacks in columns.values() for mats in stacks if mats is not None])
+    )
+    for layout, group in groups.items():
+        m = np.broadcast_to(_EYE4, (len(group), 4, 4))
+        for code, mats in zip(layout, columns[layout]):
+            if code > 0:
+                m = m[:, _CNOT_ROWS[code]]
+            elif code == -1:
+                m = (mats @ m.reshape(-1, 2, 8)).reshape(-1, 4, 4)
+            else:
+                m = (mats[:, None] @ m.reshape(-1, 2, 2, 4)).reshape(-1, 4, 4)
+        deltas = np.array([_NO_DIAGONAL if leaf.delta is None else leaf.delta for leaf in group])
+        targets = np.array([leaf.target for leaf in group])
+        if not np.all(_phase_aligned_distances(m * deltas[:, None, :], targets) <= _VERIFY_TOL):
+            raise SynthesisError("two-qubit synthesis failed to verify")
+
+
+def _twist_diagonal(t: float) -> np.ndarray:
+    return np.diag([1.0, 1.0, cmath.exp(-1j * t), cmath.exp(1j * t)])
+
+
+_QUARTER_TURN = _twist_diagonal(math.pi / 2.0)
+
+
+def _twisted(u_su4: np.ndarray, t: float) -> np.ndarray:
+    return u_su4 @ _twist_diagonal(t)
+
+
+def _closed_form_twist(u_su4: np.ndarray) -> float:
+    """Twist t for which u Delta(t)^dag has a vanishing Cartan coordinate.
+
+    The class condition -Re(phase^2) prod sin(2 h_a) is proportional to
+    Im tr gamma, a zero-mean sinusoid in t; its root follows from two gamma
+    traces.  The root is exact on generic inputs but loses accuracy near a
+    special stratum, where the trace goes as a product of small coordinates;
+    there :func:`_refined_twist` takes over.
+    """
+    g0 = np.trace(_gamma(u_su4))
+    g1 = np.trace(_gamma(u_su4 @ _QUARTER_TURN))
+    q14 = g0 / 4.0 + g1 / 4j
+    q23 = g1 / 4j - g0 / 4.0
+    return math.atan2(-(q14.imag - q23.imag), q14.real + q23.real)
+
+
+def _twist_point(t: float, kak) -> tuple:
+    """(min |r|, t, class condition, reduced KAK) for the KAK of u Delta(t)^dag."""
+    l1, h, l2, phase = kak
+    cond = -(phase * phase).real * float(np.prod(np.sin(2.0 * h)))
+    l1, r = _reduce(l1, h)
+    return float(np.min(np.abs(r))), t, cond, (l1, r, l2)
+
+
+def _refined_twist(u_su4: np.ndarray, t0: float, kak0):
+    """Twist and reduced KAK (L1, r, L2) from Illinois regula falsi.
+
+    Refines the closed-form twist t0, whose KAK is kak0, on the factored class
+    condition, whose factors the KAK coordinates give to full relative
+    precision.
+    """
+
+    def at(t: float):
+        return _twist_point(t, kak_decompose(_twisted(u_su4, t)))
+
+    def smallest(point):
+        return point[0]
+
+    best = _twist_point(t0, kak0)
+    # f(t + pi) = -f(t), so t0 and one of t0 +- pi/2 bracket a root
+    end = at(t0 + math.pi / 2.0)
+    a, fa = t0, best[2]
+    b, fb = end[1:3] if fa * end[2] <= 0 else (t0 - math.pi / 2.0, -end[2])
+    best = min(best, end, key=smallest)
+    side = 0
+    for _ in range(_ROOT_MAX_ITER):  # Illinois regula falsi
+        if best[0] <= _TWIST_TOL or fa == fb:
+            break
+        t = (a * fb - b * fa) / (fb - fa)
+        if t in (a, b):
+            break
+        point = at(t)
+        best = min(best, point, key=smallest)
+        if point[2] * fb > 0:
+            b, fb = t, point[2]
+            if side == -1:
+                fa /= 2.0
+            side = -1
         else:
-            m = (g.matrix @ m.reshape(2, 2, 4)).reshape(4, 4)
-    return m
+            a, fa = t, point[2]
+            if side == 1:
+                fb /= 2.0
+            side = 1
+    return best[1], best[3]
 
 
-def _verify(matrix: np.ndarray, target: np.ndarray) -> None:
-    if phase_aligned_distance(matrix, target) > _VERIFY_TOL:
-        raise SynthesisError("two-qubit synthesis failed to verify")
+class _Leaf:
+    """A two-qubit block of a stack, on qubits offset+1, offset+2.
+
+    A twisted leaf is realized up to a trailing diagonal ``delta``, which
+    multiplies ``prev`` (when given) from the left; ``target`` is the matrix
+    the gates must realize: ``matrix`` with the diagonal of the leaf pushed
+    into it, if any.
+    """
+
+    __slots__ = ("matrix", "offset", "twisted", "prev", "target", "delta", "su4", "twist", "gates")
+
+    def __init__(self, matrix: np.ndarray, offset: int, twisted: bool = False):
+        self.matrix = matrix
+        self.target = matrix
+        self.offset = offset
+        self.twisted = twisted
+        self.prev = None
+        self.delta = None
+
+    def set_twist(self, t: float) -> None:
+        self.twist = t
+        self.delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
+        if self.prev is not None:
+            self.prev.target = np.diag(self.delta) @ self.prev.matrix
+
+
+def _synth_leaves(leaves: list) -> None:
+    """Set the gates (and, if twisted, the diagonal) of every leaf of a stack.
+
+    ``leaves`` come in chain order: a twisted leaf before its ``prev``.  The
+    chain fixes every twist, one stacked KAK decomposes every leaf, and the
+    gates are emitted and checked as one stack.  A twist that needs refining
+    restarts the chain after its leaf.
+    """
+    kaks: list = []
+    while len(kaks) < len(leaves):
+        rest = leaves[len(kaks):]
+        xs = []
+        for leaf in rest:
+            if leaf.twisted:
+                leaf.su4 = to_su4(leaf.target)
+                leaf.set_twist(_closed_form_twist(leaf.su4))
+                xs.append(_twisted(leaf.su4, leaf.twist))
+            else:
+                xs.append(leaf.target)
+        l1s, hs, l2s, phases, failed = _kak_stack(np.array(xs))
+        for i, leaf in enumerate(rest):
+            if failed[i]:
+                raise SynthesisError("magic-basis bidiagonalization failed")
+            l1, r = _reduce(l1s[i], hs[i])
+            if leaf.twisted and np.min(np.abs(r)) > _TWIST_TOL:
+                kak = (l1s[i], hs[i], l2s[i], phases[i])
+                t, reduced = _refined_twist(leaf.su4, leaf.twist, kak)
+                leaf.set_twist(t)
+                kaks.append(reduced)
+                break  # the leaves after it in the chain saw the unrefined diagonal
+            kaks.append((l1, r, l2s[i]))
+    frames, interiors = [], []
+    for leaf, (l1, r, l2) in zip(leaves, kaks):
+        if leaf.twisted:
+            r[np.argmin(np.abs(r))] = 0.0
+        local, interior = _kak_frames(l1, r, l2, leaf.offset)
+        frames.append(local)
+        interiors.append(interior)
+    a, b = _tensor_split(np.array([m for local in frames for m in local]))
+    j = 0
+    for leaf, local, interior in zip(leaves, frames, interiors):
+        factors = [(a[i], b[i]) for i in range(j, j + len(local))]
+        j += len(local)
+        leaf.gates = _kak_gates(factors, interior, leaf.offset)
+    _check_leaves(leaves)
 
 
 def synth_2q_unitary(u: np.ndarray) -> Circuit:
@@ -315,69 +564,9 @@ def synth_2q_unitary(u: np.ndarray) -> Circuit:
     if u.shape != (4, 4):
         raise BadDimensionError(f"expected a 4x4 matrix, got {u.shape}")
     require_unitary(u, what="two-qubit unitary")
-    l1, h, l2, _ = kak_decompose(u)
-    l1, r = _reduce(l1, h)
-    gates = _kak_gates(l1, r, l2)
-    _verify(_gates_matrix(gates), u)
-    return Circuit(2, tuple(gates))
-
-
-def _twisted(u_su4: np.ndarray, t: float) -> np.ndarray:
-    return u_su4 @ np.diag([1.0, 1.0, cmath.exp(-1j * t), cmath.exp(1j * t)])
-
-
-def _two_cnot_twist(u_su4: np.ndarray):
-    """Twist t and the reduced KAK (L1, r, L2) of u Delta(t)^dag with min |r| ~ 0.
-
-    The class condition -Re(phase^2) prod sin(2 h_a) is proportional to
-    Im tr gamma, a zero-mean sinusoid in t.  Its closed-form root from two
-    gamma traces is exact on generic inputs but loses accuracy near a
-    special stratum, where the trace goes as a product of small coordinates;
-    there the root is refined on the factored form, whose factors the KAK
-    coordinates give to full relative precision.
-    """
-    g0 = np.trace(_gamma(u_su4))
-    g1 = np.trace(_gamma(_twisted(u_su4, math.pi / 2.0)))
-    q14 = g0 / 4.0 + g1 / 4j
-    q23 = g1 / 4j - g0 / 4.0
-    t0 = math.atan2(-(q14.imag - q23.imag), q14.real + q23.real)
-
-    def at(t: float):
-        l1, h, l2, phase = kak_decompose(_twisted(u_su4, t))
-        cond = -(phase * phase).real * float(np.prod(np.sin(2.0 * h)))
-        l1, r = _reduce(l1, h)
-        return float(np.min(np.abs(r))), t, cond, (l1, r, l2)
-
-    def smallest(point):
-        return point[0]
-
-    best = at(t0)
-    if best[0] > _TWIST_TOL:
-        # f(t + pi) = -f(t), so t0 and one of t0 +- pi/2 bracket a root
-        end = at(t0 + math.pi / 2.0)
-        a, fa = t0, best[2]
-        b, fb = end[1:3] if fa * end[2] <= 0 else (t0 - math.pi / 2.0, -end[2])
-        best = min(best, end, key=smallest)
-        side = 0
-        for _ in range(_ROOT_MAX_ITER):  # Illinois regula falsi
-            if best[0] <= _TWIST_TOL or fa == fb:
-                break
-            t = (a * fb - b * fa) / (fb - fa)
-            if t in (a, b):
-                break
-            point = at(t)
-            best = min(best, point, key=smallest)
-            if point[2] * fb > 0:
-                b, fb = t, point[2]
-                if side == -1:
-                    fa /= 2.0
-                side = -1
-            else:
-                a, fa = t, point[2]
-                if side == 1:
-                    fb /= 2.0
-                side = 1
-    return best[1], best[3]
+    leaf = _Leaf(u, 0)
+    _synth_leaves([leaf])
+    return Circuit(2, tuple(leaf.gates))
 
 
 def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
@@ -388,10 +577,6 @@ def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
     the twist t chosen so that u diag(delta)^dag has a vanishing Cartan
     coordinate; the circuit comes from that product's decomposition.
     """
-    u = np.asarray(u, dtype=complex)
-    t, (l1, r, l2) = _two_cnot_twist(to_su4(u))
-    r[np.argmin(np.abs(r))] = 0.0
-    gates = _kak_gates(l1, r, l2)
-    delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
-    _verify(_gates_matrix(gates) * delta[None, :], u)
-    return Circuit(2, tuple(gates)), delta
+    leaf = _Leaf(np.asarray(u, dtype=complex), 0, twisted=True)
+    _synth_leaves([leaf])
+    return Circuit(2, tuple(leaf.gates)), leaf.delta

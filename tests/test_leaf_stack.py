@@ -1,0 +1,234 @@
+"""The stacked leaf stage against serial references.
+
+The leaves of every unitary handed to one synthesis call are synthesized as
+one stack.  These tests pin that to the serial, one-leaf-at-a-time forms it
+replaces: the per-leaf chain over the public two-qubit functions, the
+single-matrix Cartan decomposition, and one ``synth_kq_unitary`` call per
+Schmidt basis.  Every comparison is exact: the same gates on the same qubits,
+with the same matrix bytes.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from statesynth import (
+    Circuit,
+    Cnot,
+    haar_state,
+    haar_unitary,
+    schmidt_prepare,
+    shift,
+    synth_2q_unitary,
+    synth_kq_unitary,
+    two_qubit_up_to_diagonal,
+)
+from statesynth import synthesis, twoqubit
+from statesynth.twoqubit import MAGIC, MAGIC_DAG, _PATTERN
+
+
+def _serial_qsd_gates(u: np.ndarray, k: int) -> list:
+    """The leaves of the cosine-sine recursion synthesized one at a time.
+
+    Every leaf after the first goes through ``two_qubit_up_to_diagonal``, its
+    diagonal multiplying the previous leaf, and the first through
+    ``synth_2q_unitary``; each leaf circuit is then shifted onto qubits k-1, k.
+    """
+    sink: list = []
+    synthesis._qsd(u, list(range(1, k + 1)), sink)
+    positions = [i for i, item in enumerate(sink) if isinstance(item, twoqubit._Leaf)]
+    matrices = {pos: sink[pos].matrix for pos in positions}
+    for prev, pos in reversed(list(zip(positions, positions[1:]))):
+        circ, delta = two_qubit_up_to_diagonal(matrices[pos])
+        matrices[prev] = np.diag(delta) @ matrices[prev]
+        sink[pos] = circ
+    sink[positions[0]] = synth_2q_unitary(matrices[positions[0]])
+    gates = []
+    for item in sink:
+        if isinstance(item, Circuit):
+            gates.extend(shift(item, k - 2, k).gates)
+        else:
+            gates.append(item)
+    return gates
+
+
+def _assert_same_gates(ours, reference) -> None:
+    assert len(ours) == len(reference)
+    for g, h in zip(ours, reference):
+        assert type(g) is type(h)
+        if isinstance(g, Cnot):
+            assert (g.control, g.target) == (h.control, h.target)
+        else:
+            assert g.target == h.target
+            assert g.matrix.tobytes() == np.ascontiguousarray(h.matrix).tobytes()
+
+
+def _near_tensor(rng, left_dim, right_dim, eps):
+    product = np.kron(haar_unitary(left_dim, rng), haar_unitary(right_dim, rng))
+    dim = left_dim * right_dim
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return product @ sla.expm(1j * eps * (g + g.conj().T))
+
+
+def _haar_inputs():
+    for k, count in ((3, 4), (4, 3), (5, 1)):
+        rng = np.random.default_rng(60 + k)
+        for _ in range(count):
+            yield haar_unitary(1 << k, rng)
+
+
+def _near_tensor_k3_inputs():
+    """The near-tensor set of ``test_kq_near_tensor_k3``."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            yield _near_tensor(rng, 2, 4, 1e-8)
+
+
+def _pinned_k4_inputs():
+    """The inputs of ``test_kq_near_tensor_k4_pinned``, whose twists are refined."""
+    rng = np.random.default_rng(2024)
+    eps_values = [0.0, *(10.0 ** rng.uniform(-12, -5, 47))]
+    inputs = [
+        _near_tensor(rng, 1 << cut, 1 << (4 - cut), eps) for eps in eps_values for cut in (1, 2, 3)
+    ]
+    return [inputs[i] for i in (59, 94, 109, 133)]
+
+
+def _near_special_inputs():
+    """The multiplexed near-CZ blocks of ``test_kq_synthesis_with_near_special_blocks``."""
+    rng = np.random.default_rng(8)
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    for eps in (1e-6, 1e-8):
+        h1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u = np.zeros((8, 8), dtype=complex)
+        u[:4, :4] = cz @ sla.expm(1j * eps * (h1 + h1.conj().T) / 2)
+        u[4:, 4:] = cz.conj().T @ sla.expm(1j * eps * (h2 + h2.conj().T) / 2)
+        yield u
+
+
+@pytest.mark.parametrize(
+    "inputs", [_haar_inputs, _near_tensor_k3_inputs, _pinned_k4_inputs, _near_special_inputs]
+)
+def test_stacked_leaves_match_the_serial_chain(inputs):
+    for u in inputs():
+        k = len(u).bit_length() - 1
+        _assert_same_gates(synth_kq_unitary(u).gates, _serial_qsd_gates(u, k))
+
+
+def test_pinned_inputs_refine_a_twist_inside_the_stack(monkeypatch):
+    """The pinned near-tensor inputs take the refinement path: the chain is
+    restarted after the refined leaf, inside one stack."""
+    refined = []
+    exact = twoqubit._refined_twist
+    monkeypatch.setattr(twoqubit, "_refined_twist", lambda *a: refined.append(1) or exact(*a))
+    for u in _pinned_k4_inputs():
+        synth_kq_unitary(u)
+    assert refined
+
+
+# -- the single-matrix Cartan decomposition, as it was before stacking -------
+
+
+def _ref_centered(m):
+    m = (m + m.T) / 2.0
+    return m - (np.trace(m) / len(m)) * np.eye(len(m))
+
+
+def _ref_joint_diagonalize(a, b, depth=0):
+    n = a.shape[0]
+    if n == 1:
+        return np.eye(1)
+    wa = np.linalg.eigvalsh(a)
+    wb = np.linalg.eigvalsh(b)
+    if wb[-1] - wb[0] > wa[-1] - wa[0]:
+        a, b = b, a
+        wa = wb
+    spread = wa[-1] - wa[0]
+    w, p = np.linalg.eigh(a)
+    if spread < 1e-13 or depth > 12:
+        return p
+    tol = spread / (4.0 * n)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and w[j] - w[j - 1] < tol:
+            j += 1
+        if j - i > 1:
+            cols = p[:, i:j]
+            sub_a = _ref_centered(cols.T @ a @ cols)
+            sub_b = _ref_centered(cols.T @ b @ cols)
+            p[:, i:j] = cols @ _ref_joint_diagonalize(sub_a, sub_b, depth + 1)
+        i = j
+    return p
+
+
+def _reference_kak(u):
+    u = np.asarray(u, dtype=complex)
+    u_su4 = u * cmath.exp(-1j * cmath.phase(np.linalg.det(u)) / 4.0)
+    m = MAGIC_DAG @ u_su4 @ MAGIC
+    g = m @ m.T
+    p = _ref_joint_diagonalize((g + g.T).real / 2.0, (g + g.T).imag / 2.0)
+    eig = np.diag(p.T @ g @ p).copy()
+    if np.linalg.det(p) < 0:
+        p[:, 0] = -p[:, 0]
+    d = np.exp(1j * np.angle(eig) / 2.0)
+    r = (p.T @ m) / d[:, None]
+    if np.linalg.det(r).real < 0:
+        r[0, :] = -r[0, :]
+        d[0] = -d[0]
+    assert np.max(np.abs(r.imag)) <= 1e-6
+    l1 = MAGIC @ p @ MAGIC_DAG
+    l2 = MAGIC @ r.real @ MAGIC_DAG
+    coeffs = np.linalg.solve(_PATTERN, np.angle(d))
+    return l1, coeffs[1:], l2, cmath.exp(1j * coeffs[0])
+
+
+def _mixed_stack():
+    """Haar leaves, tensor products, the CNOT, iSWAP and SWAP classes
+    (clustered gamma spectra) between random locals, and the identity."""
+    rng = np.random.default_rng(70)
+
+    def local():
+        return np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+
+    cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+    stack = [haar_unitary(4, rng) for _ in range(6)]
+    stack += [local() for _ in range(3)]
+    for special in (cnot, iswap, swap):
+        stack += [special, local() @ special @ local()]
+    stack.append(np.eye(4, dtype=complex))
+    return np.array(stack)
+
+
+def test_stacked_kak_matches_the_single_matrix_kak(monkeypatch):
+    stack = _mixed_stack()
+    clustered = []
+    split = twoqubit._split_clusters
+    monkeypatch.setattr(twoqubit, "_split_clusters", lambda *a: clustered.append(1) or split(*a))
+    l1s, hs, l2s, phases, failed = twoqubit._kak_stack(stack)
+    # only some leaves have clustered spectra, and only those are resolved one by one
+    assert 0 < len(clustered) < len(stack)
+    assert not failed.any()
+    for i, u in enumerate(stack):
+        ref_l1, ref_h, ref_l2, ref_phase = _reference_kak(u)
+        for ours, ref in ((l1s[i], ref_l1), (hs[i], ref_h), (l2s[i], ref_l2)):
+            assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert phases[i] == ref_phase
+        one = twoqubit.kak_decompose(u)
+        assert one[1].tobytes() == ref_h.tobytes() and one[3] == ref_phase
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_phases_3_and_4_are_the_schmidt_bases_synthesized_in_place(n):
+    """schmidt_prepare synthesizes both Schmidt bases in one stack, on their
+    final qubits; that equals one synth_kq_unitary call per basis, shifted."""
+    plan = schmidt_prepare(haar_state(n, np.random.default_rng(80 + n)))
+    sf = plan.schmidt
+    _assert_same_gates(plan.phase3.gates, shift(synth_kq_unitary(sf.basis_left), 0, n).gates)
+    _assert_same_gates(plan.phase4.gates, shift(synth_kq_unitary(sf.basis_right), sf.k1, n).gates)

@@ -8,6 +8,7 @@ from statesynth import simulate, synthesis, twoqubit
 from statesynth import (
     BadLengthError,
     Circuit,
+    NonFiniteError,
     NotNormalizedError,
     NotUnitaryError,
     SynthesisError,
@@ -19,6 +20,7 @@ from statesynth import (
     haar_unitary,
     phase_aligned_distance,
     run,
+    schmidt_prepare,
     synth_2q_state,
     synth_kq_unitary,
     uc_su2_up_to_diagonal,
@@ -147,6 +149,17 @@ def test_multiplexed_rotation_zero_angles_is_identity():
 def test_multiplexed_rotation_rejects_bad_length():
     with pytest.raises(BadLengthError):
         _ucr_circuit("Y", [0.1, 0.2, 0.3], [1, 2], 3)
+
+
+@pytest.mark.parametrize("axis", ["Y", "Z"])
+@pytest.mark.parametrize("controls", [[], [1], [1, 2]])
+def test_multiplexed_rotation_rejects_nan_angle(axis, controls):
+    """The ladder's rotations are checked as one stack; a NaN angle still
+    fails that check with the typed error."""
+    angles = np.full(1 << len(controls), 0.3)
+    angles[-1] = np.nan
+    with pytest.raises(NonFiniteError):
+        synthesis._ucr_gates(axis, angles, controls, len(controls) + 1)
 
 
 # -- demultiplexing ----------------------------------------------------------
@@ -292,12 +305,12 @@ def test_kq_count_ceiling_sweep():
 
 
 def _counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls."""
+    """Replace module.name by a wrapper that records the arguments of each call."""
     calls = []
     func = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return func(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -306,58 +319,90 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("k,splits", [(3, 3), (4, 15)])
 def test_kq_leaves_route_without_simulation(monkeypatch, k, splits):
-    """Every leaf but the first is split up to a diagonal, the first is one full
-    two-qubit synthesis, and no leaf check simulates a circuit."""
-    splits_seen = _counting(monkeypatch, synthesis, "two_qubit_up_to_diagonal")
-    full_seen = _counting(monkeypatch, synthesis, "synth_2q_unitary")
+    """All 4^(k-2) leaves are checked in one stack, every leaf but the first
+    split up to a diagonal, and no leaf check simulates a circuit."""
+    checks = _counting(monkeypatch, twoqubit, "_check_leaves")
     runs_seen = _counting(monkeypatch, simulate, "run")
     u = haar_unitary(1 << k, np.random.default_rng(40 + k))
     c = synth_kq_unitary(u)
-    assert (len(splits_seen), len(full_seen), len(runs_seen)) == (splits, 1, 0)
+    ((stack,),) = checks
+    assert len(stack) == splits + 1 == 4 ** (k - 2)
+    assert sum(leaf.twisted for leaf in stack) == splits
+    assert runs_seen == []
     assert cnot_count(c) == unitary_upper_bound(k)
 
 
+def _mutate_one_call(monkeypatch, module, name, at, mutate_args=None, mutate_result=None):
+    """Replace module.name so that only its call number ``at`` is mutated.
+
+    ``mutate_args`` rewrites that call's arguments, ``mutate_result`` its
+    result; every other call goes through unchanged.
+    """
+    func = getattr(module, name)
+    calls = []
+
+    def wrapped(*args):
+        mutated = len(calls) == at
+        calls.append(args)
+        if mutated and mutate_args is not None:
+            args = mutate_args(*args)
+        out = func(*args)
+        return mutate_result(out) if mutated and mutate_result is not None else out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+_RNG_MUTATION = np.random.default_rng(41)
+# one-leaf public functions, a 16-leaf stack, and stacks of 2 and 32 leaves
+_ENTRY_POINTS = (
+    (twoqubit.synth_2q_unitary, haar_unitary(4, _RNG_MUTATION)),
+    (twoqubit.two_qubit_up_to_diagonal, haar_unitary(4, _RNG_MUTATION)),
+    (synth_kq_unitary, haar_unitary(16, _RNG_MUTATION)),
+    (schmidt_prepare, haar_state(8, _RNG_MUTATION)),
+)
+
+
+def _mutated_calls(monkeypatch, name):
+    """(entry point, its argument, call index) for the first, middle and last
+    call of twoqubit.name in each entry point."""
+    for synth, arg in _ENTRY_POINTS:
+        calls = _counting(monkeypatch, twoqubit, name)
+        synth(arg)
+        monkeypatch.undo()
+        for at in sorted({0, len(calls) // 2, len(calls) - 1}):
+            yield synth, arg, at
+
+
 def test_perturbed_leaf_gate_fails_the_leaf_check(monkeypatch):
-    """An x-rotation of every leaf emitted about 1e-7 off its exact angle must
-    fail the 1e-9 leaf check in each synthesis entry point."""
-    rng = np.random.default_rng(41)
-    u4, u16 = haar_unitary(4, rng), haar_unitary(16, rng)
-    exact_rx = twoqubit._rx
-    monkeypatch.setattr(twoqubit, "_rx", lambda theta: exact_rx(theta + 2e-7))
-    with pytest.raises(SynthesisError):
-        twoqubit.synth_2q_unitary(u4)
-    with pytest.raises(SynthesisError):
-        twoqubit.two_qubit_up_to_diagonal(u4)
-    with pytest.raises(SynthesisError):
-        synth_kq_unitary(u16)
-    monkeypatch.setattr(twoqubit, "_rx", exact_rx)
-    for synth in (twoqubit.synth_2q_unitary, twoqubit.two_qubit_up_to_diagonal):
-        synth(u4)
-    synth_kq_unitary(u16)
+    """An x-rotation of one leaf of a stack emitted about 1e-7 off its exact
+    angle must fail the 1e-9 leaf check; the other leaves are exact."""
+    for synth, arg, at in _mutated_calls(monkeypatch, "_rx"):
+        _mutate_one_call(monkeypatch, twoqubit, "_rx", at, mutate_args=lambda t: (t + 2e-7,))
+        with pytest.raises(SynthesisError):
+            synth(arg)
+        monkeypatch.undo()
+        synth(arg)
 
 
 @pytest.mark.parametrize("mutation", ["swap", "drop"])
 def test_reordered_leaf_gate_fails_the_leaf_check(monkeypatch, mutation):
-    """The leaf check folds the emitted gate list itself: swapping the first two
-    interior gates of every leaf (non-commuting in both the two- and the
-    three-CNOT interior), or dropping the first, must fail it in each
-    synthesis entry point."""
-    rng = np.random.default_rng(42)
-    u4, u16 = haar_unitary(4, rng), haar_unitary(16, rng)
-    exact_kak_gates = twoqubit._kak_gates
+    """The leaf check folds each leaf's emitted gate list itself: swapping the
+    first two interior gates of one leaf of a stack (non-commuting in both
+    the two- and the three-CNOT interior), or dropping the first, must fail
+    it.  A swap inside the three-CNOT interior keeps the leaf's gate layout,
+    so it folds in the same group as the other three-CNOT leaves; the other
+    mutations fold in a group of their own."""
 
-    def mutated(*args):
-        gates = exact_kak_gates(*args)
+    def mutated(gates):
         if mutation == "swap":
             gates[2], gates[3] = gates[3], gates[2]
         else:
             del gates[2]
         return gates
 
-    monkeypatch.setattr(twoqubit, "_kak_gates", mutated)
-    with pytest.raises(SynthesisError):
-        twoqubit.synth_2q_unitary(u4)
-    with pytest.raises(SynthesisError):
-        twoqubit.two_qubit_up_to_diagonal(u4)
-    with pytest.raises(SynthesisError):
-        synth_kq_unitary(u16)
+    for synth, arg, at in _mutated_calls(monkeypatch, "_kak_gates"):
+        _mutate_one_call(monkeypatch, twoqubit, "_kak_gates", at, mutate_result=mutated)
+        with pytest.raises(SynthesisError):
+            synth(arg)
+        monkeypatch.undo()
+        synth(arg)
