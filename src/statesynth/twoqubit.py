@@ -9,25 +9,33 @@ single +-pi/4, two when any vanishes and three otherwise.
 
 Leaves are synthesized as one stack, in three stages:
 
-1. the twist chain, serial: a leaf realized up to a diagonal takes the
-   closed-form twist, and its diagonal multiplies the leaf it is pushed into;
-2. one stacked Cartan decomposition of every leaf, from numpy's stacked
-   det/eigvalsh/eigh/solve; only leaves with clustered eigenvalues go through
-   the recursive joint diagonalization.  A twist that leaves the smallest
-   coordinate above _TWIST_TOL is refined, and the chain restarts after that
+1. the twist chain, serial: a leaf realized up to a diagonal is rescaled to
+   SU(4) and takes the closed-form twist, and its diagonal multiplies the leaf
+   it is pushed into; nothing else runs per leaf;
+2. one stacked Cartan decomposition of every leaf u Delta(t)^dag, formed as
+   one stacked product after the chain, from numpy's stacked
+   det/eigvalsh/eigh/solve.  Where an eigenvalue spectrum clusters, the
+   clusters of two are resolved as one stack; only clusters of three or more
+   go through the recursive joint diagonalization.  The coordinates are
+   reduced as one stack, and a twist that leaves the smallest coordinate
+   above _TWIST_TOL is refined, after which the chain restarts after that
    leaf;
-3. emit and check: one stacked SVD splits every local factor, the gates are
-   built on their final qubits, every one-qubit matrix passes one stacked
-   unitarity check, and every leaf's emitted gate list is folded into its 4x4
-   matrix and compared with the leaf at 1e-9.  The fold is stacked over the
-   leaves whose gate lists have the same layout; nothing is simulated.
+3. layout and checks: the leaves are laid out by CNOT class as one stack
+   (grouped by class and by the axes exchanged), one stacked SVD splits every
+   local factor, the gates are built on their final qubits, every one-qubit
+   matrix passes one stacked unitarity check, and every leaf's emitted gate
+   list is checked against its class layout, folded into its 4x4 matrix and
+   compared with the leaf at 1e-9.  The fold is stacked over the leaves of
+   one class; nothing is simulated.
 
-The public functions are one-leaf stacks.
+The public functions check their input and are one-leaf stacks.
 """
 
 import cmath
 import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -58,9 +66,13 @@ _AXIS_SWAP = {(0, 1): np.kron(_S, _S), (1, 2): np.kron(_SQRT_X, _SQRT_X), (0, 2)
 _G_MERGE = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
 
 # CNOT @ m permutes the rows of m; keyed by the control qubit
-_CNOT_ROWS = {1: [0, 1, 3, 2], 2: [0, 3, 2, 1]}
+_CNOT_ROWS = {1: np.array([0, 1, 3, 2]), 2: np.array([0, 3, 2, 1])}
 
 _EYE4 = np.eye(4, dtype=complex)
+_DIAG = np.arange(4)
+# row and column indices of a two-column block of a 4x4 stack
+_ROWS4 = np.arange(4)[None, :, None]
+_PAIR = np.arange(2)[None, None, :]
 _NO_DIAGONAL = np.ones(4)
 
 # diagonal patterns of XX, YY, ZZ in the magic basis; rows of the linear
@@ -98,11 +110,6 @@ def to_su4(u: np.ndarray) -> np.ndarray:
     return u * cmath.exp(-1j * cmath.phase(det) / 4.0)
 
 
-def _gamma(u_su4: np.ndarray) -> np.ndarray:
-    m = MAGIC_DAG @ u_su4 @ MAGIC
-    return m @ m.T
-
-
 def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Max-norm distance between a[i] and b[i] after aligning global phases."""
     a = a.reshape(len(a), -1)
@@ -125,10 +132,13 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _centered(m: np.ndarray) -> np.ndarray:
+    """Symmetric part of m, or of each matrix of a stack, minus its mean eigenvalue."""
     # removing the mean keeps eigh's eigenvector accuracy relative to the
     # internal splitting rather than to the absolute eigenvalue scale
-    m = (m + m.T) / 2.0
-    return m - (np.trace(m) / len(m)) * np.eye(len(m))
+    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    dim = m.shape[-1]
+    trace = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return m - (trace / dim) * np.eye(dim)
 
 
 def _joint_diagonalize(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
@@ -185,25 +195,52 @@ def _orth_bases(g: np.ndarray) -> np.ndarray:
 
     Each g[i] must be complex symmetric unitary (its real and imaginary parts
     then commute), which holds for every gamma matrix handled here.  The
-    stack takes the eigenbasis of whichever part has the wider spectrum; a
-    leaf where that spectrum clusters goes through _split_clusters.
+    stack takes the eigenbasis of whichever part has the wider spectrum.
+    Where that spectrum clusters (the threshold of _split_clusters), the
+    other part resolves the cluster: clusters of two are resolved as one
+    stack by _rotate_pairs, and a leaf with a cluster of three or more goes
+    through _split_clusters.
     """
     sym = g + g.transpose(0, 2, 1)
-    a = sym.real / 2.0
-    b = sym.imag / 2.0
-    wa = np.linalg.eigvalsh(a)
-    wb = np.linalg.eigvalsh(b)
-    spread_a = wa[:, -1] - wa[:, 0]
-    spread_b = wb[:, -1] - wb[:, 0]
-    wider_b = (spread_b > spread_a)[:, None, None]
-    spread = np.where(wider_b[:, 0, 0], spread_b, spread_a)
-    wide = np.where(wider_b, b, a)
-    w, p = np.linalg.eigh(wide)
-    # the cluster threshold of _split_clusters, for n = 4
-    clustered = (w[:, 1:] - w[:, :-1] < (spread / (4.0 * 4))[:, None]).any(axis=1)
-    for i in clustered.nonzero()[0]:
-        _split_clusters(wide[i], np.where(wider_b[i], a[i], b[i]), w[i], p[i], spread[i], 0)
+    parts = np.array((sym.real, sym.imag)) / 2.0
+    w_parts = np.linalg.eigvalsh(parts)
+    spread_a, spread_b = w_parts[:, :, -1] - w_parts[:, :, 0]
+    wider_b = spread_b > spread_a
+    spread = np.where(wider_b, spread_b, spread_a)
+    # [0]: the part with the wider spectrum, [1]: the other part
+    wide_other = np.where(wider_b[:, None, None], parts[::-1], parts)
+    w, p = np.linalg.eigh(wide_other[0])
+    # links[i, j]: w[i, j] and w[i, j + 1] share a cluster; on a spread below
+    # 1e-13 both parts are scalar, any basis works, and no gap is below 0
+    tol = np.where(spread >= 1e-13, spread / (4.0 * 4), 0.0)
+    links = w[:, 1:] - w[:, :-1] < tol[:, None]
+    if links.any():
+        long_run = (links[:, 1:] & links[:, :-1]).any(axis=1)
+        if long_run.any():
+            for i in long_run.nonzero()[0]:
+                _split_clusters(wide_other[0, i], wide_other[1, i], w[i], p[i], spread[i], 0)
+            links[long_run] = False
+        leaf, start = links.nonzero()
+        if len(leaf):
+            _rotate_pairs(wide_other[:, leaf], p, leaf, start)
     return p
+
+
+def _rotate_pairs(wide_other: np.ndarray, p: np.ndarray, leaf, start) -> None:
+    """_split_clusters on the two-column clusters p[leaf, :, start:start+2], as one stack.
+
+    ``wide_other`` holds the two parts of each cluster's leaf, wider first.
+    On a centered 2x2 block the recursive _joint_diagonalize reduces to the
+    eigenbasis of whichever of the two restrictions has the wider spectrum;
+    the rotated columns are written back into p.
+    """
+    at = (leaf[:, None, None], _ROWS4, start[:, None, None] + _PAIR)
+    cols = p[at]
+    sub = _centered(cols.transpose(0, 2, 1) @ wide_other @ cols)
+    w = np.linalg.eigvalsh(sub)
+    spread_a, spread_b = w[:, :, -1] - w[:, :, 0]
+    _, rot = np.linalg.eigh(np.where((spread_b > spread_a)[:, None, None], sub[1], sub[0]))
+    p[at] = cols @ rot
 
 
 def _kak_stack(xs: np.ndarray):
@@ -234,6 +271,22 @@ def _kak_stack(xs: np.ndarray):
     return l1, coeffs[:, 1:], l2, phases, failed
 
 
+def _require_2q_unitary(u) -> np.ndarray:
+    """u as a complex 4x4 unitary, or the typed error of a bad two-qubit input."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4):
+        raise BadDimensionError(f"expected a 4x4 matrix, got {u.shape}")
+    return require_unitary(u, what="two-qubit unitary")
+
+
+def _kak_one(u: np.ndarray) -> tuple:
+    """:func:`kak_decompose` of a checked 4x4 unitary, as a stack of one."""
+    l1, h, l2, phases, failed = _kak_stack(u[None])
+    if failed[0]:
+        raise SynthesisError("magic-basis bidiagonalization failed")
+    return l1[0], h[0], l2[0], phases[0]
+
+
 def kak_decompose(
     u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -242,10 +295,7 @@ def kak_decompose(
     Returns (L1, h, L2, phase) with h = (hx, hy, hz) and L1, L2 one-qubit
     tensor products.
     """
-    l1, h, l2, phases, failed = _kak_stack(np.asarray(u, dtype=complex)[None])
-    if failed[0]:
-        raise SynthesisError("magic-basis bidiagonalization failed")
-    return l1[0], h[0], l2[0], phases[0]
+    return _kak_one(_require_2q_unitary(u))
 
 
 def _tensor_split(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,26 +311,26 @@ def _tensor_split(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce(l1: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates reduced into [-pi/4, pi/4], left factor absorbing the rest.
+    """Coordinates of a (N, 3) stack reduced into [-pi/4, pi/4], left factors absorbing the rest.
 
     exp(i k pi/2 PP) = (i PP)^k is local and commutes with the interaction.
     """
     k = np.round(h / (math.pi / 2.0)).astype(int)
-    l1 = l1 * 1j ** int(k.sum())
-    for axis, turns in zip(_AXES, k):
-        if turns % 2:
-            l1 = l1 @ axis
+    turns = k.tolist()
+    l1 = l1 * np.array([1j ** sum(leaf) for leaf in turns])[:, None, None]
+    for a, axis in enumerate(_AXES):
+        odd = [i for i, leaf in enumerate(turns) if leaf[a] % 2]
+        if odd:
+            l1[odd] = l1[odd] @ axis
     return l1, h - k * (math.pi / 2.0)
 
 
-def _swap_axes(l1, r, l2, i: int, j: int):
-    """Same matrix with coordinates i and j exchanged, via a local frame."""
-    if i == j:
-        return l1, r, l2
-    cc = _AXIS_SWAP[(min(i, j), max(i, j))]
-    r = r.copy()
-    r[[i, j]] = r[[j, i]]
-    return l1 @ cc, r, cc.conj().T @ l2
+def _swap_axes(l1, r, l2, sel, i: int, j: int) -> None:
+    """Exchange coordinates i < j of the leaves ``sel`` in place, via a local frame."""
+    cc = _AXIS_SWAP[(i, j)]
+    l1[sel] = l1[sel] @ cc
+    r[sel[:, None], [i, j]] = r[sel[:, None], [j, i]]
+    l2[sel] = cc.conj().T @ l2[sel]
 
 
 @functools.cache
@@ -321,44 +371,79 @@ def _interior_gates(hx: float, hy: float, hz: float, offset: int) -> list:
     ]
 
 
-def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray, offset: int):
-    """Fewest-CNOT layout of L1 exp(i r.(XX, YY, ZZ)) L2, r reduced.
+# the gate layout of a leaf with 0, 1, 2 or 3 CNOTs, position by position: a
+# CNOT is coded by its control, a one-qubit gate by minus its target, both
+# counted from the leaf offset
+_LAYOUTS = (
+    (-1, -2),
+    (-1, -2, 1, -1, -2),
+    (-1, -2, 1, -1, -2, 1, -1, -2),
+    (-1, -2, -2, -2, 1, -2, -1, -2, -1, -2, 1, -2, -1, 1, -1, -2),
+)
 
-    Returns (frames, interior): the local tensor products to split, right
-    frame first (L1 L2 alone when the interior is empty), and the interior
-    gates on qubits offset+1, offset+2.
+
+def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list[int]:
+    """Fewest-CNOT layout of L1 exp(i r.(XX, YY, ZZ)) L2, for a stack with r reduced.
+
+    Returns the CNOT count of each leaf, and moves, in place, the leaf's
+    coordinates onto the axes its interior realizes (:func:`_interior`), its
+    frames absorbing the change; a leaf with no CNOT gets the whole local
+    product L1 L2 in l2.  The frames are changed as one stack per axis
+    exchange and per class.
     """
+    cnots = []
+    swaps: dict[tuple, list] = {}
+    for i, coords in enumerate(np.abs(r).tolist()):
+        zero = [c <= _CLASS_TOL for c in coords]
+        moved = None
+        if all(zero):
+            cnots.append(0)
+        elif sum(zero) == 2 and abs(math.pi / 4.0 - max(coords)) <= _CLASS_TOL:
+            # exp(i r ZZ) with r = +-pi/4 is (P x P) CZ up to phase
+            cnots.append(1)
+            moved, onto = zero.index(False), 2
+        elif any(zero):
+            # CNOT(1,2) conjugation turns Rx x Rz into exp(i(r0 XX + r2 ZZ))
+            cnots.append(2)
+            moved, onto = 1 if zero[1] else zero.index(True), 1
+        else:
+            cnots.append(3)
+        if moved is not None and moved != onto:
+            swaps.setdefault((min(moved, onto), max(moved, onto)), []).append(i)
+    for (i, j), sel in swaps.items():
+        _swap_axes(l1, r, l2, np.array(sel), i, j)
+    one = [i for i, c in enumerate(cnots) if c == 1]
+    if one:
+        turns = [np.kron(p, p @ _H) for p in (np.diag([1.0, -1j * s]) for s in np.sign(r[one, 2]))]
+        l1[one] = l1[one] @ np.array(turns)
+        l2[one] = np.kron(np.eye(2), _H) @ l2[one]
+    none = [i for i, c in enumerate(cnots) if c == 0]
+    if none:
+        l2[none] = l1[none] @ l2[none]
+    return cnots
+
+
+def _interior(cnots: int, r: list, offset: int) -> list:
+    """A leaf's interior gates on qubits offset+1, offset+2, from its
+    coordinates r as :func:`_kak_frames` left them."""
+    if cnots == 3:
+        return _interior_gates(*r, offset)
     cx = _fixed_gates(offset)[0]
-    zero = np.abs(r) <= _CLASS_TOL
-    if zero.all():
-        return [l1 @ l2], []
-    if zero.sum() == 2 and abs(math.pi / 4.0 - np.max(np.abs(r))) <= _CLASS_TOL:
-        # exp(i r ZZ) with r = +-pi/4 is (P x P) CZ up to phase
-        l1, r, l2 = _swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
-        p = np.diag([1.0, -1j * np.sign(r[2])])
-        l1 = l1 @ np.kron(p, p @ _H)
-        l2 = np.kron(np.eye(2), _H) @ l2
-        interior = [cx]
-    elif zero.any():
-        # CNOT(1,2) conjugation turns Rx x Rz into exp(i(r0 XX + r2 ZZ))
-        l1, r, l2 = _swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
-        interior = [
+    if cnots == 2:
+        return [
             cx,
             _rebuilt_1q(offset + 1, _rx(-2.0 * r[0])),
             _rebuilt_1q(offset + 2, _rz(-2.0 * r[2])),
             cx,
         ]
-    else:
-        interior = _interior_gates(*r, offset)
-    return [l2, l1], interior
+    return [cx] if cnots else []
 
 
 def _kak_gates(factors: list, interior: list, offset: int) -> list:
     """A leaf's gates on qubits offset+1, offset+2.
 
-    ``factors`` holds the one-qubit factor pair of each frame of
-    :func:`_kak_frames`, right frame first; the matrices are checked with the
-    rest of the stack.
+    ``factors`` holds the one-qubit factor pair of each frame, right frame
+    first; the matrices are checked with the rest of the stack.
     """
     (b1, b2), *left = factors
     gates = [_rebuilt_1q(offset + 1, b1), _rebuilt_1q(offset + 2, b2), *interior]
@@ -367,37 +452,59 @@ def _kak_gates(factors: list, interior: list, offset: int) -> list:
     return gates
 
 
+_KIND_TARGET = operator.attrgetter("__class__", "target")
+_MATRIX = operator.attrgetter("matrix")
+
+
+@functools.cache
+def _layout_gates(cnots: int, offset: int) -> tuple[tuple, tuple]:
+    """The layout of a leaf with ``cnots`` CNOTs at ``offset``: the (kind,
+    target) of each one-qubit gate, and each CNOT, in order."""
+    cx = _fixed_gates(offset)[0]
+    layout = _LAYOUTS[cnots]
+    one_qubit = tuple((OneQubitGate, offset - code) for code in layout if code < 0)
+    return one_qubit, (cx,) * layout.count(1)
+
+
 def _check_leaves(leaves: list) -> None:
     """Check every one-qubit matrix, then fold every leaf's gates against it.
 
-    The leaves are grouped by the layout of their gate lists (gate kind and
-    qubit, position by position); each group is folded as one stack.
+    The leaves are grouped by CNOT class.  Each leaf's emitted gates must
+    follow the layout of its class: gate kind and qubit, position by
+    position, with the leaf's own CNOT.  Each group is folded as one stack.
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[int, list] = {}
     for leaf in leaves:
-        # a CNOT is coded by its control, a one-qubit gate by minus its target
-        off = leaf.offset
-        layout = tuple(g.control - off if type(g) is Cnot else off - g.target for g in leaf.gates)
-        groups.setdefault(layout, []).append(leaf)
-    columns = {
-        layout: [
-            None if code > 0 else np.array([g.matrix for g in column])
-            for code, column in zip(layout, zip(*[leaf.gates for leaf in group]))
-        ]
-        for layout, group in groups.items()
-    }
-    _require_unitary_stack(
-        np.concatenate([mats for stacks in columns.values() for mats in stacks if mats is not None])
-    )
-    for layout, group in groups.items():
-        m = np.broadcast_to(_EYE4, (len(group), 4, 4))
-        for code, mats in zip(layout, columns[layout]):
+        groups.setdefault(leaf.cnots, []).append(leaf)
+    columns = {}
+    for cnots, group in groups.items():
+        layout = _LAYOUTS[cnots]
+        gate_lists = [leaf.gates for leaf in group]
+        flat = list(itertools.chain.from_iterable(gate_lists))
+        one_qubit = list(itertools.compress(flat, [code < 0 for code in layout] * len(group)))
+        cnot_gates = list(itertools.compress(flat, [code > 0 for code in layout] * len(group)))
+        ones, cxs = zip(*[_layout_gates(cnots, leaf.offset) for leaf in group])
+        if (
+            list(map(len, gate_lists)).count(len(layout)) != len(group)
+            or list(map(_KIND_TARGET, one_qubit)) != list(itertools.chain.from_iterable(ones))
+            or cnot_gates != list(itertools.chain.from_iterable(cxs))
+        ):
+            raise SynthesisError("two-qubit synthesis failed to verify")
+        columns[cnots] = np.array(list(map(_MATRIX, one_qubit)))
+    _require_unitary_stack(np.concatenate(list(columns.values())))
+    for cnots, group in groups.items():
+        mats = columns[cnots].reshape(len(group), -1, 2, 2)
+        m = np.array([_EYE4] * len(group))
+        j = 0
+        for code in _LAYOUTS[cnots]:
             if code > 0:
                 m = m[:, _CNOT_ROWS[code]]
-            elif code == -1:
-                m = (mats @ m.reshape(-1, 2, 8)).reshape(-1, 4, 4)
+                continue
+            if code == -1:
+                m = (mats[:, j] @ m.reshape(-1, 2, 8)).reshape(-1, 4, 4)
             else:
-                m = (mats[:, None] @ m.reshape(-1, 2, 2, 4)).reshape(-1, 4, 4)
+                m = (mats[:, j, None] @ m.reshape(-1, 2, 2, 4)).reshape(-1, 4, 4)
+            j += 1
         deltas = np.array([_NO_DIAGONAL if leaf.delta is None else leaf.delta for leaf in group])
         targets = np.array([leaf.target for leaf in group])
         if not np.all(_phase_aligned_distances(m * deltas[:, None, :], targets) <= _VERIFY_TOL):
@@ -419,28 +526,29 @@ def _closed_form_twist(u_su4: np.ndarray) -> float:
     """Twist t for which u Delta(t)^dag has a vanishing Cartan coordinate.
 
     The class condition -Re(phase^2) prod sin(2 h_a) is proportional to
-    Im tr gamma, a zero-mean sinusoid in t; its root follows from two gamma
-    traces.  The root is exact on generic inputs but loses accuracy near a
-    special stratum, where the trace goes as a product of small coordinates;
-    there :func:`_refined_twist` takes over.
+    Im tr gamma, a zero-mean sinusoid in t; its root follows from the gamma
+    traces at t = 0 and t = pi/2, taken as one stack.  The root is exact on
+    generic inputs but loses accuracy near a special stratum, where the trace
+    goes as a product of small coordinates; there :func:`_refined_twist`
+    takes over.
     """
-    g0 = np.trace(_gamma(u_su4))
-    g1 = np.trace(_gamma(u_su4 @ _QUARTER_TURN))
+    m = MAGIC_DAG @ np.array([u_su4, u_su4 @ _QUARTER_TURN]) @ MAGIC
+    g0, g1 = np.trace(m @ m.transpose(0, 2, 1), axis1=1, axis2=2)
     q14 = g0 / 4.0 + g1 / 4j
     q23 = g1 / 4j - g0 / 4.0
     return math.atan2(-(q14.imag - q23.imag), q14.real + q23.real)
 
 
 def _twist_point(t: float, kak) -> tuple:
-    """(min |r|, t, class condition, reduced KAK) for the KAK of u Delta(t)^dag."""
+    """(min |r|, t, class condition, reduced KAK stack of one) for the KAK of u Delta(t)^dag."""
     l1, h, l2, phase = kak
     cond = -(phase * phase).real * float(np.prod(np.sin(2.0 * h)))
-    l1, r = _reduce(l1, h)
-    return float(np.min(np.abs(r))), t, cond, (l1, r, l2)
+    l1, r = _reduce(l1[None], h[None])
+    return float(np.min(np.abs(r))), t, cond, (l1, r, l2[None])
 
 
 def _refined_twist(u_su4: np.ndarray, t0: float, kak0):
-    """Twist and reduced KAK (L1, r, L2) from Illinois regula falsi.
+    """Twist and reduced KAK (L1, r, L2), as stacks of one, from Illinois regula falsi.
 
     Refines the closed-form twist t0, whose KAK is kak0, on the factored class
     condition, whose factors the KAK coordinates give to full relative
@@ -448,7 +556,7 @@ def _refined_twist(u_su4: np.ndarray, t0: float, kak0):
     """
 
     def at(t: float):
-        return _twist_point(t, kak_decompose(_twisted(u_su4, t)))
+        return _twist_point(t, _kak_one(_twisted(u_su4, t)))
 
     def smallest(point):
         return point[0]
@@ -487,10 +595,12 @@ class _Leaf:
     A twisted leaf is realized up to a trailing diagonal ``delta``, which
     multiplies ``prev`` (when given) from the left; ``target`` is the matrix
     the gates must realize: ``matrix`` with the diagonal of the leaf pushed
-    into it, if any.
+    into it, if any.  ``cnots`` is the CNOT count of its gates.
     """
 
-    __slots__ = ("matrix", "offset", "twisted", "prev", "target", "delta", "su4", "twist", "gates")
+    __slots__ = (
+        "matrix", "offset", "twisted", "prev", "target", "delta", "su4", "twist", "cnots", "gates"
+    )
 
     def __init__(self, matrix: np.ndarray, offset: int, twisted: bool = False):
         self.matrix = matrix
@@ -507,50 +617,75 @@ class _Leaf:
             self.prev.target = np.diag(self.delta) @ self.prev.matrix
 
 
+def _kak_chain(leaves: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twist every twisted leaf of a stack and return its reduced KAK (L1, r, L2).
+
+    The chain is serial: each twisted leaf, in chain order, is rescaled to
+    SU(4), takes the closed-form twist, and pushes its diagonal into ``prev``.
+    Then every u Delta(t)^dag is formed and decomposed as one stack.  A twist
+    that leaves the smallest coordinate above _TWIST_TOL is refined, and the
+    chain restarts after its leaf.
+    """
+    parts = []
+    done = 0
+    while done < len(leaves):
+        rest = leaves[done:]
+        twisted = [i for i, leaf in enumerate(rest) if leaf.twisted]
+        for i in twisted:
+            leaf = rest[i]
+            leaf.su4 = to_su4(leaf.target)
+            leaf.set_twist(_closed_form_twist(leaf.su4))
+        xs = np.array([leaf.su4 if leaf.twisted else leaf.target for leaf in rest])
+        if twisted:
+            # Delta(t)^dag = diag(1, 1, e^-it, e^it): each delta with its last two entries exchanged
+            diagonals = np.zeros((len(twisted), 4, 4), dtype=complex)
+            diagonals[:, _DIAG, _DIAG] = np.array([rest[i].delta for i in twisted])[:, [0, 1, 3, 2]]
+            xs[twisted] = xs[twisted] @ diagonals
+        l1, h, l2, phases, failed = _kak_stack(xs)
+        l1_reduced, r = _reduce(l1, h)
+        stop = len(rest)
+        if twisted:
+            refine = np.min(np.abs(r[twisted]), axis=1) > _TWIST_TOL
+            if refine.any():
+                stop = twisted[int(refine.argmax())]
+        if failed[: stop + 1].any():
+            raise SynthesisError("magic-basis bidiagonalization failed")
+        parts.append((l1_reduced[:stop], r[:stop], l2[:stop]))
+        if stop < len(rest):
+            leaf = rest[stop]
+            kak = (l1[stop], h[stop], l2[stop], phases[stop])
+            t, reduced = _refined_twist(leaf.su4, leaf.twist, kak)
+            leaf.set_twist(t)
+            parts.append(reduced)
+            stop += 1  # the leaves after it in the chain saw the unrefined diagonal
+        done += stop
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(stacks) for stacks in zip(*parts))
+
+
 def _synth_leaves(leaves: list) -> None:
     """Set the gates (and, if twisted, the diagonal) of every leaf of a stack.
 
     ``leaves`` come in chain order: a twisted leaf before its ``prev``.  The
-    chain fixes every twist, one stacked KAK decomposes every leaf, and the
-    gates are emitted and checked as one stack.  A twist that needs refining
-    restarts the chain after its leaf.
+    chain fixes every twist and one stacked KAK decomposes every leaf
+    (:func:`_kak_chain`); the leaves are laid out by CNOT class, and the
+    gates are emitted and checked as one stack.
     """
-    kaks: list = []
-    while len(kaks) < len(leaves):
-        rest = leaves[len(kaks):]
-        xs = []
-        for leaf in rest:
-            if leaf.twisted:
-                leaf.su4 = to_su4(leaf.target)
-                leaf.set_twist(_closed_form_twist(leaf.su4))
-                xs.append(_twisted(leaf.su4, leaf.twist))
-            else:
-                xs.append(leaf.target)
-        l1s, hs, l2s, phases, failed = _kak_stack(np.array(xs))
-        for i, leaf in enumerate(rest):
-            if failed[i]:
-                raise SynthesisError("magic-basis bidiagonalization failed")
-            l1, r = _reduce(l1s[i], hs[i])
-            if leaf.twisted and np.min(np.abs(r)) > _TWIST_TOL:
-                kak = (l1s[i], hs[i], l2s[i], phases[i])
-                t, reduced = _refined_twist(leaf.su4, leaf.twist, kak)
-                leaf.set_twist(t)
-                kaks.append(reduced)
-                break  # the leaves after it in the chain saw the unrefined diagonal
-            kaks.append((l1, r, l2s[i]))
-    frames, interiors = [], []
-    for leaf, (l1, r, l2) in zip(leaves, kaks):
-        if leaf.twisted:
-            r[np.argmin(np.abs(r))] = 0.0
-        local, interior = _kak_frames(l1, r, l2, leaf.offset)
-        frames.append(local)
-        interiors.append(interior)
-    a, b = _tensor_split(np.array([m for local in frames for m in local]))
-    j = 0
-    for leaf, local, interior in zip(leaves, frames, interiors):
-        factors = [(a[i], b[i]) for i in range(j, j + len(local))]
-        j += len(local)
-        leaf.gates = _kak_gates(factors, interior, leaf.offset)
+    l1, r, l2 = _kak_chain(leaves)
+    twisted = [i for i, leaf in enumerate(leaves) if leaf.twisted]
+    if twisted:
+        r[twisted, np.argmin(np.abs(r[twisted]), axis=1)] = 0.0
+    cnots = _kak_frames(l1, r, l2)
+    # right frames of every leaf (the whole local product without CNOTs), then left frames
+    entangled = [i for i, c in enumerate(cnots) if c]
+    a, b = _tensor_split(np.concatenate((l2, l1[entangled])))
+    rights = zip(a, b)
+    lefts = zip(a[len(leaves):], b[len(leaves):])
+    for leaf, c, coords in zip(leaves, cnots, r.tolist()):
+        leaf.cnots = c
+        factors = [next(rights), next(lefts)] if c else [next(rights)]
+        leaf.gates = _kak_gates(factors, _interior(c, coords, leaf.offset), leaf.offset)
     _check_leaves(leaves)
 
 
@@ -560,11 +695,7 @@ def synth_2q_unitary(u: np.ndarray) -> Circuit:
     Uses at most 3 CNOTs; tensor products need 0, the CNOT class needs 1 and
     unitaries with a vanishing Cartan coordinate need 2.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise BadDimensionError(f"expected a 4x4 matrix, got {u.shape}")
-    require_unitary(u, what="two-qubit unitary")
-    leaf = _Leaf(u, 0)
+    leaf = _Leaf(_require_2q_unitary(u), 0)
     _synth_leaves([leaf])
     return Circuit(2, tuple(leaf.gates))
 
@@ -577,6 +708,6 @@ def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
     the twist t chosen so that u diag(delta)^dag has a vanishing Cartan
     coordinate; the circuit comes from that product's decomposition.
     """
-    leaf = _Leaf(np.asarray(u, dtype=complex), 0, twisted=True)
+    leaf = _Leaf(_require_2q_unitary(u), 0, twisted=True)
     _synth_leaves([leaf])
     return Circuit(2, tuple(leaf.gates)), leaf.delta

@@ -187,9 +187,26 @@ def _reference_kak(u):
     return l1, coeffs[1:], l2, cmath.exp(1j * coeffs[0])
 
 
+def _twisted_leaves(rng, count):
+    """KAK inputs u Delta(t)^dag of Haar leaves realized up to a diagonal:
+    one coordinate vanishes, so their gamma spectra mostly cluster as (2, 2)."""
+    leaves = []
+    for _ in range(count):
+        su4 = twoqubit.to_su4(haar_unitary(4, rng))
+        leaves.append(twoqubit._twisted(su4, twoqubit._closed_form_twist(su4)))
+    return leaves
+
+
+# Haar n = 4 states whose Schmidt bases cluster as (2, 1, 1) (seeds 13, 24)
+# and as (1, 1, 2) (seeds 27, 32)
+_N4_CLUSTER_SEEDS = (13, 24, 27, 32)
+
+
 def _mixed_stack():
-    """Haar leaves, tensor products, the CNOT, iSWAP and SWAP classes
-    (clustered gamma spectra) between random locals, and the identity."""
+    """(stack, twisted): Haar leaves, twisted Haar leaves, Haar n = 4 Schmidt
+    bases with single-pair clusters, tensor products, the CNOT, iSWAP, SWAP
+    and sqrt(SWAP) classes bare and between random locals, and the identity;
+    ``twisted`` flags the twisted leaves."""
     rng = np.random.default_rng(70)
 
     def local():
@@ -198,21 +215,55 @@ def _mixed_stack():
     cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
     iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
     swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+    sqrt_swap = sla.sqrtm(swap)
     stack = [haar_unitary(4, rng) for _ in range(6)]
+    twisted = _twisted_leaves(rng, 8)
+    for seed in _N4_CLUSTER_SEEDS:
+        sf = schmidt_prepare(haar_state(4, np.random.default_rng(seed))).schmidt
+        stack += [sf.basis_left, sf.basis_right]
     stack += [local() for _ in range(3)]
-    for special in (cnot, iswap, swap):
+    for special in (cnot, iswap, swap, sqrt_swap):
         stack += [special, local() @ special @ local()]
     stack.append(np.eye(4, dtype=complex))
-    return np.array(stack)
+    flags = np.zeros(len(stack) + len(twisted), dtype=bool)
+    flags[len(stack) :] = True
+    return np.array(stack + twisted), flags
+
+
+def _clusters(x):
+    """Cluster sizes of the wider part of the gamma spectrum of x, in
+    ascending order, at the threshold of _split_clusters; "flat" below its
+    spread floor."""
+    u = twoqubit.to_su4(x)
+    m = MAGIC_DAG @ u @ MAGIC
+    g = m @ m.T
+    spectra = [np.linalg.eigvalsh(part) for part in ((g + g.T).real / 2, (g + g.T).imag / 2)]
+    w = max(spectra, key=lambda w: w[-1] - w[0])
+    spread = w[-1] - w[0]
+    if spread < 1e-13:
+        return "flat"
+    sizes = [1]
+    for gap in np.diff(w):
+        if gap < spread / 16:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(sizes)
+
+
+def test_mixed_stack_covers_every_cluster_path():
+    patterns = {_clusters(x) for x in _mixed_stack()[0]}
+    assert {(1, 1, 1, 1), (2, 2), (2, 1, 1), (1, 1, 2), "flat"} <= patterns
+    assert patterns & {(3, 1), (1, 3), (4,)}
 
 
 def test_stacked_kak_matches_the_single_matrix_kak(monkeypatch):
-    stack = _mixed_stack()
+    stack = _mixed_stack()[0]
     clustered = []
     split = twoqubit._split_clusters
     monkeypatch.setattr(twoqubit, "_split_clusters", lambda *a: clustered.append(1) or split(*a))
     l1s, hs, l2s, phases, failed = twoqubit._kak_stack(stack)
-    # only some leaves have clustered spectra, and only those are resolved one by one
+    # only the leaves with a cluster of three or more go through the recursion
     assert 0 < len(clustered) < len(stack)
     assert not failed.any()
     for i, u in enumerate(stack):
@@ -222,6 +273,130 @@ def test_stacked_kak_matches_the_single_matrix_kak(monkeypatch):
         assert phases[i] == ref_phase
         one = twoqubit.kak_decompose(u)
         assert one[1].tobytes() == ref_h.tobytes() and one[3] == ref_phase
+
+
+# -- the per-leaf forms of the stacked steps, as they were before stacking ----
+
+
+def _serial_orth_bases(g):
+    """_orth_bases with every clustered leaf resolved by its own _split_clusters call."""
+    sym = g + g.transpose(0, 2, 1)
+    a = sym.real / 2.0
+    b = sym.imag / 2.0
+    wa = np.linalg.eigvalsh(a)
+    wb = np.linalg.eigvalsh(b)
+    spread_a = wa[:, -1] - wa[:, 0]
+    spread_b = wb[:, -1] - wb[:, 0]
+    wider_b = (spread_b > spread_a)[:, None, None]
+    spread = np.where(wider_b[:, 0, 0], spread_b, spread_a)
+    wide = np.where(wider_b, b, a)
+    w, p = np.linalg.eigh(wide)
+    clustered = (w[:, 1:] - w[:, :-1] < (spread / (4.0 * 4))[:, None]).any(axis=1)
+    for i in clustered.nonzero()[0]:
+        other = np.where(wider_b[i], a[i], b[i])
+        twoqubit._split_clusters(wide[i], other, w[i], p[i], spread[i], 0)
+    return p
+
+
+def _serial_reduce(l1, h):
+    k = np.round(h / (np.pi / 2.0)).astype(int)
+    l1 = l1 * 1j ** int(k.sum())
+    for axis, turns in zip(twoqubit._AXES, k):
+        if turns % 2:
+            l1 = l1 @ axis
+    return l1, h - k * (np.pi / 2.0)
+
+
+def _serial_swap_axes(l1, r, l2, i, j):
+    if i == j:
+        return l1, r, l2
+    cc = twoqubit._AXIS_SWAP[(min(i, j), max(i, j))]
+    r = r.copy()
+    r[[i, j]] = r[[j, i]]
+    return l1 @ cc, r, cc.conj().T @ l2
+
+
+def _serial_kak_frames(l1, r, l2, offset):
+    """(frames, interior) of one leaf: its local tensor products, right frame
+    first (L1 L2 alone when the interior is empty), and its interior gates."""
+    tol = twoqubit._CLASS_TOL
+    cx = twoqubit._fixed_gates(offset)[0]
+    zero = np.abs(r) <= tol
+    if zero.all():
+        return [l1 @ l2], []
+    if zero.sum() == 2 and abs(np.pi / 4.0 - np.max(np.abs(r))) <= tol:
+        l1, r, l2 = _serial_swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
+        p = np.diag([1.0, -1j * np.sign(r[2])])
+        l1 = l1 @ np.kron(p, p @ twoqubit._H)
+        l2 = np.kron(np.eye(2), twoqubit._H) @ l2
+        interior = [cx]
+    elif zero.any():
+        l1, r, l2 = _serial_swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
+        interior = [
+            cx,
+            twoqubit._rebuilt_1q(offset + 1, twoqubit._rx(-2.0 * r[0])),
+            twoqubit._rebuilt_1q(offset + 2, twoqubit._rz(-2.0 * r[2])),
+            cx,
+        ]
+    else:
+        interior = twoqubit._interior_gates(*r, offset)
+    return [l2, l1], interior
+
+
+def _same_bytes(a, b):
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_orth_bases_match_the_per_leaf_cluster_loop(monkeypatch):
+    stack = _mixed_stack()[0]
+    gammas = []
+    orth = twoqubit._orth_bases
+    monkeypatch.setattr(twoqubit, "_orth_bases", lambda g: gammas.append(g.copy()) or orth(g))
+    twoqubit._kak_stack(stack)
+    (g,) = gammas
+    assert _same_bytes(orth(g.copy()), _serial_orth_bases(g.copy()))
+
+
+def test_stacked_reduce_and_layout_match_the_per_leaf_forms():
+    stack, twisted = _mixed_stack()
+    l1, h, l2, _, failed = twoqubit._kak_stack(stack)
+    assert not failed.any()
+    reduced = [_serial_reduce(l1[i], h[i]) for i in range(len(stack))]
+    l1_r, r = twoqubit._reduce(l1, h)
+    for i, (ref_l1, ref_r) in enumerate(reduced):
+        assert _same_bytes(l1_r[i], ref_l1) and _same_bytes(r[i], ref_r)
+    # the leaf stage zeroes the smallest coordinate of each twisted leaf
+    rows = twisted.nonzero()[0]
+    r[rows, np.argmin(np.abs(r[rows]), axis=1)] = 0.0
+    offset = 3
+    frames = [_serial_kak_frames(l1_r[i], r[i], l2[i], offset) for i in range(len(stack))]
+    l1_f, r_f, l2_f = l1_r.copy(), r.copy(), l2.copy()
+    cnots = twoqubit._kak_frames(l1_f, r_f, l2_f)
+    assert set(cnots) == {0, 1, 2, 3}
+    for i, (ref_frames, ref_interior) in enumerate(frames):
+        ours = [l2_f[i], l1_f[i]] if cnots[i] else [l2_f[i]]
+        assert len(ours) == len(ref_frames)
+        assert all(_same_bytes(a, b) for a, b in zip(ours, ref_frames))
+        interior = twoqubit._interior(cnots[i], r_f[i].tolist(), offset)
+        assert sum(isinstance(g, Cnot) for g in interior) == cnots[i]
+        _assert_same_gates(interior, ref_interior)
+
+
+def test_pair_clusters_are_resolved_without_recursion(monkeypatch):
+    """Every cluster of a Haar n = 8 prepare is a pair, resolved by the
+    stacked rotation; a cluster of three (the sqrt(SWAP) class) still takes
+    the recursive joint diagonalization."""
+    recursed, paired = [], []
+    joint = twoqubit._joint_diagonalize
+    pairs = twoqubit._rotate_pairs
+    monkeypatch.setattr(twoqubit, "_joint_diagonalize", lambda *a: recursed.append(1) or joint(*a))
+    monkeypatch.setattr(twoqubit, "_rotate_pairs", lambda *a: paired.append(len(a[2])) or pairs(*a))
+    stack = _mixed_stack()[0]
+    recursed.clear()
+    schmidt_prepare(haar_state(8, np.random.default_rng(90)))
+    assert recursed == [] and sum(paired) > 0
+    twoqubit._kak_stack(stack)
+    assert recursed
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -10,6 +10,8 @@ import scipy.linalg as sla
 
 import statesynth
 from statesynth import (
+    BadDimensionError,
+    NonFiniteError,
     NotUnitaryError,
     circuit_unitary,
     cnot_count,
@@ -105,6 +107,30 @@ def test_rejects_nonunitary():
         synth_2q_unitary(np.ones((4, 4)))
 
 
+def _with_nan():
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = np.nan
+    return u
+
+
+@pytest.mark.parametrize("func", [synth_2q_unitary, two_qubit_up_to_diagonal, kak_decompose])
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        (np.eye(3), BadDimensionError),
+        (np.eye(8), BadDimensionError),
+        (np.eye(2), BadDimensionError),
+        (_with_nan(), NonFiniteError),
+        (2.0 * np.eye(4), NotUnitaryError),
+    ],
+    ids=["3x3", "8x8", "2x2", "nan", "2I"],
+)
+def test_leaf_functions_reject_bad_input_with_typed_errors(func, bad, error):
+    """Every public two-qubit function runs the same input check."""
+    with pytest.raises(error):
+        func(bad)
+
+
 def test_kak_reconstruction():
     rng = np.random.default_rng(4)
     xx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(complex)
@@ -178,8 +204,8 @@ import statesynth
 import statesynth.twoqubit as tq
 
 calls = []
-kak = tq.kak_decompose
-tq.kak_decompose = lambda u: calls.append(1) or kak(u)
+kak = tq._kak_stack
+tq._kak_stack = lambda xs: calls.append(1) or kak(xs)
 rng = np.random.default_rng(3)
 g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
 w, v = np.linalg.eigh(g + g.conj().T)
