@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, DimensionMismatchError, NonFiniteError, NotUnitaryError
-from .linalg import INPUT_TOL
+from .linalg import INPUT_TOL, require_unitary
 
 
 def _require_unitary_2x2(m: np.ndarray) -> None:
@@ -33,24 +33,35 @@ def _require_unitary_2x2(m: np.ndarray) -> None:
         )
 
 
-def _require_unitary_stack(ms: np.ndarray) -> None:
-    """:func:`_require_unitary_2x2` for every matrix of a complex (G, 2, 2) stack.
+def _require_unitary_stack(ms: np.ndarray, what: str = "matrix") -> None:
+    """Unitarity check of every matrix of a complex (G, d, d) stack.
 
-    The same residuals are computed for the whole stack at once; if any is
-    above the tolerance, the matrices go through the one-matrix check in
-    order, and the first it rejects raises its error.
+    2x2 matrices get the closed-form residuals of :func:`_require_unitary_2x2`,
+    larger ones the max-norm of U^dag U - I, each for the whole stack at once.
+    If any residual is above the tolerance, the matrices go through the
+    one-matrix check (``require_unitary`` with ``what`` for d > 2) in order,
+    and the first it rejects raises its error.
     """
-    flat = ms.reshape(-1, 4)  # entries a, b, c, d of each matrix
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/Inf entries fail below
-        squares = flat.real * flat.real + flat.imag * flat.imag
-        cols = squares[:, :2] + squares[:, 2:] - 1.0
-        overlap = flat[:, 0].conj() * flat[:, 1] + flat[:, 2].conj() * flat[:, 3]
-        # written as "not <=" so that a NaN residual is rejected
-        ok = np.abs(cols).max(initial=0.0) <= INPUT_TOL
-        ok = ok and np.abs(overlap).max(initial=0.0) <= INPUT_TOL
+        if ms.shape[-1] == 2:
+            flat = ms.reshape(-1, 4)  # entries a, b, c, d of each matrix
+            squares = flat.real * flat.real + flat.imag * flat.imag
+            cols = squares[:, :2] + squares[:, 2:] - 1.0
+            overlap = flat[:, 0].conj() * flat[:, 1] + flat[:, 2].conj() * flat[:, 3]
+            # written as "not <=" so that a NaN residual is rejected
+            ok = np.abs(cols).max(initial=0.0) <= INPUT_TOL
+            ok = ok and np.abs(overlap).max(initial=0.0) <= INPUT_TOL
+        else:
+            gram = ms.conj().swapaxes(1, 2) @ ms
+            diag = np.arange(ms.shape[-1])
+            gram[:, diag, diag] -= 1.0
+            ok = np.abs(gram).max(initial=0.0) <= INPUT_TOL
     if not ok:
         for m in ms:
-            _require_unitary_2x2(m)
+            if len(m) == 2:
+                _require_unitary_2x2(m)
+            else:
+                require_unitary(m, what=what)
 
 
 @dataclass(frozen=True, eq=False)

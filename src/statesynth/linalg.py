@@ -1,7 +1,10 @@
 """Dense complex factorizations: SVD, unitary eigendecomposition, cosine-sine.
 
-All routines work on square or rectangular complex matrices up to 256x256 and
-guarantee entrywise reconstruction of the input from the returned factors.
+Each routine factors one square or rectangular complex matrix of dimension at
+most ``MAX_DIM`` and guarantees entrywise reconstruction of the input from the
+returned factors.  The synthesis checks the same limit once, at its entry, and
+factors whole levels of its cosine-sine tree as stacks; these single-matrix
+routines are its fallback for the matrices whose numbers flag them.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,14 @@ from .errors import BadDimensionError, NonFiniteError, NotUnitaryError, OddDimen
 CONSTRUCTION_TOL = 1e-10
 INPUT_TOL = 1e-8
 
+# The one size limit: no factored matrix is larger than 256x256, so no
+# synthesized block has more than 8 qubits and no state more than 16.
 MAX_DIM = 256
+
+
+def require_max_dim(dim: int, what: str = "matrix") -> None:
+    if dim > MAX_DIM:
+        raise BadDimensionError(f"{what} dimension {dim} exceeds the {MAX_DIM} limit")
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -64,8 +74,7 @@ def svd(a: np.ndarray) -> SvdResult:
     a = require_finite(a)
     if a.ndim != 2:
         raise BadDimensionError(f"expected a matrix, got ndim {a.ndim}")
-    if max(a.shape) > MAX_DIM:
-        raise BadDimensionError(f"dimension {max(a.shape)} exceeds the {MAX_DIM} limit")
+    require_max_dim(max(a.shape))
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     return SvdResult(u=u, singular_values=s, v_dagger=vh)
 
@@ -79,8 +88,7 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors.
     """
     u = require_unitary(u, what="eigendecomposition input")
-    if u.shape[0] > MAX_DIM:
-        raise BadDimensionError(f"dimension {u.shape[0]} exceeds the {MAX_DIM} limit")
+    require_max_dim(u.shape[0])
     t, z = sla.schur(u, output="complex")
     return np.diag(t).copy(), z
 
@@ -115,8 +123,7 @@ def cosine_sine(u: np.ndarray) -> CsdResult:
     dim = u.shape[0]
     if dim % 2 != 0:
         raise OddDimensionError(f"cosine-sine needs an even dimension, got {dim}")
-    if dim > MAX_DIM:
-        raise BadDimensionError(f"dimension {dim} exceeds the {MAX_DIM} limit")
+    require_max_dim(dim)
     m = dim // 2
     (l0, l1), theta, (r0, r1) = sla.cossin(u, p=m, q=m, separate=True)
     return CsdResult(l0=l0, l1=l1, theta=np.asarray(theta), r0=r0, r1=r1)

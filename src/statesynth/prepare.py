@@ -31,7 +31,7 @@ from .circuit import (
     shift,
 )
 from .errors import BadDimensionError, DimensionMismatchError, TooFewQubitsError
-from .linalg import svd
+from .linalg import require_max_dim, svd
 from .simulate import num_qubits, require_normalized
 from .synthesis import _synth_blocks, uc_su2_up_to_diagonal
 
@@ -155,10 +155,13 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
 
     The input alone picks the path: a one-qubit state is one gate, in phase
     1; a state of Schmidt rank one across the cut has its halves prepared
-    independently; any other state runs the four phases.
+    independently; any other state runs the four phases.  A state of more
+    than 16 qubits, whose right Schmidt basis would exceed ``MAX_DIM``,
+    raises ``BadDimensionError`` before any factorization.
     """
     s = require_normalized(np.asarray(s, dtype=complex))
     n = num_qubits(s)
+    require_max_dim(1 << (n - n // 2), what="Schmidt basis")
     if n == 1:
         p1 = _load_1q(s)
         sf = SchmidtForm(

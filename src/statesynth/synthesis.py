@@ -1,11 +1,22 @@
 """Synthesis primitives: multiplexed rotations and uniformly controlled
-gates, and the recursive decomposition of k-qubit unitaries into at most
+gates, and the decomposition of k-qubit unitaries into at most
 23/48*4^k - 3/2*2^k + 4/3 CNOTs.
 
-The cosine-sine recursion of a k-qubit unitary leaves 4^(k-2) two-qubit
-leaves.  The leaves of every unitary handed to one call form one stack (see
-``twoqubit``): the serial twist chain, then one stacked Cartan decomposition,
-then stacked emission and checks.  Every gate is built on its final qubit.
+A k-qubit unitary is the root of a cosine-sine tree (the quantum Shannon
+decomposition): each node of k >= 3 qubits is split into cosine-sine factors,
+each pair of factors is demultiplexed into two (k-1)-qubit nodes around a
+multiplexed Rz, and the two pairs sit around a multiplexed Ry.  The tree is
+built one level at a time: every node of one size, across every unitary of
+the call, is factored as one stack (a stacked SVD for the split, a stacked
+eigensolver for the demultiplexing), checked as one stack, and its ladder
+angles come from one product.  A node whose own numbers flag it (a small
+sine, clustered angles or eigenphases, or a stacked factor that misses its
+residual check) goes through the single-matrix ``cosine_sine`` /
+``demultiplex`` instead, and so does its subtree.  The 4^(k-2) two-qubit
+leaves of every unitary of the call form one stack (see ``twoqubit``): the
+serial twist chain, then one stacked Cartan decomposition, then stacked
+emission and checks.  Every gate is built on its final qubit, in depth-first
+order.
 
 Qubit blocks are indexed most-significant first, matching the basis-label
 convention of the rest of the library.
@@ -13,6 +24,7 @@ convention of the rest of the library.
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -27,16 +39,8 @@ from .circuit import (
     _rewrapped,
 )
 from .errors import BadDimensionError, BadLengthError, SynthesisError
-from .linalg import cosine_sine, require_unitary, unitary_eig
-from .twoqubit import _H, _Z, _Leaf, _rz, _synth_leaves
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-_ROTATIONS = {"Y": _ry, "Z": _rz}
+from .linalg import CONSTRUCTION_TOL, cosine_sine, require_max_dim, require_unitary, unitary_eig
+from .twoqubit import _H, _Z, _Leaf, _synth_leaves
 
 
 def _gray(i: int) -> int:
@@ -47,7 +51,8 @@ def _gray(i: int) -> int:
 def _gray_signs(size: int) -> np.ndarray:
     """(-1)^popcount(gray(l) & i) at [i, l], read-only: it is shared."""
     signs = np.array(
-        [[(-1) ** bin(_gray(l) & i).count("1") for l in range(size)] for i in range(size)]
+        [[(-1) ** bin(_gray(l) & i).count("1") for l in range(size)] for i in range(size)],
+        dtype=float,
     )
     signs.flags.writeable = False
     return signs
@@ -56,6 +61,66 @@ def _gray_signs(size: int) -> np.ndarray:
 @functools.cache
 def _h_gate(target: int) -> OneQubitGate:
     return OneQubitGate(target, _H)
+
+
+def _ladder_rotations(n_z: int, angles: np.ndarray) -> np.ndarray:
+    """Checked (L, size, 2, 2) rotations of L Gray-code ladders.
+
+    Row j of ``angles`` holds the multiplexed angles of one ladder, indexed by
+    the control-register basis value: an Rz ladder for j < ``n_z``, an Ry
+    ladder after.  All rows come from one product with the Gray-code signs.
+    """
+    size = angles.shape[1]
+    # invert angle_i = sum_l (-1)^popcount(gray(l) & i) phi_l, and halve
+    half = angles @ _gray_signs(size) / (2 * size)
+    c, s = np.cos(half), np.sin(half)
+    mats = np.zeros(angles.shape + (2, 2), dtype=complex)
+    mats[:n_z, :, 0, 0] = c[:n_z] - 1j * s[:n_z]
+    mats[:n_z, :, 1, 1] = c[:n_z] + 1j * s[:n_z]
+    mats[n_z:, :, 0, 0] = mats[n_z:, :, 1, 1] = c[n_z:]
+    mats[n_z:, :, 0, 1] = -s[n_z:]
+    mats[n_z:, :, 1, 0] = s[n_z:]
+    _require_unitary_stack(mats.reshape(-1, 2, 2))
+    return mats
+
+
+@functools.cache
+def _ladder_links(controls: tuple[int, ...], target: int, cz: bool, skip_last: bool) -> tuple:
+    """The entangler after each rotation of a Gray-code ladder, as gate tuples.
+
+    ``controls`` are ordered most-significant first.  The select line after
+    rotation l is the control of the bit in which gray(l) and gray(l+1)
+    differ; a CZ entangler is a CNOT between Hadamards on the target.
+    ``skip_last`` drops the cycle-closing entangler (whose select line is the
+    most significant control) for callers that absorb it elsewhere.
+    """
+    size = 1 << len(controls)
+    links = []
+    for l in range(size):
+        diff = _gray(l) ^ _gray((l + 1) % size)
+        cnot = Cnot(controls[len(controls) - diff.bit_length()], target)
+        links.append((_h_gate(target), cnot, _h_gate(target)) if cz else (cnot,))
+    if skip_last:
+        links[-1] = ()
+    return tuple(links)
+
+
+def _ladder_gates(
+    mats: np.ndarray,
+    controls: tuple[int, ...],
+    target: int,
+    cz: bool = False,
+    skip_last: bool = False,
+) -> list:
+    """Gates of one Gray-code ladder: each rotation, then its entangler.
+
+    One CNOT per rotation, 2^c in total (see :func:`_ladder_links`).
+    """
+    gates = []
+    for mat, link in zip(mats, _ladder_links(controls, target, cz, skip_last)):
+        gates.append(_rebuilt_1q(target, mat))
+        gates += link
+    return gates
 
 
 def _ucr_gates(
@@ -68,36 +133,17 @@ def _ucr_gates(
 ) -> list:
     """Gray-code ladder for a rotation multiplexed over the control register.
 
-    ``controls`` are ordered most-significant first; angle index j is the
-    control-register basis value.  One CNOT per rotation, 2^c in total;
-    ``skip_last`` drops the cycle-closing entangler (whose select line is the
-    most significant control) for callers that absorb it elsewhere.
+    Angle index j is the control-register basis value; ``entangler`` is
+    "cx" or "cz".  See :func:`_ladder_gates`.
     """
     size = len(angles)
     c = len(controls)
     if size != 1 << c:
         raise BadLengthError(f"need {1 << c} angles for {c} controls, got {size}")
-    rot = _ROTATIONS[axis]
+    mats = _ladder_rotations(int(axis == "Z"), np.asarray(angles, dtype=float)[None, :])[0]
     if c == 0:
-        return [OneQubitGate(target, rot(float(angles[0])))]
-    # invert angle_i = sum_l (-1)^popcount(gray(l) & i) phi_l
-    phis = _gray_signs(size).T @ np.asarray(angles, dtype=float) / size
-    mats = [rot(phi) for phi in phis.tolist()]
-    _require_unitary_stack(np.array(mats))
-    gates = []
-    for l in range(size):
-        gates.append(_rebuilt_1q(target, mats[l]))
-        if skip_last and l == size - 1:
-            break
-        diff = _gray(l) ^ _gray((l + 1) % size)
-        select = controls[c - diff.bit_length()]
-        if entangler == "cx":
-            gates.append(Cnot(select, target))
-        else:  # cz, symmetric; one CNOT plus basis changes on the target
-            gates.append(_h_gate(target))
-            gates.append(Cnot(select, target))
-            gates.append(_h_gate(target))
-    return gates
+        return [_rebuilt_1q(target, mats[0])]
+    return _ladder_gates(mats, tuple(controls), target, entangler == "cz", skip_last)
 
 
 def demultiplex(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,57 +225,192 @@ def uc_su2_up_to_diagonal(
 
 
 # ---------------------------------------------------------------------------
-# k-qubit unitaries: cosine-sine recursion with both CNOT-saving merges
+# k-qubit unitaries: the cosine-sine tree, one stacked pass per level
+
+# Flag rule of the level pass: a split with a sine under _MIN_SINE or two
+# angles within _MIN_GAP, a demultiplexing with two eigenphases within
+# _MIN_GAP, and stacked factors that miss reconstruction or unitarity at
+# CONSTRUCTION_TOL go through the single-matrix functions, and so does the
+# whole subtree below them.  Those functions fix the phases and order of
+# their factors by other conventions, and the CNOT class of a structured
+# leaf (a permutation's, a Dicke state's) depends on them.
+_MIN_SINE = 1e-3
+_MIN_GAP = 1e-3
 
 
-def _qsd(u: np.ndarray, qubits: list[int], sink: list) -> None:
-    if len(qubits) == 2:
-        sink.append(_Leaf(u, qubits[0] - 1))
-        return
-    csd = cosine_sine(u)
-    _qsd_demux(csd.r0, csd.r1, qubits, sink)
-    # central multiplexed Ry; its closing CZ is absorbed into the left block
-    sink.extend(
-        _ucr_gates(
-            "Y", 2.0 * csd.theta, qubits[1:], qubits[0], entangler="cz", skip_last=True
+def _dag(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(1, 2)
+
+
+def _defect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-norm of a - b for each matrix of two stacks."""
+    return np.abs(a - b).max(axis=(1, 2))
+
+
+def _unitarity_defect(a: np.ndarray) -> np.ndarray:
+    return _defect(_dag(a) @ a, np.eye(a.shape[1]))
+
+
+def _split_level(us: np.ndarray, flagged: np.ndarray) -> tuple:
+    """:func:`cosine_sine` factors (l0, l1, theta, r0, r1) of a (N, 2m, 2m)
+    stack, and the flags.
+
+    L0, C = cos(theta) and R0 come from one stacked SVD of the top-left
+    quadrants.  L1 is U10 R0^dag with its columns normalized, S = sin(theta)
+    their norms, and R1 = -S L0^dag U01 + C L1^dag U11.  A matrix flagged on
+    entry or by its own numbers is split by ``cosine_sine`` instead.
+    """
+    m = us.shape[1] // 2
+    u00, u01, u10, u11 = us[:, :m, :m], us[:, :m, m:], us[:, m:, :m], us[:, m:, m:]
+    l0, c, r0 = np.linalg.svd(u00)
+    l1 = u10 @ _dag(r0)
+    s = np.linalg.norm(l1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sine is flagged below
+        l1 = l1 / s[:, None, :]
+        r1 = c[:, :, None] * (_dag(l1) @ u11) - s[:, :, None] * (_dag(l0) @ u01)
+        # the residuals of the factors as emitted, theta included
+        theta = np.arctan2(s, c)
+        cos, sin = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+        residual = np.maximum.reduce(
+            [
+                _defect((l0 * cos) @ r0, u00),
+                _defect((l1 * sin) @ r0, u10),
+                _defect(-(l0 * sin) @ r1, u01),
+                _defect((l1 * cos) @ r1, u11),
+                _unitarity_defect(l1),
+                _unitarity_defect(r1),
+            ]
         )
+    flagged = (
+        flagged
+        | ~(residual <= CONSTRUCTION_TOL)  # "not <=": a NaN residual is flagged
+        | (s.min(axis=1) < _MIN_SINE)
+        | (np.abs(np.diff(theta, axis=1)) < _MIN_GAP).any(axis=1)
     )
-    half = len(csd.l1) // 2
-    z_on_msb = np.concatenate([np.ones(half), -np.ones(half)])
-    _qsd_demux(csd.l0, csd.l1 * z_on_msb[None, :], qubits, sink)
+    for i in flagged.nonzero()[0]:
+        csd = cosine_sine(us[i])
+        l0[i], l1[i], theta[i], r0[i], r1[i] = csd.l0, csd.l1, csd.theta, csd.r0, csd.r1
+    return l0, l1, theta, r0, r1, flagged
 
 
-def _qsd_demux(u0: np.ndarray, u1: np.ndarray, qubits: list[int], sink: list) -> None:
-    v, d, w = demultiplex(u0, u1)
-    _qsd(w, qubits[1:], sink)
-    sink.extend(_ucr_gates("Z", -2.0 * np.angle(d), qubits[1:], qubits[0]))
-    _qsd(v, qubits[1:], sink)
+def _demux_level(u0: np.ndarray, u1: np.ndarray, flagged: np.ndarray) -> tuple:
+    """:func:`demultiplex` factors (v, d, w) of every pair of two (N, m, m)
+    stacks, and the flags.
+
+    The eigenbasis of u0 u1^dag comes from one stacked ``eig``, made
+    orthonormal by one stacked QR.  A pair flagged on entry or by its own
+    numbers is demultiplexed by ``demultiplex`` instead.
+    """
+    eig, vecs = np.linalg.eig(u0 @ _dag(u1))
+    v = np.linalg.qr(vecs).Q
+    phases = np.angle(eig)
+    d = np.exp(0.5j * phases)
+    w = d.conj()[:, :, None] * (_dag(v) @ u0)
+    # the residuals of the factors as emitted
+    residual = np.maximum.reduce(
+        [
+            _unitarity_defect(v),
+            _defect((v * d[:, None, :]) @ w, u0),
+            _defect((v * d.conj()[:, None, :]) @ w, u1),
+        ]
+    )
+    ordered = np.sort(phases, axis=1)
+    gaps = np.diff(ordered, axis=1, append=ordered[:, :1] + 2.0 * math.pi)
+    flagged = flagged | ~(residual <= CONSTRUCTION_TOL) | (gaps.min(axis=1) < _MIN_GAP)
+    for i in flagged.nonzero()[0]:
+        v[i], d[i], w[i] = demultiplex(u0[i], u1[i])
+    return v, d, w, flagged
+
+
+def _tree_level(nodes: list, k: int, below: list) -> None:
+    """Factor every k-qubit node of the tree as one stack and fill its parts.
+
+    A node is (u, first, parts, flagged) with u on qubits first..first+k-1.
+    Its parts become seven lists, in emission order: the two halves of the
+    demultiplexed right factor around the gates of their multiplexed Rz, the
+    gates of the central multiplexed Ry (its closing CZ absorbed into the
+    left factor as a Z on the block's most significant qubit), and the same
+    for the left factor.  A half is one leaf when k = 3, and otherwise a node
+    of ``below``, whose parts list it is; it inherits the flag of its
+    demultiplexing.
+    """
+    us = np.array([node[0] for node in nodes], dtype=complex)
+    _require_unitary_stack(us, what="k-qubit unitary")
+    l0, l1, theta, r0, r1, flagged = _split_level(us, np.array([node[3] for node in nodes]))
+    l1[:, :, len(l1[0]) // 2 :] *= -1.0  # the Ry ladder's closing CZ: l1 (Z x I)
+    v, d, w, flagged = _demux_level(
+        np.concatenate((r0, l0)), np.concatenate((r1, l1)), np.concatenate((flagged, flagged))
+    )
+    count = len(nodes)
+    # rows: the right Rz ladders, the left Rz ladders, then the Ry ladders
+    mats = _ladder_rotations(count * 2, np.concatenate((-2.0 * np.angle(d), 2.0 * theta)))
+    for i, (_, first, parts, _) in enumerate(nodes):
+        controls = tuple(range(first + 1, first + k))
+        halves = []
+        for j in (i, count + i):
+            for half in (w[j], v[j]):
+                if k == 3:
+                    halves.append([_Leaf(half, first)])
+                else:
+                    halves.append([])
+                    below.append((half, first + 1, halves[-1], flagged[j]))
+        parts += (
+            halves[0],
+            _ladder_gates(mats[i], controls, first),
+            halves[1],
+            _ladder_gates(mats[2 * count + i], controls, first, cz=True, skip_last=True),
+            halves[2],
+            _ladder_gates(mats[count + i], controls, first),
+            halves[3],
+        )
+
+
+def _tree_sinks(blocks: list[tuple[np.ndarray, int]]) -> list[list]:
+    """The gates and two-qubit leaves of each block, in depth-first order.
+
+    Blocks of three or more qubits enter the cosine-sine tree, which is
+    factored one level at a time: every node of one size, across all blocks,
+    is one stack.  A block of one qubit is one gate and a block of two one
+    leaf, with no level pass.
+    """
+    sinks = []
+    levels: dict[int, list] = {}
+    for u, first in blocks:
+        require_max_dim(len(u), what="k-qubit unitary")
+        k = len(u).bit_length() - 1
+        if k >= 3:
+            sinks.append([])
+            levels.setdefault(k, []).append((u, first, sinks[-1], False))
+            continue
+        require_unitary(u, what="k-qubit unitary")
+        sinks.append([OneQubitGate(first, u) if k == 1 else _Leaf(u, first - 1)])
+    top = max(levels, default=2)
+    for k in range(top, 2, -1):
+        _tree_level(levels[k], k, levels.setdefault(k - 1, []))
+    # each node's parts are lists of items, its children's already flat
+    for k in range(3, top + 1):
+        for _, _, parts, _ in levels[k]:
+            parts[:] = itertools.chain.from_iterable(parts)
+    return sinks
 
 
 def _synth_blocks(blocks: list[tuple[np.ndarray, int]], n: int) -> list[Circuit]:
     """Circuits on n qubits for unitaries given as (u, first qubit).
 
-    Each k-qubit u acts on qubits first..first+k-1.  The cosine-sine recursion
-    leaves every block's two-qubit leaves on its two least significant qubits;
-    all but the first are rewritten as a two-CNOT circuit times a diagonal,
-    and the diagonal is pushed back through the multiplexed-rotation CNOTs,
-    whose controls sit on the leaf qubits, into the previous leaf.  The leaves
-    of all blocks are synthesized as one stack.
+    Each k-qubit u acts on qubits first..first+k-1.  The cosine-sine tree
+    leaves every block's two-qubit leaves on its two least significant
+    qubits; all but the first are rewritten as a two-CNOT circuit times a
+    diagonal, and the diagonal is pushed back through the multiplexed-rotation
+    CNOTs, whose controls sit on the leaf qubits, into the previous leaf.  The
+    leaves of all blocks are synthesized as one stack.
     """
-    sinks, leaves = [], []
-    for u, first in blocks:
-        k = len(u).bit_length() - 1
-        require_unitary(u, what="k-qubit unitary")
-        sink: list = []
-        if k == 1:
-            sink.append(OneQubitGate(first, u))
-        else:
-            _qsd(u, list(range(first, first + k)), sink)
+    sinks = _tree_sinks(blocks)
+    leaves = []
+    for sink in sinks:
         block_leaves = [item for item in sink if isinstance(item, _Leaf)]
         for prev, leaf in zip(block_leaves, block_leaves[1:]):
             leaf.twisted, leaf.prev = True, prev
         leaves.extend(reversed(block_leaves))
-        sinks.append(sink)
     if leaves:
         _synth_leaves(leaves)
     circuits = []
@@ -251,11 +432,12 @@ def _synth_blocks(blocks: list[tuple[np.ndarray, int]], n: int) -> list[Circuit]
 def synth_kq_unitary(u: np.ndarray) -> Circuit:
     """Decompose a unitary on k >= 1 qubits into one-qubit gates and CNOTs.
 
-    The cosine-sine recursion leaves generic two-qubit blocks on the two
-    least significant qubits; all but the first are rewritten as a diagonal
-    times a two-CNOT circuit, with the diagonal commuted into the previous
-    block.  The emitted count never exceeds the closed-form ceiling and
-    matches it exactly for generic inputs.
+    The cosine-sine tree leaves generic two-qubit blocks on the two least
+    significant qubits; all but the first are rewritten as a diagonal times
+    a two-CNOT circuit, with the diagonal commuted into the previous block.
+    The emitted count never exceeds the closed-form ceiling and matches it
+    exactly for generic inputs.  A unitary above ``MAX_DIM`` (k > 8) raises
+    ``BadDimensionError`` before any factorization.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:

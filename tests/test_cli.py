@@ -267,3 +267,13 @@ def test_verify_rejects_a_register_size_mismatch_before_simulating(tmp_path, cap
     assert main(["verify", str(qasm), str(target)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "60" in err
+
+
+def test_oversize_state_exit_code(tmp_path, capsys):
+    """A 17-qubit state exceeds the 256x256 factorization limit: the library
+    refuses it at entry with a typed error, and prepare exits 1."""
+    path = tmp_path / "big.json"
+    amps = [[1.0, 0.0]] + [[0.0, 0.0]] * ((1 << 17) - 1)
+    path.write_text(json.dumps({"n": 17, "amplitudes": amps}))
+    assert main(["prepare", str(path)]) == 1
+    assert "exceeds the 256 limit" in capsys.readouterr().err

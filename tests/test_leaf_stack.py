@@ -30,14 +30,14 @@ from statesynth.twoqubit import MAGIC, MAGIC_DAG, _PATTERN
 
 
 def _serial_qsd_gates(u: np.ndarray, k: int) -> list:
-    """The leaves of the cosine-sine recursion synthesized one at a time.
+    """The leaves of the cosine-sine tree synthesized one at a time.
 
-    Every leaf after the first goes through ``two_qubit_up_to_diagonal``, its
-    diagonal multiplying the previous leaf, and the first through
+    The tree's gates and leaves come from its level pass.  Every leaf after
+    the first goes through ``two_qubit_up_to_diagonal``, its diagonal
+    multiplying the previous leaf, and the first through
     ``synth_2q_unitary``; each leaf circuit is then shifted onto qubits k-1, k.
     """
-    sink: list = []
-    synthesis._qsd(u, list(range(1, k + 1)), sink)
+    (sink,) = synthesis._tree_sinks([(u, 1)])
     positions = [i for i, item in enumerate(sink) if isinstance(item, twoqubit._Leaf)]
     matrices = {pos: sink[pos].matrix for pos in positions}
     for prev, pos in reversed(list(zip(positions, positions[1:]))):

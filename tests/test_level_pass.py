@@ -1,0 +1,279 @@
+"""The level pass of the cosine-sine tree: pinned counts, the size limit, and
+the flag rule that sends a matrix to the single-matrix factorizations.
+
+Every node at one depth of the tree is factored in one stacked pass; a
+matrix whose own numbers flag it goes through the public ``cosine_sine`` /
+``demultiplex`` instead.  The counts below were taken from the depth-first
+recursion that the level pass replaced; the level pass must match every
+entry, input by input.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from statesynth import (
+    BadDimensionError,
+    circuit_unitary,
+    cnot_count,
+    depth,
+    fidelity,
+    haar_state,
+    haar_unitary,
+    phase_aligned_distance,
+    run,
+    schmidt_prepare,
+    synth_kq_unitary,
+    unitary_upper_bound,
+    zero_state,
+)
+from statesynth import linalg, synthesis
+
+
+# -- inputs ------------------------------------------------------------------
+
+
+def _tensor(k, rng):
+    u = np.eye(1, dtype=complex)
+    for _ in range(k):
+        u = np.kron(u, haar_unitary(2, rng))
+    return u
+
+
+def _block_diagonal(k, rng):
+    half = 1 << (k - 1)
+    return sla.block_diag(haar_unitary(half, rng), haar_unitary(half, rng))
+
+
+def _permutation(k, rng):
+    return np.eye(1 << k, dtype=complex)[rng.permutation(1 << k)]
+
+
+def _weight_state(n, weights):
+    s = np.array([bin(i).count("1") in weights for i in range(1 << n)], dtype=complex)
+    return s / np.linalg.norm(s)
+
+
+def _bell_pairs(n):
+    """Sum_i |i>|i> across the floor(n/2) | ceil(n/2) cut, normalized."""
+    k1, k2 = n // 2, n - n // 2
+    s = np.zeros(1 << n, dtype=complex)
+    s[[(i << k2) + i for i in range(1 << k1)]] = 1.0
+    return s / np.linalg.norm(s)
+
+
+def _structured_states(n):
+    return {
+        "ghz": _weight_state(n, {0, n}),
+        "w": _weight_state(n, {1}),
+        "dicke": _weight_state(n, {n // 2}),
+        "bell_pairs": _bell_pairs(n),
+    }
+
+
+def _pinned_inputs():
+    """(key, kind, target): kind "state" or "unitary"."""
+    for n, s in itertools.product(range(2, 11), range(3)):
+        yield ("haar", n, s), "state", haar_state(n, s)
+    for k, s in itertools.product(range(3, 6), range(2)):
+        yield ("kq_haar", k, s), "unitary", haar_unitary(1 << k, s)
+    rng = np.random.default_rng(5)
+    for k in (3, 4):
+        yield ("identity", k), "unitary", np.eye(1 << k, dtype=complex)
+        yield ("tensor", k), "unitary", _tensor(k, rng)
+        yield ("block_diagonal", k), "unitary", _block_diagonal(k, rng)
+        yield ("permutation", k), "unitary", _permutation(k, rng)
+    for n in range(4, 9):
+        for name, s in _structured_states(n).items():
+            yield (name, n), "state", s
+
+
+def _synthesize(kind, target):
+    return schmidt_prepare(target).total if kind == "state" else synth_kq_unitary(target)
+
+
+# (CNOTs, depth, gates) of the depth-first recursion, input by input
+PINNED = {
+    ("haar", 2, 0): (1, 1, 4),
+    ("haar", 2, 1): (1, 1, 4),
+    ("haar", 2, 2): (1, 1, 4),
+    ("haar", 3, 0): (4, 4, 19),
+    ("haar", 3, 1): (4, 4, 19),
+    ("haar", 3, 2): (4, 4, 19),
+    ("haar", 4, 0): (9, 5, 40),
+    ("haar", 4, 1): (9, 5, 40),
+    ("haar", 4, 2): (9, 5, 40),
+    ("haar", 5, 0): (26, 22, 93),
+    ("haar", 5, 1): (26, 22, 93),
+    ("haar", 5, 2): (26, 22, 93),
+    ("haar", 6, 0): (47, 25, 160),
+    ("haar", 6, 1): (47, 25, 160),
+    ("haar", 6, 2): (47, 25, 160),
+    ("haar", 7, 0): (127, 103, 404),
+    ("haar", 7, 1): (127, 103, 404),
+    ("haar", 7, 2): (127, 103, 404),
+    ("haar", 8, 0): (213, 104, 670),
+    ("haar", 8, 1): (212, 103, 662),
+    ("haar", 8, 2): (213, 104, 670),
+    ("haar", 9, 0): (557, 440, 1710),
+    ("haar", 9, 1): (556, 439, 1702),
+    ("haar", 9, 2): (556, 439, 1702),
+    ("haar", 10, 0): (919, 461, 2820),
+    ("haar", 10, 1): (919, 461, 2820),
+    ("haar", 10, 2): (919, 461, 2820),
+    ("kq_haar", 3, 0): (20, 20, 69),
+    ("kq_haar", 3, 1): (20, 20, 69),
+    ("kq_haar", 4, 0): (100, 98, 313),
+    ("kq_haar", 4, 1): (100, 98, 313),
+    ("kq_haar", 5, 0): (444, 434, 1353),
+    ("kq_haar", 5, 1): (444, 434, 1353),
+    ("identity", 3): (13, 13, 43),
+    ("tensor", 3): (20, 20, 69),
+    ("block_diagonal", 3): (20, 20, 69),
+    ("permutation", 3): (19, 19, 66),
+    ("identity", 4): (77, 75, 239),
+    ("tensor", 4): (100, 98, 313),
+    ("block_diagonal", 4): (100, 98, 313),
+    ("permutation", 4): (100, 98, 313),
+    ("ghz", 4): (7, 4, 24),
+    ("w", 4): (7, 4, 24),
+    ("dicke", 4): (8, 5, 32),
+    ("bell_pairs", 4): (3, 2, 12),
+    ("ghz", 5): (25, 22, 85),
+    ("w", 5): (25, 22, 85),
+    ("dicke", 5): (25, 21, 85),
+    ("bell_pairs", 5): (16, 15, 53),
+    ("ghz", 6): (45, 24, 154),
+    ("w", 6): (47, 25, 160),
+    ("dicke", 6): (46, 25, 152),
+    ("bell_pairs", 6): (33, 18, 108),
+    ("ghz", 7): (126, 103, 401),
+    ("w", 7): (126, 102, 396),
+    ("dicke", 7): (126, 103, 396),
+    ("bell_pairs", 7): (97, 80, 304),
+    ("ghz", 8): (204, 99, 634),
+    ("w", 8): (203, 99, 626),
+    ("dicke", 8): (211, 103, 654),
+    ("bell_pairs", 8): (158, 76, 486),
+}
+
+
+def test_pinned_inputs_keep_their_counts():
+    seen = {}
+    for key, kind, target in _pinned_inputs():
+        c = _synthesize(kind, target)
+        seen[key] = (cnot_count(c), depth(c), len(c.gates))
+        if kind == "state":
+            f = fidelity(run(c, zero_state(c.n_qubits)), target)
+            assert 1.0 - f <= (1e-12 if key[0] == "haar" else 1e-9), key
+        else:
+            assert phase_aligned_distance(circuit_unitary(c), target) <= 1e-9, key
+    assert seen == PINNED
+
+
+# -- the size limit ------------------------------------------------------------
+
+
+def _no_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization started")
+
+    for module, name in ((np.linalg, "svd"), (np.linalg, "eig"), (sla, "cossin"), (sla, "schur")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_size_limit_is_checked_before_any_factorization(monkeypatch):
+    """A 9-qubit unitary and a 17-qubit state exceed MAX_DIM = 256 (a 512x512
+    block, a 256 x 512 Schmidt matrix); both are refused at entry."""
+    assert linalg.MAX_DIM == 256
+    _no_factorization(monkeypatch)
+    with pytest.raises(BadDimensionError, match="256"):
+        synth_kq_unitary(np.eye(512, dtype=complex))
+    basis = np.zeros(1 << 17, dtype=complex)
+    basis[5] = 1.0
+    with pytest.raises(BadDimensionError, match="256"):
+        schmidt_prepare(basis)
+
+
+# -- one mixed level -----------------------------------------------------------
+
+
+def _near_unit_cosine(k, rng):
+    """A k-qubit unitary whose top-left quadrant has a singular value of 1 - 1e-9."""
+    m = 1 << (k - 1)
+    theta = rng.uniform(0.2, 1.3, m)
+    theta[m // 2] = math.acos(1.0 - 1e-9)
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    left = sla.block_diag(haar_unitary(m, rng), haar_unitary(m, rng))
+    right = sla.block_diag(haar_unitary(m, rng), haar_unitary(m, rng))
+    return left @ np.block([[c, -s], [s, c]]) @ right
+
+
+def _recorder(monkeypatch, name, record):
+    func = getattr(synthesis, name)
+
+    def recorded(*args):
+        out = func(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(synthesis, name, recorded)
+
+
+def test_one_mixed_level_sends_exactly_the_flagged_matrices_to_the_fallback(monkeypatch):
+    """Haar blocks share their levels with flagged blocks: a GHZ and a W
+    Schmidt basis, a permutation, a block-diagonal unitary and one whose
+    top-left quadrant has a singular value of 1 - 1e-9.  The single-matrix
+    functions see exactly the matrices the level pass flags: the structured
+    blocks and their subtrees, never a Haar block or its subtree."""
+    rng = np.random.default_rng(33)
+    haar = [haar_unitary(16, rng), haar_unitary(8, rng), haar_unitary(16, rng)]
+    structured = [
+        schmidt_prepare(_weight_state(8, {0, 8})).schmidt.basis_left,
+        _near_unit_cosine(4, rng),
+        schmidt_prepare(_weight_state(6, {1})).schmidt.basis_right,
+        _permutation(3, rng),
+        _block_diagonal(3, rng),
+    ]
+    # every block on qubits 1..k of a 4-qubit register
+    blocks = [(u, 1) for u in haar + structured]
+
+    splits, demuxes, csd_calls, demux_calls, eig_calls = [], [], [], [], []
+    _recorder(monkeypatch, "_split_level", lambda args, out: splits.append((args[0], out[-1])))
+    _recorder(monkeypatch, "_demux_level", lambda args, out: demuxes.append((*args[:2], out[-1])))
+    _recorder(monkeypatch, "cosine_sine", lambda args, out: csd_calls.append(args[0]))
+    _recorder(monkeypatch, "demultiplex", lambda args, out: demux_calls.append(args))
+    _recorder(monkeypatch, "unitary_eig", lambda args, out: eig_calls.append(args[0]))
+    circuits = synthesis._synth_blocks(blocks, 4)
+
+    # levels k = 4 and k = 3; the roots come first in each, in block order
+    (us4, flags4), (us3, flags3) = splits
+    assert flags4.tolist() == [False, False, True, True]
+    assert flags3[:4].tolist() == [False, True, True, True]
+    # the children of the k = 4 roots follow, four per root
+    assert flags3[4:].tolist() == [False] * 8 + [True] * 8
+
+    def as_bytes(stack, flags):
+        return sorted(np.ascontiguousarray(u).tobytes() for u in stack[flags])
+
+    expected = as_bytes(us4, flags4) + as_bytes(us3, flags3)
+    assert sorted(u.tobytes() for u in csd_calls) == sorted(expected)
+    flagged_pairs = [
+        (u0.tobytes(), u1.tobytes())
+        for a, b, flags in demuxes
+        for u0, u1 in zip(a[flags], b[flags])
+    ]
+    called_pairs = [(u0.tobytes(), u1.tobytes()) for u0, u1 in demux_calls]
+    assert sorted(called_pairs) == sorted(flagged_pairs)
+    # two pairs per flagged node: the two k = 4 roots, their 8 children and
+    # the three k = 3 roots
+    assert len(eig_calls) == len(demux_calls) == 2 * (2 + 8 + 3)
+
+    for (u, _), c in zip(blocks, circuits):
+        k = len(u).bit_length() - 1
+        target = np.kron(u, np.eye(1 << (4 - k)))
+        assert phase_aligned_distance(circuit_unitary(c), target) <= 1e-9
+        assert cnot_count(c) <= unitary_upper_bound(k)
