@@ -84,7 +84,9 @@ def _rebuilt_1q(target: int, matrix: np.ndarray) -> OneQubitGate:
     which would otherwise re-run the unitarity check on every gate.
     """
     g = object.__new__(OneQubitGate)
-    g.__dict__.update(target=target, matrix=matrix)
+    fields = g.__dict__
+    fields["target"] = target
+    fields["matrix"] = matrix
     return g
 
 

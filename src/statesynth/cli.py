@@ -25,13 +25,21 @@ FIDELITY_GATE = 1.0 - 1e-9
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_NOT_FOUND = 2  # argparse also exits 2 on a command-line usage error
+EXIT_NOT_FOUND = 2  # also a path that is not a file; argparse exits 2 on a usage error
 EXIT_PARSE = 3
 EXIT_NOT_NORMALIZED = 4
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise QasmParseError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+
+
 def _load_state(path: str, normalize: bool) -> np.ndarray:
-    text = Path(path).read_text()
+    text = _read_input(path)
     try:
         state = state_from_json(text, normalize=normalize)
     except NotNormalizedError:
@@ -63,7 +71,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    qasm_text = Path(args.qasm).read_text()
+    qasm_text = _read_input(args.qasm)
     circuit = parse_qasm(qasm_text)
     target = _load_state(args.state, args.normalize)
     # sized by the state, not the qreg: run then rejects a width mismatch
@@ -202,6 +210,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
+        return EXIT_NOT_FOUND
+    except OSError as exc:  # a path that is not a readable (or writable) file
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except (QasmParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

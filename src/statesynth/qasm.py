@@ -4,10 +4,18 @@ Qubit j maps to register index j-1.  One-qubit gates are stored as full 2x2
 unitaries in the IR and converted to ZYZ Euler angles only here, once per
 circuit: emission turns the (G, 2, 2) stack of all one-qubit matrices into
 angles in one pass, and parsing collects every u3's angles, then builds and
-checks all the matrices as one stack.  A u3 statement of three plain numbers,
-the form emission writes, is read with one regex and float(); every other
-statement goes through the general dispatch, and each of its angles, a plain
-number included, through the angle grammar.
+checks all the matrices as one stack.
+
+Parsing is one ``finditer`` scan of the text, with one match per statement
+or comment; a statement ends at a ";", a comment or a line break.  The forms
+emission writes, a u3 of three plain numbers and a cx, are read straight
+from the scanner's groups, with float() and int(); their operand checks
+(register name, range, a cx on two distinct qubits) and the finite-angle
+check run once per text on the collected values.  Every other statement goes
+through the general dispatch, which checks it at once and evaluates each
+angle, a plain number included, with the angle grammar.  Either way a text
+raises the error of its first bad statement, with the same message.
+Regexes are ASCII-only: no other script's digits or letters are accepted.
 """
 
 import math
@@ -15,7 +23,7 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, _rebuilt_1q, _require_unitary_stack
+from .circuit import Circuit, Cnot, _rebuilt_1q, _require_unitary_stack, _rewrapped
 from .errors import QasmParseError
 
 
@@ -75,9 +83,12 @@ def emit_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TOKEN_RE = re.compile(r"\s*(pi|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|[-+*/()])")
-# a signed number token: what emit_qasm writes for a finite float
-_NUMBER_RE = re.compile(r"[-+]?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?")
+_TOKEN_RE = re.compile(r"\s*(pi|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|[-+*/()])", re.ASCII)
+# a signed number token: what emit_qasm writes for a finite float.  Digits,
+# then a fraction or (looking back) at least one digit: unlike
+# [0-9]*\.?[0-9]+, no digit run splits two ways, so a failed match
+# backtracks in time linear in its length
+_NUMBER_RE = re.compile(r"[-+]?[0-9]*(?:\.[0-9]+|(?<=[0-9]))(?:[eE][+-]?[0-9]+)?", re.ASCII)
 
 
 def _eval_angle(expr: str) -> float:
@@ -146,82 +157,131 @@ def _eval_expr(expr: str) -> float:
     return result
 
 
-_QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
-_CX_RE = re.compile(r"cx\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\]")
-_U_RE = re.compile(r"(u3|u)\s*\((.*)\)\s+(\w+)\[(\d+)\]")
-# the u3 statements emit_qasm writes: three plain numbers, read with float()
-_NUM = r"\s*(" + _NUMBER_RE.pattern + r")\s*"
-_U_NUM_RE = re.compile(rf"(?:u3|u)\s*\({_NUM},{_NUM},{_NUM}\)\s+(\w+)\[(\d+)\]")
+_QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]", re.ASCII)
+_CX_RE = re.compile(r"cx\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\]", re.ASCII)
+_U_RE = re.compile(r"(u3|u)\s*\((.*)\)\s+(\w+)\[(\d+)\]", re.ASCII)
+_HEADER_RE = re.compile(r'OPENQASM\s+2\.0|include\s+"qelib1\.inc"', re.ASCII)
+# the characters str.splitlines breaks lines at
+_BREAKS = r"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_NUM = rf"[ \t]*({_NUMBER_RE.pattern})[ \t]*"
+# One match per statement or comment.  The first alternative is the emitted
+# form, after any separators: a u3 of three plain numbers (groups 1-5) or a
+# cx (groups 6-9), each read straight from its groups.  A run of separators
+# that precedes anything else is one match with no group, so that the search
+# never restarts inside it (which would take time quadratic in its length).
+# Any other statement, the text up to a ";", a comment or a line break, is
+# group 10; a comment has no group.
+_SCAN_RE = re.compile(
+    rf"[;{_BREAKS} \t]*(?:(?:u3|u)[ \t]*\({_NUM},{_NUM},{_NUM}\)[ \t]+(\w+)\[(\d+)\]"
+    rf"|cx[ \t]+(\w+)\[(\d+)\][ \t]*,[ \t]*(\w+)\[(\d+)\])[ \t]*(?=;|//|[{_BREAKS}]|\Z)"
+    rf"|[;{_BREAKS} \t]+"
+    rf"|((?:[^;/{_BREAKS}]|/(?!/))+)"
+    rf"|//[^{_BREAKS}]*",
+    re.ASCII,
+)
+_U3_EMITTED, _CX_EMITTED, _OTHER = 5, 9, 10  # Match.lastindex of each kind
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit.
 
-    u3 angles are collected while reading; every u3 matrix is built and
-    checked at the end, as one stack.
+    One scan reads the statements.  The operand and finite-angle checks of
+    the emitted-form gates run once on the collected values, and every u3
+    matrix is built and checked at the end, as one stack.
     """
     n_qubits = None
     reg = None
-    gates = []  # Cnot gates, and the target qubit of each u3 in order
+    gates = []  # the 1-based target of each u3, the (control, target) of each cx
     angles = []  # theta, phi, lam of each u3, flat
-    for raw_line in text.splitlines():
-        line = raw_line.split("//")[0].strip()
-        if not line:
-            continue
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            m = _U_NUM_RE.fullmatch(stmt)
-            if m:
+    emitted = []  # the start of each emitted-form gate, to re-read one that fails
+    names = set()  # the register names of their operands
+    targets = set()  # the targets of their u3s
+    pairs = set()  # the (control, target) of every cx
+
+    def check_emitted():
+        # the emitted-form gates so far: on any failure, the first in text
+        # order that fails raises the message the general dispatch would give
+        if not emitted or (
+            names <= {reg}
+            and max(targets.union(*pairs)) <= n_qubits
+            and all(c != t for c, t in pairs)
+            and np.isfinite(angles).all()
+        ):
+            return
+        for start in emitted:
+            m = _SCAN_RE.match(text, start)
+            if m.lastindex == _U3_EMITTED:
+                for arg in m.group(1, 2, 3):
+                    _eval_angle(arg)
+                _qubit(m[4], m[5], reg, n_qubits)
+            else:
+                _cx(m.group(6, 7, 8, 9), reg, n_qubits)
+
+    try:
+        for m in _SCAN_RE.finditer(text):
+            kind = m.lastindex
+            if kind == _U3_EMITTED:
                 if n_qubits is None:
                     raise QasmParseError("gate before qreg declaration")
-                theta, phi, lam = float(m[1]), float(m[2]), float(m[3])
-                if not (math.isfinite(theta) and math.isfinite(phi) and math.isfinite(lam)):
-                    for arg in m.group(1, 2, 3):
-                        _eval_angle(arg)  # raises for the first non-finite angle
-                angles += (theta, phi, lam)
-                gates.append(_qubit(m[4], m[5], reg, n_qubits))
-                continue
-            if stmt.startswith("OPENQASM") or stmt.startswith("include"):
-                continue
-            m = _QREG_RE.fullmatch(stmt)
-            if m:
-                if n_qubits is not None:
-                    raise QasmParseError("multiple qreg declarations are not supported")
-                reg, n_qubits = m.group(1), int(m.group(2))
-                if n_qubits < 1:
-                    raise QasmParseError(f"qreg {reg}[{n_qubits}] holds no qubit")
-                continue
-            m = _CX_RE.fullmatch(stmt)
-            if m:
+                theta, phi, lam, name, q = m.groups()[:5]
+                angles += (float(theta), float(phi), float(lam))
+                q = int(q) + 1
+                gates.append(q)
+                emitted.append(m.start())
+                names.add(name)
+                targets.add(q)
+            elif kind == _CX_EMITTED:
                 if n_qubits is None:
                     raise QasmParseError("gate before qreg declaration")
-                control = _qubit(m.group(1), m.group(2), reg, n_qubits)
-                target = _qubit(m.group(3), m.group(4), reg, n_qubits)
-                if control == target:
-                    raise QasmParseError(f"cx control and target are both {reg}[{control - 1}]")
-                gates.append(Cnot(control, target))
-                continue
-            m = _U_RE.fullmatch(stmt)
-            if m:
-                if n_qubits is None:
-                    raise QasmParseError("gate before qreg declaration")
-                args = _split_args(m.group(2))
-                if len(args) != 3:
-                    raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
-                angles += (_eval_angle(a) for a in args)
-                gates.append(_qubit(m.group(3), m.group(4), reg, n_qubits))
-                continue
-            raise QasmParseError(f"unsupported statement {stmt!r}")
+                pair = int(m[7]) + 1, int(m[9]) + 1
+                gates.append(pair)
+                emitted.append(m.start())
+                names.update(m.group(6, 8))
+                pairs.add(pair)
+            elif kind == _OTHER:
+                stmt = m[_OTHER].strip()
+                if not stmt or _HEADER_RE.fullmatch(stmt):
+                    continue
+                m = _QREG_RE.fullmatch(stmt)
+                if m:
+                    if n_qubits is not None:
+                        raise QasmParseError("multiple qreg declarations are not supported")
+                    reg, n_qubits = m.group(1), int(m.group(2))
+                    if n_qubits < 1:
+                        raise QasmParseError(f"qreg {reg}[{n_qubits}] holds no qubit")
+                    continue
+                m = _CX_RE.fullmatch(stmt)
+                if m:
+                    if n_qubits is None:
+                        raise QasmParseError("gate before qreg declaration")
+                    pair = _cx(m.group(1, 2, 3, 4), reg, n_qubits)
+                    gates.append(pair)
+                    pairs.add(pair)
+                    continue
+                m = _U_RE.fullmatch(stmt)
+                if m:
+                    if n_qubits is None:
+                        raise QasmParseError("gate before qreg declaration")
+                    args = _split_args(m.group(2))
+                    if len(args) != 3:
+                        raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
+                    angles += (_eval_angle(a) for a in args)
+                    gates.append(_qubit(m.group(3), m.group(4), reg, n_qubits))
+                    continue
+                raise QasmParseError(f"unsupported statement {stmt!r}")
+    except QasmParseError:
+        check_emitted()  # an earlier emitted-form gate may fail first
+        raise
     if n_qubits is None:
         raise QasmParseError("missing qreg declaration")
+    check_emitted()
     theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
     matrices = u3_matrix(theta, phi, lam)
     _require_unitary_stack(matrices)
     it = iter(matrices)
-    gates = [g if isinstance(g, Cnot) else _rebuilt_1q(g, next(it)) for g in gates]
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+    cnots = {pair: Cnot(*pair) for pair in pairs}  # one gate object per qubit pair
+    gates = [cnots[g] if type(g) is tuple else _rebuilt_1q(g, next(it)) for g in gates]
+    return _rewrapped(n_qubits, tuple(gates))
 
 
 def _qubit(name: str, index: str, reg: str, n_qubits: int) -> int:
@@ -232,6 +292,15 @@ def _qubit(name: str, index: str, reg: str, n_qubits: int) -> int:
     if q >= n_qubits:
         raise QasmParseError(f"qubit {reg}[{q}] outside qreg {reg}[{n_qubits}]")
     return q + 1
+
+
+def _cx(operands: tuple, reg: str, n_qubits: int) -> tuple[int, int]:
+    """The 1-based (control, target) of a cx's (name, index, name, index) operands, checked."""
+    control = _qubit(*operands[:2], reg, n_qubits)
+    target = _qubit(*operands[2:], reg, n_qubits)
+    if control == target:
+        raise QasmParseError(f"cx control and target are both {reg}[{control - 1}]")
+    return control, target
 
 
 def _split_args(text: str) -> list[str]:

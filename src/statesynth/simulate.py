@@ -1,16 +1,21 @@
 """Statevector simulation for circuit verification.
 
 Amplitude index i labels the basis state whose binary expansion, most
-significant bit first, gives the values of qubits 1..n.  Gates act in place
-on one state or on a stack of states held as columns, through contiguous
-reshaped views that put the gate's qubits on axes of length 2.  No
-2^n x 2^n gate matrices are formed.  Back-to-back one-qubit gates on a qubit
-are multiplied into one pending 2x2 matrix; one-qubit gates on different
-qubits commute, so only the CNOTs order the kernels.  A CNOT takes in the
-pending matrices of its two qubits (identity where none) and is applied as
-one 4x4 matrix product over the pair: in place for adjacent qubits, through
-a transposed copy otherwise.  What is still pending when the circuit ends is
-applied as stacked 2x2 products.
+significant bit first, gives the values of qubits 1..n.  Gates act on one
+state or on a stack of states held as columns, through reshaped views that
+put the gate's qubits on axes of length 2.  No 2^n x 2^n gate matrices are
+formed.
+
+``run`` works in two passes.  The first, in Python, walks the gates and
+multiplies back-to-back one-qubit gates on a qubit into one pending 2x2
+matrix; one-qubit gates on different qubits commute, so only the CNOTs order
+the kernels.  Each CNOT takes in the pending matrices of its two qubits
+(identity where none) and is recorded with them.  The second pass builds
+every CNOT's 4x4 kernel at once, as one stacked Kronecker product with the
+CNOT's row permutation, and applies them in circuit order, each as one
+matrix product over its pair: in place for adjacent qubits, through a
+transposed copy otherwise.  What is still pending when the circuit ends is
+applied as 2x2 products.
 """
 
 import json
@@ -46,42 +51,50 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _apply_local(state: np.ndarray, matrix: np.ndarray, first: int) -> None:
-    # matrix on the qubits first, first + 1, ... (2x2 for one, 4x4 for two)
-    # through an (above, local, below) view; below also holds the batch axis
-    above = 1 << (first - 1)
-    view = state.reshape(above, len(matrix), -1)
-    # matmul loops over the stack axis, so stack along the shorter of the
-    # two: the rows of a matrix @ (local, below) product, or the columns of
-    # (above, local) @ matrix^T
-    if view.shape[2] >= above:
-        np.matmul(matrix, view, out=view)
-    else:
-        cols = view.transpose(2, 0, 1)
-        np.matmul(cols, matrix.T, out=cols)
-
-
 _I2 = np.eye(2, dtype=complex)
 # CNOT as a row permutation of a 4x4 matrix on a qubit pair lo < hi, indexed
-# 2 * bit(lo) + bit(hi); keyed by whether the control is lo
-_CNOT_ROWS = {True: np.array([0, 1, 3, 2]), False: np.array([0, 3, 2, 1])}
+# 2 * bit(lo) + bit(hi); row 0 for a control on lo, row 1 for a control on hi
+_CNOT_ROWS = np.array([[0, 1, 3, 2], [0, 3, 2, 1]])
+# how a kernel acts on its pair view: kernel @ view, view @ kernel^T, or
+# through a copy with the pair axes first
+_LEFT, _RIGHT, _COPY = range(3)
 
 
-def _apply_fused_cnot(state: np.ndarray, g: Cnot, m_control, m_target) -> None:
-    """The CNOT after the pending products on its qubits (None: none), as one 4x4 kernel."""
-    control_lo = g.control < g.target
-    lo, hi = sorted((g.control, g.target))
-    a, b = (m_control, m_target) if control_lo else (m_target, m_control)
-    a = _I2 if a is None else a
-    b = _I2 if b is None else b
-    pair = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)[_CNOT_ROWS[control_lo]]
-    if hi == lo + 1:  # one contiguous axis of length 4: in place, no copy
-        _apply_local(state, pair, lo)
-        return
-    # the pair axes go first in one copy, one matrix product, and the result
-    # is copied back through the same transposed view
+def _cnot_kernels(cnots: list, factors: list) -> np.ndarray:
+    """The (K, 4, 4) kernels of K CNOTs, each after the pending products on its qubits.
+
+    ``cnots`` holds the (control, target) pairs; ``factors`` holds, flat,
+    the products pending on the control and on the target of each.
+    """
+    f = np.array(factors).reshape(-1, 2, 2, 2)
+    flip = np.array([c > t for c, t in cnots], dtype=bool)  # the control is the higher qubit
+    f[flip] = f[flip, ::-1]  # now the products on lo, hi
+    kron = (f[:, 0, :, None, :, None] * f[:, 1, None, :, None, :]).reshape(-1, 4, 4)
+    return kron[np.arange(len(kron))[:, None], _CNOT_ROWS[flip.astype(int)]]
+
+
+def _local_view(state: np.ndarray, first: int, size: int) -> tuple:
+    """The in-place view for a size x size matrix on qubits first, first + 1, ..., and its side."""
+    # an (above, size, below) view, below also holding the batch axis;
+    # matmul loops over the stack axis, so stack along the shorter of the
+    # two: the rows of a matrix @ (size, below) product, or the columns of
+    # (above, size) @ matrix^T; a stack axis of length 1 is dropped
+    above = 1 << (first - 1)
+    view = state.reshape(above, size, -1)
+    if view.shape[2] >= above:
+        return (view[0] if above == 1 else view), _LEFT
+    cols = view.transpose(2, 0, 1)
+    return (cols[0] if len(cols) == 1 else cols), _RIGHT
+
+
+def _pair_view(state: np.ndarray, a: int, b: int) -> tuple:
+    """The view of the state a 4x4 kernel on qubits a, b acts on, and its side."""
+    lo, hi = sorted((a, b))
+    if hi == lo + 1:  # one contiguous axis of length 4: in place
+        return _local_view(state, lo, 4)
+    # not adjacent: the pair axes go first in a copy
     view = state.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1).transpose(1, 3, 0, 2, 4)
-    view[...] = (pair @ view.reshape(4, -1)).reshape(view.shape)
+    return view, _COPY
 
 
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -96,15 +109,34 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
+    # pass 1: fold the one-qubit gates into pending products, which each CNOT
+    # takes in from its two qubits
     pending = {}  # qubit -> product of its one-qubit gates not yet applied
+    cnots = []  # (control, target) of each CNOT
+    factors = []  # the products pending on its control and target, flat
     for g in c.gates:
         if isinstance(g, Cnot):
-            _apply_fused_cnot(state, g, pending.pop(g.control, None), pending.pop(g.target, None))
+            cnots.append((g.control, g.target))
+            factors += (pending.pop(g.control, _I2), pending.pop(g.target, _I2))
         else:
             m = pending.get(g.target)
             pending[g.target] = g.matrix if m is None else g.matrix @ m
+    # pass 2: every kernel at once, then applied in circuit order
+    views = {pair: _pair_view(state, *pair) for pair in set(cnots)}
+    for kernel, pair in zip(_cnot_kernels(cnots, factors), cnots):
+        view, side = views[pair]
+        if side == _LEFT:
+            np.matmul(kernel, view, out=view)
+        elif side == _RIGHT:
+            np.matmul(view, kernel.T, out=view)
+        else:
+            view[...] = (kernel @ view.reshape(4, -1)).reshape(view.shape)
     for q, m in pending.items():
-        _apply_local(state, m, q)
+        view, side = _local_view(state, q, 2)
+        if side == _LEFT:
+            np.matmul(m, view, out=view)
+        else:
+            np.matmul(view, m.T, out=view)
     return state
 
 

@@ -277,3 +277,59 @@ def test_oversize_state_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"n": 17, "amplitudes": amps}))
     assert main(["prepare", str(path)]) == 1
     assert "exceeds the 256 limit" in capsys.readouterr().err
+
+
+_NOT_UTF8 = b"OPENQASM 2.0;\nqreg q[2];\n// \xff\xfe\n"
+
+
+@pytest.mark.parametrize("which", ["qasm", "state"])
+def test_verify_undecodable_input_is_a_parse_error(tmp_path, which, capsys):
+    """Bytes that are not UTF-8 exit 3 with a message, not a UnicodeDecodeError traceback."""
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n')
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    bad = qasm if which == "qasm" else target
+    bad.write_bytes(_NOT_UTF8 if which == "qasm" else b'{"n": 1, "amplitudes": "\xe9"}')
+    assert main(["verify", str(qasm), str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err and str(bad) in err
+
+
+def test_prepare_and_transform_undecodable_state_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}\xff')
+    good = tmp_path / "good.json"
+    good.write_text(state_to_json(zero_state(1)))
+    assert main(["prepare", str(bad)]) == 3
+    assert main(["transform", str(good), str(bad)]) == 3
+    assert main(["transform", str(bad), str(good)]) == 3
+    assert capsys.readouterr().err.count("not UTF-8") == 3
+
+
+def test_directory_as_input_exits_like_a_missing_file(tmp_path, capsys):
+    """A path that is not a readable file exits 2, like a missing one."""
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text('OPENQASM 2.0;\nqreg q[2];\n')
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main(["verify", str(folder), str(target)]) == 2
+    assert main(["verify", str(qasm), str(folder)]) == 2
+    assert main(["prepare", str(folder)]) == 2
+    assert main(["transform", str(target), str(folder)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("error:") for line in err)
+
+
+@pytest.mark.parametrize(
+    "header", ["includes q[0];", "OPENQASMx;", "OPENQASM 3.0;", 'include "other.inc";']
+)
+def test_verify_rejects_unknown_headers(tmp_path, header, capsys):
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text(f"{header}\nqreg q[2];\n")
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    assert main(["verify", str(qasm), str(target)]) == 3
+    assert capsys.readouterr().err.startswith("error:")

@@ -8,6 +8,7 @@ products.
 import cmath
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -248,10 +249,23 @@ def _parse_outcome(text: str):
     ]
 
 
+def _scans_as_emitted(statement: str) -> bool:
+    """Whether the scanner reads the statement in its emitted-form branch."""
+    q = statesynth.qasm
+    return q._SCAN_RE.match(statement).lastindex in (q._U3_EMITTED, q._CX_EMITTED)
+
+
+def _disable_emitted_branch(monkeypatch):
+    """Send every statement through the general dispatch: the emitted form is
+    the scanner's first alternative, and a leading (?!) can never match."""
+    scan = statesynth.qasm._SCAN_RE
+    monkeypatch.setattr(statesynth.qasm, "_SCAN_RE", re.compile("(?!)" + scan.pattern, scan.flags))
+
+
 def test_number_lane_agrees_with_general_path(monkeypatch):
-    """A u3 statement of three plain numbers takes a regex lane with float();
-    with the lane disabled, the general path must give bitwise-equal gates or
-    the same exception with the same message."""
+    """A u3 statement of three plain numbers is read from the scanner's groups
+    with float(); with that branch disabled, the general path must give
+    bitwise-equal gates or the same exception with the same message."""
     rng = np.random.default_rng(12)
     tokens = [repr(float(v)) for v in rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, 40)]
     tokens += ["0", "-0.0", "+3", ".5", "-.5e-3", "1E+3", "2e-308", "007", "1e999", "-1e999"]
@@ -270,12 +284,149 @@ def test_number_lane_agrees_with_general_path(monkeypatch):
     header = "OPENQASM 2.0;\nqreg q[2];\n"
     texts = [header + line for line in lines]
     texts += [header + "\n".join(lines[i : i + 20]) for i in range(0, 400, 20)]
-    in_lane = sum(bool(statesynth.qasm._U_NUM_RE.fullmatch(line[:-1])) for line in lines)
+    in_lane = sum(_scans_as_emitted(line) for line in lines)
     lane = [_parse_outcome(t) for t in texts]
-    monkeypatch.setattr(statesynth.qasm, "_U_NUM_RE", re.compile(r"(?!)"))
+    _disable_emitted_branch(monkeypatch)
     general = [_parse_outcome(t) for t in texts]
     for text, a, b in zip(texts, lane, general):
         assert a == b, text
     assert in_lane > 300
     assert sum(isinstance(o, list) for o in lane) > 200
     assert sum(o[0] is QasmParseError for o in lane if isinstance(o, tuple)) > 200
+
+
+def test_parse_accepts_only_the_qasm2_headers():
+    """Only OPENQASM 2.0 and include "qelib1.inc" are skipped; any other
+    statement that merely starts with OPENQASM or include is an error."""
+    body = "qreg q[1];\nu3(0.1,0,0) q[0];\n"
+    headers = ('OPENQASM 2.0;\ninclude "qelib1.inc";\n', 'OPENQASM  2.0 ;include\t"qelib1.inc";\n')
+    for header in headers:
+        assert len(parse_qasm(header + body)) == 1
+    # this file parsed to a one-gate circuit, its first two lines ignored
+    with pytest.raises(QasmParseError, match="unsupported statement 'includes q\\[0\\]'"):
+        parse_qasm("includes q[0];\nOPENQASMx;\n" + body)
+    for header in ("OPENQASMx;", "OPENQASM 3.0;", 'include "other.inc";', "OPENQASM 2.0 x;"):
+        with pytest.raises(QasmParseError, match="unsupported statement"):
+            parse_qasm(f"{header}\n{body}")
+
+
+@pytest.mark.parametrize("emitted", [True, False])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qreg q[2];\nu3(0.1,0,0) q[١];",  # ARABIC-INDIC DIGIT ONE
+        "qreg q[2];\ncx q[0],q[١];",
+        "qreg q[2];\ncx q[١],q[0];",
+        "qreg q[2];\nu(0.1, 0, 0) q[١];",
+        "qreg q[٢];\nu3(0.1,0,0) q[0];",
+        "qreg q[2];\nu3(٠.1,0,0) q[0];",
+        "qreg qé[2];\nu3(0.1,0,0) qé[0];",
+        "qreg q[2];\nu3(pi\u00a0/2,0,0) q[0];",  # NO-BREAK SPACE inside an angle
+    ],
+)
+def test_parse_rejects_non_ascii_digits_and_names(text, emitted, monkeypatch):
+    """Digits, names and blanks are ASCII: \\d, \\w and \\s would match other scripts."""
+    if not emitted:
+        _disable_emitted_branch(monkeypatch)
+    with pytest.raises(QasmParseError):
+        parse_qasm(text)
+
+
+_BAD_STATEMENTS = [
+    "u3(0.1,0,0) r[0];",
+    "u3(0.1,0,0) q[7];",
+    "cx q[0],q[7];",
+    "cx q[7],q[0];",
+    "cx r[0],q[1];",
+    "cx q[0],zz[1];",
+    "cx q[0],q[0];",
+    "cx q[1],q[1];",
+    "u3(1e999,0,0) q[0];",
+    "u3(0,-1e999,0) q[0];",
+    "u3(0,0,1e400) r[0];",
+    "u3(1e999,0,0) q[9];",
+    "u(0.5, 2e999, 0) q[1];",
+    "u3(1/0,0,0) q[0];",
+    "u3(pi,0) q[0];",
+    "h q[0];",
+    "qreg r[2];",
+]
+
+
+def _rewritten(text: str, rng) -> str:
+    """The same program in other forms the parser accepts, some of them
+    outside the emitted form."""
+    header, lines = text.splitlines()[:3], text.splitlines()[3:]
+    out = []
+    for line in lines:
+        r = rng.random()
+        if r < 0.1:
+            line = line.replace("u3(", "u(")
+        elif r < 0.2:
+            line = line.replace(" q[", "\tq[").replace("cx\tq[", "cx \tq[")
+        elif r < 0.3 and line.startswith("u3("):
+            theta, rest = line[3:].split(",", 1)
+            line = f"u3(({theta}), {rest}"  # an expression: the general path
+        elif r < 0.35 and line.startswith("u3("):
+            line = "u3(pi/2," + line.split(",", 1)[1]
+        elif r < 0.45:
+            line += " // note; cx q[0],q[1];"
+        elif r < 0.5:
+            line = "\t " + line + "  "
+        out.append(line)
+    joined = []
+    while out:  # several statements per line
+        k = int(rng.integers(1, 4))
+        joined.append(("" if rng.random() < 0.5 else " ").join(out[:k]))
+        out = out[k:]
+    if joined and rng.random() < 0.5:
+        joined[-1] = joined[-1].rstrip().removesuffix(";")  # a missing final ;
+    joined.insert(int(rng.integers(0, len(joined) + 1)), "// a comment line; qreg r[3];")
+    return ("\r\n" if rng.random() < 0.5 else "\n").join(header + joined) + "\n"
+
+
+def test_scanner_agrees_with_general_dispatch(monkeypatch):
+    """Emitted texts, rewritten and with bad statements injected, give the
+    same gates (bit for bit) or the same exception and message whether the
+    scanner's emitted-form branch reads them or the general dispatch does.
+    Two bad statements in either order check that the first in text order
+    raises, although the emitted-form gates are checked only at the end."""
+    rng = np.random.default_rng(14)
+    texts = []
+    for n in (2, 3, 4):
+        for _ in range(4):
+            text = emit_qasm(schmidt_prepare(haar_state(n, rng)).total)
+            texts.append(text)
+            texts.append(_rewritten(text, rng))
+            for _ in range(6):
+                lines = _rewritten(text, rng).split("\n")
+                for _ in range(int(rng.integers(1, 3))):
+                    pos = int(rng.integers(3, len(lines)))
+                    lines.insert(pos, str(rng.choice(_BAD_STATEMENTS)))
+                texts.append("\n".join(lines))
+    emitted = [_parse_outcome(t) for t in texts]
+    _disable_emitted_branch(monkeypatch)
+    general = [_parse_outcome(t) for t in texts]
+    for text, a, b in zip(texts, emitted, general):
+        assert a == b, text
+    assert sum(isinstance(o, list) for o in emitted) >= 24
+    messages = {o[1].split(" ")[0] for o in emitted if isinstance(o, tuple)}
+    assert {"operand", "qubit", "cx", "angle", "unsupported"} <= messages
+
+
+def test_scan_time_is_linear_in_separator_runs():
+    """Long runs of line breaks, blanks and ;'s before a statement or at the
+    end of the text are read in one step, and a failed number match
+    backtracks in linear time: a scan quadratic in either length would take
+    tens of seconds here, not milliseconds."""
+    run = 60_000
+    text = "\n" * run + "qreg q[1];" + " " * run + "// c\n" + ";\t" * run + "u3(1,2,3) q[0]"
+    start = time.perf_counter()
+    assert len(parse_qasm(text + " ;" * run)) == 1
+    assert time.perf_counter() - start < 1.0
+    # a long digit run that fails the number pattern late
+    for stmt in ("u3(" + "1" * run + "x,0,0) q[0];", "u3(0,0,0) q[" + "0" * run + "x];"):
+        start = time.perf_counter()
+        with pytest.raises(QasmParseError):
+            parse_qasm("qreg q[1];\n" + stmt)
+        assert time.perf_counter() - start < 1.0

@@ -267,3 +267,39 @@ def test_state_json_rejects_unnormalized():
         state_from_json(json.dumps(payload))
     fixed = state_from_json(json.dumps(payload), normalize=True)
     assert np.allclose(fixed, [1.0, 0.0])
+
+
+def test_two_pass_run_matches_dense_reference_on_long_circuits():
+    """Long random circuits, in which every ordered qubit pair carries CNOTs
+    (adjacent and not, control above and below) with and without one-qubit
+    gates pending on either qubit, against the gate-by-gate dense product, on
+    one state, a (2^n, 3) stack and a Fortran-ordered stack."""
+    rng = np.random.default_rng(14)
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in range(7, 10):
+        pairs = [(c, t) for c in range(1, n + 1) for t in range(1, n + 1) if c != t]
+        gates = []
+        for c, t in [pairs[i] for i in rng.permutation(len(pairs))] * 3:
+            for q in rng.choice([c, t, int(rng.integers(1, n + 1))], size=rng.integers(0, 5)):
+                gates.append(OneQubitGate(int(q), haar_unitary(2, rng)))
+            gates.append(Cnot(c, t))
+        gates += [OneQubitGate(q, haar_unitary(2, rng)) for q in range(1, n + 1)]
+        assert len(gates) >= 300
+        psi = haar_state(n, rng)
+        stack = np.stack([haar_state(n, rng) for _ in range(3)], axis=1)
+        expected = np.column_stack([psi, stack])
+        cnot = {(c, t): _dense(n, {c: p0}) + _dense(n, {c: p1, t: x}) for c, t in pairs}
+        for g in gates:
+            if isinstance(g, Cnot):
+                expected = cnot[g.control, g.target] @ expected
+            else:
+                above, below = np.eye(1 << (g.target - 1)), np.eye(1 << (n - g.target))
+                expected = np.kron(np.kron(above, g.matrix), below) @ expected
+        c = Circuit(n, tuple(gates))
+        fortran = np.asfortranarray(stack)
+        assert np.max(np.abs(run(c, psi) - expected[:, 0])) <= 1e-12
+        assert np.max(np.abs(run(c, stack) - expected[:, 1:])) <= 1e-12
+        assert np.max(np.abs(run(c, fortran) - expected[:, 1:])) <= 1e-12
+        assert np.array_equal(fortran, stack)  # the input is not modified
