@@ -31,9 +31,12 @@ EXIT_NOT_NORMALIZED = 4
 
 
 def _read_input(path: str) -> str:
-    """The text of an input file; bytes that are not UTF-8 are a parse error."""
+    """The text of an input file; bytes that are not UTF-8 are a parse error.
+
+    A leading UTF-8 byte-order mark, which some editors write, is dropped.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise QasmParseError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 

@@ -12,12 +12,23 @@ matrix; one-qubit gates on different qubits commute, so only the CNOTs order
 the kernels.  Each CNOT takes in the pending matrices of its two qubits
 (identity where none) and is recorded with them.  The second pass builds
 every CNOT's 4x4 kernel at once, as one stacked Kronecker product with the
-CNOT's row permutation, and applies them in circuit order, each as one
-matrix product over its pair: in place for adjacent qubits, through a
-transposed copy otherwise.  What is still pending when the circuit ends is
-applied as 2x2 products.
+CNOT's row permutation.  It then groups the kernels into windows: maximal
+runs of consecutive kernels that together touch at most three qubits (a
+window on two qubits is widened by a neighbouring third).  Each kernel is
+gathered into its window's 8x8 through fixed index tables, the windows are
+multiplied out as stacks, grouped by length rounded up to a power of two,
+padded with identities and reduced pairwise, and each window's product is
+applied once, in circuit order: in place when its three qubits are adjacent,
+through a transposed copy otherwise.  What is still pending when the circuit
+ends is applied as 2x2 products.
+
+The window build has a fixed cost that a short circuit or a small state
+does not repay.  When the amplitude count (2^n times the columns) times the
+CNOT count is below ``_WINDOW_MIN_WORK``, or n < 3, the kernels are applied
+one per CNOT instead, over their pairs, in the same way.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -55,9 +66,44 @@ _I2 = np.eye(2, dtype=complex)
 # CNOT as a row permutation of a 4x4 matrix on a qubit pair lo < hi, indexed
 # 2 * bit(lo) + bit(hi); row 0 for a control on lo, row 1 for a control on hi
 _CNOT_ROWS = np.array([[0, 1, 3, 2], [0, 3, 2, 1]])
-# how a kernel acts on its pair view: kernel @ view, view @ kernel^T, or
-# through a copy with the pair axes first
+# how a matrix acts on its view: matrix @ view, view @ matrix^T, or through
+# a copy with the matrix's qubit axes first
 _LEFT, _RIGHT, _COPY = range(3)
+# the axes of a copy view on k qubits, (rest, 2, rest, 2, ..., rest), with the 2s first
+_QUBIT_AXES_FIRST = {k: (*range(1, 2 * k, 2), *range(0, 2 * k + 1, 2)) for k in (2, 3)}
+# a window holds consecutive kernels that together touch at most this many qubits
+_WINDOW_QUBITS = 3
+# the per-kernel loop's work grows with the amplitudes (2^n x columns) times
+# the CNOTs; below this product, building the windows costs more than the
+# matrix products they save (measured: a prepared 7-qubit circuit, 127 CNOTs
+# on one state, is near the crossover; short circuits on wide states and
+# small stacks are below it)
+_WINDOW_MIN_WORK = 1 << 15
+
+
+def _embed_tables() -> np.ndarray:
+    """Where each entry of a window's 8x8 comes from, for each kernel placement.
+
+    A window on qubits a < b < c indexes its 8x8 as 4 * bit(a) + 2 * bit(b) +
+    bit(c).  Table p, for the kernel on window positions (0, 1), (0, 2) or
+    (1, 2), holds for each entry the flat index (0..15) of the 4x4 kernel
+    entry it takes, or 16 (a zero) where the third qubit's bit changes; table
+    3 is the identity, 17 (a one) on the diagonal.
+    """
+    bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # bit of each position
+    tables = np.full((4, 8, 8), 16, dtype=np.int8)
+    for p, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        pair = 2 * bits[:, i] + bits[:, j]
+        other = bits[:, 3 - i - j]
+        tables[p] = np.where(other[:, None] == other, 4 * pair[:, None] + pair, 16)
+    tables[3] = np.where(np.eye(8, dtype=bool), 17, 16)
+    return tables
+
+
+_EMBED = _embed_tables()
+# the most 8x8 factors one stack of the window build holds, 256 KB, which
+# bounds the memory the build takes beyond the kernels themselves
+_STACK_SLOTS = 256
 
 
 def _cnot_kernels(cnots: list, factors: list) -> np.ndarray:
@@ -71,6 +117,68 @@ def _cnot_kernels(cnots: list, factors: list) -> np.ndarray:
     f[flip] = f[flip, ::-1]  # now the products on lo, hi
     kron = (f[:, 0, :, None, :, None] * f[:, 1, None, :, None, :]).reshape(-1, 4, 4)
     return kron[np.arange(len(kron))[:, None], _CNOT_ROWS[flip.astype(int)]]
+
+
+def _windows(cnots: list, n: int) -> tuple:
+    """Split the CNOTs into windows, maximal runs on at most three qubits.
+
+    Returns the index of each window's first CNOT and the three qubits, in
+    ascending order, each window's product acts on.  A window on two qubits
+    is widened by a third, one that makes the three adjacent where possible.
+    """
+    starts, masks, mask = [0], [], 0
+    for i, (c, t) in enumerate(cnots):
+        grown = mask | (1 << c) | (1 << t)
+        if grown.bit_count() > _WINDOW_QUBITS:
+            starts.append(i)
+            masks.append(mask)
+            grown = (1 << c) | (1 << t)
+        mask = grown
+    masks.append(mask)
+    triples = {}
+    for mask in set(masks):
+        qubits = [q for q in range(1, n + 1) if mask >> q & 1]
+        if len(qubits) == 2:
+            a, b = qubits
+            qubits.append(a + 1 if b > a + 1 else a - 1 if a > 1 else b + 1)
+        triples[mask] = tuple(sorted(qubits))
+    return starts, [triples[mask] for mask in masks]
+
+
+def _window_products(cnots: list, factors: list, n: int) -> tuple:
+    """The (W, 8, 8) products of the W windows of the CNOTs, and their qubits.
+
+    Every kernel is placed in its window's 8x8 by one gather through the
+    ``_EMBED`` tables.  Windows of up to 2^r kernels are multiplied as
+    stacks of at most ``_STACK_SLOTS`` factors, padded at the front with
+    identities to 2^r factors each and reduced pairwise in r rounds.
+    """
+    starts, triples = _windows(cnots, n)
+    k = len(cnots)  # kernel k, the last, is the identity that pads the stacks
+    kernels = np.zeros((k + 1, 18), dtype=complex)  # 16 entries, then a zero and a one
+    kernels[:k, :16] = _cnot_kernels(cnots, factors).reshape(-1, 16)
+    kernels[:, 17] = 1.0
+    # each kernel's placement: its qubits' positions in its window's triple
+    lengths = np.diff([*starts, k])
+    window = np.array(triples)[np.repeat(np.arange(len(starts)), lengths)]
+    pairs = np.fromiter(itertools.chain.from_iterable(cnots), dtype=np.intp).reshape(-1, 2)
+    place = np.full(k + 1, 3)
+    place[:k] = (pairs.min(1) > window[:, 0]).astype(np.intp) + (pairs.max(1) > window[:, 1])
+    products = np.empty((len(starts), 8, 8), dtype=complex)
+    rounds = np.frexp(lengths - 1)[1]  # ceil(log2(length))
+    starts = np.array(starts)
+    for r in set(rounds.tolist()):
+        ids = np.flatnonzero(rounds == r)
+        slot = np.arange(1 << r) - ((1 << r) - lengths[ids, None])  # < 0: padding
+        kernel = np.where(slot < 0, k, starts[ids, None] + slot)
+        tables = _EMBED[place[kernel]]
+        step = max(1, _STACK_SLOTS >> r)
+        for i in range(0, len(ids), step):
+            stack = kernels[kernel[i : i + step, :, None, None], tables[i : i + step]]
+            while stack.shape[1] > 1:
+                stack = stack[:, 1::2] @ stack[:, ::2]
+            products[ids[i : i + step]] = stack[:, 0]
+    return products, triples
 
 
 def _local_view(state: np.ndarray, first: int, size: int) -> tuple:
@@ -87,14 +195,16 @@ def _local_view(state: np.ndarray, first: int, size: int) -> tuple:
     return (cols[0] if len(cols) == 1 else cols), _RIGHT
 
 
-def _pair_view(state: np.ndarray, a: int, b: int) -> tuple:
-    """The view of the state a 4x4 kernel on qubits a, b acts on, and its side."""
-    lo, hi = sorted((a, b))
-    if hi == lo + 1:  # one contiguous axis of length 4: in place
-        return _local_view(state, lo, 4)
-    # not adjacent: the pair axes go first in a copy
-    view = state.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1).transpose(1, 3, 0, 2, 4)
-    return view, _COPY
+def _view(state: np.ndarray, qubits: list) -> tuple:
+    """The view of the state a matrix on the ascending qubits acts on, and its side."""
+    k = len(qubits)
+    if qubits[-1] - qubits[0] == k - 1:  # one contiguous axis: in place
+        return _local_view(state, qubits[0], 1 << k)
+    # not adjacent: the matrix's qubit axes go first in a copy
+    shape = [1 << (qubits[0] - 1)]
+    for prev, q in zip(qubits, qubits[1:]):
+        shape += (2, 1 << (q - prev - 1))
+    return state.reshape(*shape, 2, -1).transpose(_QUBIT_AXES_FIRST[k]), _COPY
 
 
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -121,16 +231,21 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         else:
             m = pending.get(g.target)
             pending[g.target] = g.matrix if m is None else g.matrix @ m
-    # pass 2: every kernel at once, then applied in circuit order
-    views = {pair: _pair_view(state, *pair) for pair in set(cnots)}
-    for kernel, pair in zip(_cnot_kernels(cnots, factors), cnots):
-        view, side = views[pair]
+    # pass 2: one product per window of CNOTs or, below the work bound, one
+    # kernel per CNOT, all built at once and applied in circuit order
+    if n >= _WINDOW_QUBITS and state.size * len(cnots) >= _WINDOW_MIN_WORK:
+        matrices, qubits = _window_products(cnots, factors, n)
+    else:
+        matrices, qubits = _cnot_kernels(cnots, factors), cnots
+    views = {q: _view(state, sorted(q)) for q in set(qubits)}
+    for m, q in zip(matrices, qubits):
+        view, side = views[q]
         if side == _LEFT:
-            np.matmul(kernel, view, out=view)
+            np.matmul(m, view, out=view)
         elif side == _RIGHT:
-            np.matmul(view, kernel.T, out=view)
+            np.matmul(view, m.T, out=view)
         else:
-            view[...] = (kernel @ view.reshape(4, -1)).reshape(view.shape)
+            view[...] = (m @ view.reshape(len(m), -1)).reshape(view.shape)
     for q, m in pending.items():
         view, side = _local_view(state, q, 2)
         if side == _LEFT:

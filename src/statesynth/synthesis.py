@@ -375,15 +375,21 @@ def _tree_sinks(blocks: list[tuple[np.ndarray, int]]) -> list[list]:
     """
     sinks = []
     levels: dict[int, list] = {}
+    pairs = []  # the two-qubit blocks, checked as one stack
     for u, first in blocks:
         require_max_dim(len(u), what="k-qubit unitary")
         k = len(u).bit_length() - 1
         if k >= 3:
             sinks.append([])
             levels.setdefault(k, []).append((u, first, sinks[-1], False))
-            continue
-        require_unitary(u, what="k-qubit unitary")
-        sinks.append([OneQubitGate(first, u) if k == 1 else _Leaf(u, first - 1)])
+        elif k == 2:
+            pairs.append(u)
+            sinks.append([_Leaf(u, first - 1)])
+        else:
+            require_unitary(u, what="k-qubit unitary")
+            sinks.append([OneQubitGate(first, u)])
+    if pairs:
+        _require_unitary_stack(np.array(pairs, dtype=complex), what="k-qubit unitary")
     top = max(levels, default=2)
     for k in range(top, 2, -1):
         _tree_level(levels[k], k, levels.setdefault(k - 1, []))

@@ -307,6 +307,24 @@ def test_prepare_and_transform_undecodable_state_is_a_parse_error(tmp_path, caps
     assert capsys.readouterr().err.count("not UTF-8") == 3
 
 
+def test_inputs_with_a_byte_order_mark_are_read(tmp_path, capsys):
+    """QASM and state files that start with a UTF-8 byte-order mark, as some
+    editors write them, read like the same files without it."""
+    state = haar_state(3, np.random.default_rng(15))
+    path = tmp_path / "state.json"
+    path.write_text(state_to_json(state), encoding="utf-8-sig")
+    assert main(["prepare", str(path)]) == 0
+    qasm = path.with_suffix(".qasm")
+    qasm.write_text(qasm.read_text(), encoding="utf-8-sig")
+    assert qasm.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["verify", str(qasm), str(path)]) == 0
+    zero = tmp_path / "zero.json"
+    zero.write_text(state_to_json(zero_state(3)), encoding="utf-8-sig")
+    assert main(["transform", str(zero), str(path)]) == 0
+    assert main(["transform", str(path), str(zero)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_directory_as_input_exits_like_a_missing_file(tmp_path, capsys):
     """A path that is not a readable file exits 2, like a missing one."""
     target = tmp_path / "zero.json"

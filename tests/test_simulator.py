@@ -1,6 +1,7 @@
 """Simulator semantics: gate action, composition, norm, fidelity, file format."""
 
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -18,6 +19,8 @@ from statesynth import (
     haar_state,
     haar_unitary,
     run,
+    schmidt_prepare,
+    simulate,
     state_from_json,
     state_to_json,
     zero_state,
@@ -303,3 +306,161 @@ def test_two_pass_run_matches_dense_reference_on_long_circuits():
         assert np.max(np.abs(run(c, stack) - expected[:, 1:])) <= 1e-12
         assert np.max(np.abs(run(c, fortran) - expected[:, 1:])) <= 1e-12
         assert np.array_equal(fortran, stack)  # the input is not modified
+
+
+# -- three-qubit windows -------------------------------------------------------
+
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _dense_product(n, gates):
+    """The gate-by-gate dense product of the gates on n qubits."""
+    total = np.eye(1 << n, dtype=complex)
+    for g in gates:
+        if isinstance(g, Cnot):
+            total = (_dense(n, {g.control: P0}) + _dense(n, {g.control: P1, g.target: X})) @ total
+        else:
+            total = _dense(n, {g.target: g.matrix}) @ total
+    return total
+
+
+def _window_circuit(n, blocks, rng):
+    """CNOTs on random ordered pairs of each block's qubits, block after block,
+    with one-qubit gates pending on either qubit or elsewhere."""
+    gates = []
+    for qubits, count in blocks:
+        for _ in range(count):
+            c, t = (int(q) for q in rng.choice(qubits, size=2, replace=False))
+            for q in rng.choice([c, t, int(rng.integers(1, n + 1))], size=rng.integers(0, 3)):
+                gates.append(OneQubitGate(int(q), haar_unitary(2, rng)))
+            gates.append(Cnot(c, t))
+    gates += [OneQubitGate(q, haar_unitary(2, rng)) for q in range(1, n + 1)]
+    return Circuit(n, tuple(gates))
+
+
+def _cnot_pairs(c):
+    return [(g.control, g.target) for g in c.gates if isinstance(g, Cnot)]
+
+
+# (n, blocks): consecutive blocks together touch more than three qubits, so
+# each block is one window
+WINDOW_CASES = [
+    (2, [([1, 2], 5)]),
+    (3, [([1, 2, 3], 40)]),
+    (3, [([2, 3], 3)]),
+    # adjacent triples at the top and the bottom, one kernel each side of
+    # every power-of-two boundary up to 33
+    (6, [([1, 2, 3], 15), ([4, 5, 6], 16), ([1, 2, 3], 17), ([4, 5, 6], 31),
+         ([1, 2, 3], 32), ([4, 5, 6], 33), ([1, 2, 3], 1)]),
+    # triples that are not adjacent, and windows of one kernel
+    (7, [([1, 3, 5], 9), ([2, 4, 7], 1), ([1, 6], 1), ([3, 5], 1), ([1, 2, 7], 20),
+         ([3, 4, 6], 2), ([1, 7], 1), ([2, 5], 1)]),
+    # two-qubit windows widened at the top, at the bottom, into a gap of one
+    # and across a wider gap
+    (5, [([1, 2], 6), ([4, 5], 6), ([1, 3], 4), ([2, 5], 4), ([3, 4], 1), ([1, 5], 1)]),
+]
+
+
+@pytest.mark.parametrize("n, blocks", WINDOW_CASES)
+def test_window_path_matches_dense_reference(n, blocks, monkeypatch):
+    """With every state on the window path, circuits built to give windows of
+    each layout and length match the gate-by-gate dense product on one state,
+    a (2^n, 3) stack and a Fortran-ordered stack, whose input is left
+    unmodified."""
+    monkeypatch.setattr(simulate, "_WINDOW_MIN_WORK", 1)
+    rng = np.random.default_rng(15 + n)
+    c = _window_circuit(n, blocks, rng)
+    if n >= 3:
+        pairs = _cnot_pairs(c)
+        starts, triples = simulate._windows(pairs, n)
+        bounds = [*starts, len(pairs)]
+        assert np.diff(bounds).tolist() == [count for _, count in blocks]
+        for w, ((qubits, _), triple) in enumerate(zip(blocks, triples)):
+            touched = {q for pair in pairs[bounds[w] : bounds[w + 1]] for q in pair}
+            assert touched <= set(qubits) and touched <= set(triple)
+            assert len(triple) == 3 and list(triple) == sorted(triple)
+    dense = _dense_product(n, c.gates)
+    psi = haar_state(n, rng)
+    stack = np.stack([haar_state(n, rng) for _ in range(3)], axis=1)
+    fortran = np.asfortranarray(stack)
+    assert np.max(np.abs(run(c, psi) - dense @ psi)) <= 1e-12
+    assert np.max(np.abs(run(c, stack) - dense @ stack)) <= 1e-12
+    assert np.max(np.abs(run(c, fortran) - dense @ stack)) <= 1e-12
+    assert np.array_equal(fortran, stack)  # the input is not modified
+    assert np.max(np.abs(circuit_unitary(c) - dense)) <= 1e-12
+
+
+def test_widened_windows_prefer_adjacent_qubits():
+    """A window on two qubits takes a third that makes the three adjacent
+    where one exists: below the pair, or above it at the top of the register,
+    or between the two; across a wider gap, the one above the lower qubit."""
+    pairs = [(1, 2), (4, 5), (3, 2), (5, 6), (1, 3), (4, 6), (5, 2)]
+    # each pair is its own window: consecutive pairs share no qubit
+    starts, triples = simulate._windows(pairs, 6)
+    assert starts == list(range(len(pairs)))
+    assert triples == [(1, 2, 3), (3, 4, 5), (1, 2, 3), (4, 5, 6), (1, 2, 3), (4, 5, 6), (2, 3, 5)]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_circuit_unitary_on_the_window_path(n):
+    """circuit_unitary runs 2^n columns; a long circuit puts them past the
+    work bound, and the windows reproduce the dense product."""
+    rng = np.random.default_rng(20 + n)
+    c = _random_circuit(n, 4 * (simulate._WINDOW_MIN_WORK >> 2 * n) + 40, rng)
+    assert (1 << n) * (1 << n) * len(_cnot_pairs(c)) >= simulate._WINDOW_MIN_WORK
+    assert np.max(np.abs(circuit_unitary(c) - _dense_product(n, c.gates))) <= 1e-12
+
+
+def test_size_rule_picks_the_path_and_both_agree(monkeypatch):
+    """Below the work bound (amplitudes x CNOTs) the kernels run one per CNOT,
+    above it in windows; both match the dense product."""
+    calls = []
+    build = simulate._window_products
+    monkeypatch.setattr(simulate, "_window_products", lambda *a: calls.append(a) or build(*a))
+    rng = np.random.default_rng(21)
+    n = 6
+    c = _random_circuit(n, 200, rng)
+    k = len(_cnot_pairs(c))
+    dense = _dense_product(n, c.gates)
+    for cols in (1, 2, 4, 8, 16, 32, 64):
+        states = np.stack([haar_state(n, rng) for _ in range(cols)], axis=1)
+        calls.clear()
+        assert np.max(np.abs(run(c, states) - dense @ states)) <= 1e-12
+        assert len(calls) == ((1 << n) * cols * k >= simulate._WINDOW_MIN_WORK)
+    assert (1 << n) * k < simulate._WINDOW_MIN_WORK <= (1 << n) * 64 * k
+
+
+@pytest.fixture(scope="module")
+def haar_n10_circuit():
+    return schmidt_prepare(haar_state(10, 1)).total
+
+
+def test_haar_n10_windows(haar_n10_circuit):
+    """The seed-1 Haar n = 10 circuit's 919 CNOTs fall into at most 200
+    windows; each is a maximal run on at most three qubits, which hold its
+    CNOTs."""
+    pairs = _cnot_pairs(haar_n10_circuit)
+    starts, triples = simulate._windows(pairs, 10)
+    assert len(pairs) == 919
+    assert len(starts) <= 200
+    bounds = [*starts, len(pairs)]
+    for w, triple in enumerate(triples):
+        touched = {q for pair in pairs[bounds[w] : bounds[w + 1]] for q in pair}
+        assert touched <= set(triple) and len(triple) == 3
+        if w + 1 < len(triples):
+            assert len(touched | set(pairs[bounds[w + 1]])) > 3  # maximal
+
+
+def test_haar_n10_run_memory(haar_n10_circuit):
+    """One run of a Haar n = 10 circuit allocates at most 1.5 MB at its peak."""
+    state = zero_state(10)
+    run(haar_n10_circuit, state)  # warm up lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        run(haar_n10_circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6

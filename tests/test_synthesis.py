@@ -63,6 +63,22 @@ def test_synth_1q_rejects_nonunitary():
         synth_kq_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+def test_two_qubit_blocks_keep_their_typed_errors():
+    """A 4x4 block a little off unitary raises NotUnitaryError naming the
+    k-qubit unitary, and one with a NaN entry NonFiniteError, alone or as the
+    second block of a call."""
+    rng = np.random.default_rng(15)
+    good = haar_unitary(4, rng)
+    off = haar_unitary(4, rng) * (1 + 1e-6)
+    nan = haar_unitary(4, rng)
+    nan[1, 2] = np.nan
+    for bad, error in ((off, NotUnitaryError), (nan, NonFiniteError)):
+        with pytest.raises(error, match="k-qubit unitary"):
+            synth_kq_unitary(bad)
+        with pytest.raises(error, match="k-qubit unitary"):
+            synthesis._synth_blocks([(good, 1), (bad, 3)], 4)
+
+
 # -- two-qubit state prep ----------------------------------------------------
 
 
