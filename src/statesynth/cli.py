@@ -16,6 +16,7 @@ from .errors import (
     QasmParseError,
     StateSynthError,
 )
+from .linalg import MAX_DIM
 from .prepare import schmidt_prepare, transform
 from .qasm import emit_qasm, parse_qasm
 from .sampling import haar_state
@@ -116,8 +117,9 @@ def _bench_rows(n_min: int, n_max: int, trials: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    if not (2 <= args.n_min <= args.n_max <= 10):
-        raise BadRangeError("need 2 <= n_min <= n_max <= 10")
+    n_limit = 2 * (MAX_DIM.bit_length() - 1)  # the largest state schmidt_prepare takes
+    if not (2 <= args.n_min <= args.n_max <= n_limit):
+        raise BadRangeError(f"need 2 <= n_min <= n_max <= {n_limit}")
     if args.trials < 0:
         raise BadRangeError("trials must be non-negative")
     rows = list(_bench_rows(args.n_min, args.n_max, args.trials, args.seed))

@@ -4,7 +4,8 @@ Each routine factors one square or rectangular complex matrix of dimension at
 most ``MAX_DIM`` and guarantees entrywise reconstruction of the input from the
 returned factors.  The synthesis checks the same limit once, at its entry, and
 factors whole levels of its cosine-sine tree as stacks; these single-matrix
-routines are its fallback for the matrices whose numbers flag them.
+routines are its fallback for the matrices whose own stacked factors fail
+their check (see ``synthesis._MIN_GAP``).
 """
 
 from dataclasses import dataclass

@@ -9,12 +9,12 @@ checks all the matrices as one stack.
 Parsing is one ``finditer`` scan of the text, with one match per statement
 or comment; a statement ends at a ";", a comment or a line break.  The forms
 emission writes, a u3 of three plain numbers and a cx, are read straight
-from the scanner's groups, with float() and int(); their operand checks
-(register name, range, a cx on two distinct qubits) and the finite-angle
-check run once per text on the collected values.  Every other statement goes
-through the general dispatch, which checks it at once and evaluates each
-angle, a plain number included, with the angle grammar.  Either way a text
-raises the error of its first bad statement, with the same message.
+from the scanner's groups, with float() and int(), and checked as they are
+read: register name, range, a cx on two distinct qubits, finite angles.  One
+that fails goes through the general dispatch's checks, so its message is the
+same.  Every other statement goes through the general dispatch, which checks
+it at once and evaluates each angle, a plain number included, with the angle
+grammar.  Either way a text raises the error of its first bad statement.
 Regexes are ASCII-only: no other script's digits or letters are accepted.
 """
 
@@ -166,11 +166,11 @@ _BREAKS = r"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _NUM = rf"[ \t]*({_NUMBER_RE.pattern})[ \t]*"
 # One match per statement or comment.  The first alternative is the emitted
 # form, after any separators: a u3 of three plain numbers (groups 1-5) or a
-# cx (groups 6-9), each read straight from its groups.  A run of separators
-# that precedes anything else is one match with no group, so that the search
-# never restarts inside it (which would take time quadratic in its length).
-# Any other statement, the text up to a ";", a comment or a line break, is
-# group 10; a comment has no group.
+# cx (groups 6-9), each read straight from its groups and checked as soon as
+# it is read.  A run of separators that precedes anything else is one match
+# with no group, so that the search never restarts inside it (which would
+# take time quadratic in its length).  Any other statement, the text up to a
+# ";", a comment or a line break, is group 10; a comment has no group.
 _SCAN_RE = re.compile(
     rf"[;{_BREAKS} \t]*(?:(?:u3|u)[ \t]*\({_NUM},{_NUM},{_NUM}\)[ \t]+(\w+)\[(\d+)\]"
     rf"|cx[ \t]+(\w+)\[(\d+)\][ \t]*,[ \t]*(\w+)\[(\d+)\])[ \t]*(?=;|//|[{_BREAKS}]|\Z)"
@@ -185,96 +185,70 @@ _U3_EMITTED, _CX_EMITTED, _OTHER = 5, 9, 10  # Match.lastindex of each kind
 def parse_qasm(text: str) -> Circuit:
     """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit.
 
-    One scan reads the statements.  The operand and finite-angle checks of
-    the emitted-form gates run once on the collected values, and every u3
+    One scan reads and checks the statements, each as it is read; every u3
     matrix is built and checked at the end, as one stack.
     """
     n_qubits = None
     reg = None
     gates = []  # the 1-based target of each u3, the (control, target) of each cx
     angles = []  # theta, phi, lam of each u3, flat
-    emitted = []  # the start of each emitted-form gate, to re-read one that fails
-    names = set()  # the register names of their operands
-    targets = set()  # the targets of their u3s
     pairs = set()  # the (control, target) of every cx
-
-    def check_emitted():
-        # the emitted-form gates so far: on any failure, the first in text
-        # order that fails raises the message the general dispatch would give
-        if not emitted or (
-            names <= {reg}
-            and max(targets.union(*pairs)) <= n_qubits
-            and all(c != t for c, t in pairs)
-            and np.isfinite(angles).all()
-        ):
-            return
-        for start in emitted:
-            m = _SCAN_RE.match(text, start)
-            if m.lastindex == _U3_EMITTED:
+    for m in _SCAN_RE.finditer(text):
+        kind = m.lastindex
+        if kind == _U3_EMITTED:
+            if n_qubits is None:
+                raise QasmParseError("gate before qreg declaration")
+            theta, phi, lam = float(m[1]), float(m[2]), float(m[3])
+            q = int(m[5]) + 1
+            if m[4] != reg or q > n_qubits or not math.isfinite(theta + phi + lam):
+                # the general dispatch's checks decide, with their messages
+                # (they pass finite angles whose sum overflows)
                 for arg in m.group(1, 2, 3):
                     _eval_angle(arg)
                 _qubit(m[4], m[5], reg, n_qubits)
-            else:
-                _cx(m.group(6, 7, 8, 9), reg, n_qubits)
-
-    try:
-        for m in _SCAN_RE.finditer(text):
-            kind = m.lastindex
-            if kind == _U3_EMITTED:
+            angles += (theta, phi, lam)
+            gates.append(q)
+        elif kind == _CX_EMITTED:
+            if n_qubits is None:
+                raise QasmParseError("gate before qreg declaration")
+            pair = int(m[7]) + 1, int(m[9]) + 1
+            if m[6] != reg or m[8] != reg or max(pair) > n_qubits or pair[0] == pair[1]:
+                _cx(m.group(6, 7, 8, 9), reg, n_qubits)  # raises, with its message
+            gates.append(pair)
+            pairs.add(pair)
+        elif kind == _OTHER:
+            stmt = m[_OTHER].strip()
+            if not stmt or _HEADER_RE.fullmatch(stmt):
+                continue
+            m = _QREG_RE.fullmatch(stmt)
+            if m:
+                if n_qubits is not None:
+                    raise QasmParseError("multiple qreg declarations are not supported")
+                reg, n_qubits = m.group(1), int(m.group(2))
+                if n_qubits < 1:
+                    raise QasmParseError(f"qreg {reg}[{n_qubits}] holds no qubit")
+                continue
+            m = _CX_RE.fullmatch(stmt)
+            if m:
                 if n_qubits is None:
                     raise QasmParseError("gate before qreg declaration")
-                theta, phi, lam, name, q = m.groups()[:5]
-                angles += (float(theta), float(phi), float(lam))
-                q = int(q) + 1
-                gates.append(q)
-                emitted.append(m.start())
-                names.add(name)
-                targets.add(q)
-            elif kind == _CX_EMITTED:
-                if n_qubits is None:
-                    raise QasmParseError("gate before qreg declaration")
-                pair = int(m[7]) + 1, int(m[9]) + 1
+                pair = _cx(m.group(1, 2, 3, 4), reg, n_qubits)
                 gates.append(pair)
-                emitted.append(m.start())
-                names.update(m.group(6, 8))
                 pairs.add(pair)
-            elif kind == _OTHER:
-                stmt = m[_OTHER].strip()
-                if not stmt or _HEADER_RE.fullmatch(stmt):
-                    continue
-                m = _QREG_RE.fullmatch(stmt)
-                if m:
-                    if n_qubits is not None:
-                        raise QasmParseError("multiple qreg declarations are not supported")
-                    reg, n_qubits = m.group(1), int(m.group(2))
-                    if n_qubits < 1:
-                        raise QasmParseError(f"qreg {reg}[{n_qubits}] holds no qubit")
-                    continue
-                m = _CX_RE.fullmatch(stmt)
-                if m:
-                    if n_qubits is None:
-                        raise QasmParseError("gate before qreg declaration")
-                    pair = _cx(m.group(1, 2, 3, 4), reg, n_qubits)
-                    gates.append(pair)
-                    pairs.add(pair)
-                    continue
-                m = _U_RE.fullmatch(stmt)
-                if m:
-                    if n_qubits is None:
-                        raise QasmParseError("gate before qreg declaration")
-                    args = _split_args(m.group(2))
-                    if len(args) != 3:
-                        raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
-                    angles += (_eval_angle(a) for a in args)
-                    gates.append(_qubit(m.group(3), m.group(4), reg, n_qubits))
-                    continue
-                raise QasmParseError(f"unsupported statement {stmt!r}")
-    except QasmParseError:
-        check_emitted()  # an earlier emitted-form gate may fail first
-        raise
+                continue
+            m = _U_RE.fullmatch(stmt)
+            if m:
+                if n_qubits is None:
+                    raise QasmParseError("gate before qreg declaration")
+                args = _split_args(m.group(2))
+                if len(args) != 3:
+                    raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
+                angles += (_eval_angle(a) for a in args)
+                gates.append(_qubit(m.group(3), m.group(4), reg, n_qubits))
+                continue
+            raise QasmParseError(f"unsupported statement {stmt!r}")
     if n_qubits is None:
         raise QasmParseError("missing qreg declaration")
-    check_emitted()
     theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
     matrices = u3_matrix(theta, phi, lam)
     _require_unitary_stack(matrices)

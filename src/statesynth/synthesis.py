@@ -9,14 +9,13 @@ multiplexed Rz, and the two pairs sit around a multiplexed Ry.  The tree is
 built one level at a time: every node of one size, across every unitary of
 the call, is factored as one stack (a stacked SVD for the split, a stacked
 eigensolver for the demultiplexing), checked as one stack, and its ladder
-angles come from one product.  A node whose own numbers flag it (a small
-sine, clustered angles or eigenphases, or a stacked factor that misses its
-residual check) goes through the single-matrix ``cosine_sine`` /
-``demultiplex`` instead, and so does its subtree.  The 4^(k-2) two-qubit
-leaves of every unitary of the call form one stack (see ``twoqubit``): the
-serial twist chain, then one stacked Cartan decomposition, then stacked
-emission and checks.  Every gate is built on its final qubit, in depth-first
-order.
+angles come from one product.  A split or a pair whose own numbers flag it
+(stacked factors that miss their residual check, or clustered eigenphases)
+goes through the single-matrix ``cosine_sine`` / ``demultiplex`` instead;
+its children are judged again by theirs.  The 4^(k-2) two-qubit leaves of
+every unitary of the call form one stack (see ``twoqubit``): the serial
+twist chain, then one stacked Cartan decomposition, then stacked emission
+and checks.  Every gate is built on its final qubit, in depth-first order.
 
 Qubit blocks are indexed most-significant first, matching the basis-label
 convention of the rest of the library.
@@ -123,29 +122,6 @@ def _ladder_gates(
     return gates
 
 
-def _ucr_gates(
-    axis: str,
-    angles: np.ndarray,
-    controls: list[int],
-    target: int,
-    entangler: str = "cx",
-    skip_last: bool = False,
-) -> list:
-    """Gray-code ladder for a rotation multiplexed over the control register.
-
-    Angle index j is the control-register basis value; ``entangler`` is
-    "cx" or "cz".  See :func:`_ladder_gates`.
-    """
-    size = len(angles)
-    c = len(controls)
-    if size != 1 << c:
-        raise BadLengthError(f"need {1 << c} angles for {c} controls, got {size}")
-    mats = _ladder_rotations(int(axis == "Z"), np.asarray(angles, dtype=float)[None, :])[0]
-    if c == 0:
-        return [_rebuilt_1q(target, mats[0])]
-    return _ladder_gates(mats, tuple(controls), target, entangler == "cz", skip_last)
-
-
 def demultiplex(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors (v, d, w) with u0 = V diag(d) W and u1 = V diag(d)^dag W.
 
@@ -227,14 +203,13 @@ def uc_su2_up_to_diagonal(
 # ---------------------------------------------------------------------------
 # k-qubit unitaries: the cosine-sine tree, one stacked pass per level
 
-# Flag rule of the level pass: a split with a sine under _MIN_SINE or two
-# angles within _MIN_GAP, a demultiplexing with two eigenphases within
-# _MIN_GAP, and stacked factors that miss reconstruction or unitarity at
-# CONSTRUCTION_TOL go through the single-matrix functions, and so does the
-# whole subtree below them.  Those functions fix the phases and order of
-# their factors by other conventions, and the CNOT class of a structured
-# leaf (a permutation's, a Dicke state's) depends on them.
-_MIN_SINE = 1e-3
+# Flag rule of the level pass: stacked factors that miss reconstruction or
+# unitarity at CONSTRUCTION_TOL, and a demultiplexing with two eigenphases
+# within _MIN_GAP (where the stacked eigenbasis is ill-conditioned), go
+# through the single-matrix functions.  Each node is judged by its own
+# numbers; its children are judged again by theirs.  Those functions fix the
+# phases and order of their factors by other conventions, and the CNOT class
+# of a structured leaf (a permutation's, a Dicke state's) depends on them.
 _MIN_GAP = 1e-3
 
 
@@ -251,21 +226,20 @@ def _unitarity_defect(a: np.ndarray) -> np.ndarray:
     return _defect(_dag(a) @ a, np.eye(a.shape[1]))
 
 
-def _split_level(us: np.ndarray, flagged: np.ndarray) -> tuple:
-    """:func:`cosine_sine` factors (l0, l1, theta, r0, r1) of a (N, 2m, 2m)
-    stack, and the flags.
+def _split_level(us: np.ndarray) -> tuple:
+    """:func:`cosine_sine` factors (l0, l1, theta, r0, r1) of a (N, 2m, 2m) stack.
 
     L0, C = cos(theta) and R0 come from one stacked SVD of the top-left
     quadrants.  L1 is U10 R0^dag with its columns normalized, S = sin(theta)
-    their norms, and R1 = -S L0^dag U01 + C L1^dag U11.  A matrix flagged on
-    entry or by its own numbers is split by ``cosine_sine`` instead.
+    their norms, and R1 = -S L0^dag U01 + C L1^dag U11.  A matrix whose
+    factors miss their residual check is split by ``cosine_sine`` instead.
     """
     m = us.shape[1] // 2
     u00, u01, u10, u11 = us[:, :m, :m], us[:, :m, m:], us[:, m:, :m], us[:, m:, m:]
     l0, c, r0 = np.linalg.svd(u00)
     l1 = u10 @ _dag(r0)
     s = np.linalg.norm(l1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sine is flagged below
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sine gives a NaN residual
         l1 = l1 / s[:, None, :]
         r1 = c[:, :, None] * (_dag(l1) @ u11) - s[:, :, None] * (_dag(l0) @ u01)
         # the residuals of the factors as emitted, theta included
@@ -281,25 +255,20 @@ def _split_level(us: np.ndarray, flagged: np.ndarray) -> tuple:
                 _unitarity_defect(r1),
             ]
         )
-    flagged = (
-        flagged
-        | ~(residual <= CONSTRUCTION_TOL)  # "not <=": a NaN residual is flagged
-        | (s.min(axis=1) < _MIN_SINE)
-        | (np.abs(np.diff(theta, axis=1)) < _MIN_GAP).any(axis=1)
-    )
-    for i in flagged.nonzero()[0]:
+    # "not <=": a NaN residual is flagged
+    for i in (~(residual <= CONSTRUCTION_TOL)).nonzero()[0]:
         csd = cosine_sine(us[i])
         l0[i], l1[i], theta[i], r0[i], r1[i] = csd.l0, csd.l1, csd.theta, csd.r0, csd.r1
-    return l0, l1, theta, r0, r1, flagged
+    return l0, l1, theta, r0, r1
 
 
-def _demux_level(u0: np.ndarray, u1: np.ndarray, flagged: np.ndarray) -> tuple:
-    """:func:`demultiplex` factors (v, d, w) of every pair of two (N, m, m)
-    stacks, and the flags.
+def _demux_level(u0: np.ndarray, u1: np.ndarray) -> tuple:
+    """:func:`demultiplex` factors (v, d, w) of every pair of two (N, m, m) stacks.
 
     The eigenbasis of u0 u1^dag comes from one stacked ``eig``, made
-    orthonormal by one stacked QR.  A pair flagged on entry or by its own
-    numbers is demultiplexed by ``demultiplex`` instead.
+    orthonormal by one stacked QR.  A pair whose factors miss their residual
+    check, or whose eigenphases cluster, is demultiplexed by ``demultiplex``
+    instead.
     """
     eig, vecs = np.linalg.eig(u0 @ _dag(u1))
     v = np.linalg.qr(vecs).Q
@@ -316,35 +285,31 @@ def _demux_level(u0: np.ndarray, u1: np.ndarray, flagged: np.ndarray) -> tuple:
     )
     ordered = np.sort(phases, axis=1)
     gaps = np.diff(ordered, axis=1, append=ordered[:, :1] + 2.0 * math.pi)
-    flagged = flagged | ~(residual <= CONSTRUCTION_TOL) | (gaps.min(axis=1) < _MIN_GAP)
-    for i in flagged.nonzero()[0]:
+    for i in (~(residual <= CONSTRUCTION_TOL) | (gaps.min(axis=1) < _MIN_GAP)).nonzero()[0]:
         v[i], d[i], w[i] = demultiplex(u0[i], u1[i])
-    return v, d, w, flagged
+    return v, d, w
 
 
 def _tree_level(nodes: list, k: int, below: list) -> None:
     """Factor every k-qubit node of the tree as one stack and fill its parts.
 
-    A node is (u, first, parts, flagged) with u on qubits first..first+k-1.
+    A node is (u, first, parts) with u on qubits first..first+k-1.
     Its parts become seven lists, in emission order: the two halves of the
     demultiplexed right factor around the gates of their multiplexed Rz, the
     gates of the central multiplexed Ry (its closing CZ absorbed into the
     left factor as a Z on the block's most significant qubit), and the same
     for the left factor.  A half is one leaf when k = 3, and otherwise a node
-    of ``below``, whose parts list it is; it inherits the flag of its
-    demultiplexing.
+    of ``below``, whose parts list it is.
     """
     us = np.array([node[0] for node in nodes], dtype=complex)
     _require_unitary_stack(us, what="k-qubit unitary")
-    l0, l1, theta, r0, r1, flagged = _split_level(us, np.array([node[3] for node in nodes]))
+    l0, l1, theta, r0, r1 = _split_level(us)
     l1[:, :, len(l1[0]) // 2 :] *= -1.0  # the Ry ladder's closing CZ: l1 (Z x I)
-    v, d, w, flagged = _demux_level(
-        np.concatenate((r0, l0)), np.concatenate((r1, l1)), np.concatenate((flagged, flagged))
-    )
+    v, d, w = _demux_level(np.concatenate((r0, l0)), np.concatenate((r1, l1)))
     count = len(nodes)
     # rows: the right Rz ladders, the left Rz ladders, then the Ry ladders
     mats = _ladder_rotations(count * 2, np.concatenate((-2.0 * np.angle(d), 2.0 * theta)))
-    for i, (_, first, parts, _) in enumerate(nodes):
+    for i, (_, first, parts) in enumerate(nodes):
         controls = tuple(range(first + 1, first + k))
         halves = []
         for j in (i, count + i):
@@ -353,7 +318,7 @@ def _tree_level(nodes: list, k: int, below: list) -> None:
                     halves.append([_Leaf(half, first)])
                 else:
                     halves.append([])
-                    below.append((half, first + 1, halves[-1], flagged[j]))
+                    below.append((half, first + 1, halves[-1]))
         parts += (
             halves[0],
             _ladder_gates(mats[i], controls, first),
@@ -381,7 +346,7 @@ def _tree_sinks(blocks: list[tuple[np.ndarray, int]]) -> list[list]:
         k = len(u).bit_length() - 1
         if k >= 3:
             sinks.append([])
-            levels.setdefault(k, []).append((u, first, sinks[-1], False))
+            levels.setdefault(k, []).append((u, first, sinks[-1]))
         elif k == 2:
             pairs.append(u)
             sinks.append([_Leaf(u, first - 1)])
@@ -395,7 +360,7 @@ def _tree_sinks(blocks: list[tuple[np.ndarray, int]]) -> list[list]:
         _tree_level(levels[k], k, levels.setdefault(k - 1, []))
     # each node's parts are lists of items, its children's already flat
     for k in range(3, top + 1):
-        for _, _, parts, _ in levels[k]:
+        for _, _, parts in levels[k]:
             parts[:] = itertools.chain.from_iterable(parts)
     return sinks
 

@@ -143,7 +143,14 @@ def test_bench_zero_trials_header_only(capsys):
 
 def test_bench_bad_range(capsys):
     assert main(["bench", "--n-min", "1", "--n-max", "4"]) == 1
-    assert main(["bench", "--n-min", "4", "--n-max", "12"]) == 1
+    assert main(["bench", "--n-min", "4", "--n-max", "17"]) == 1
+    assert "need 2 <= n_min <= n_max <= 16" in capsys.readouterr().err
+
+
+def test_bench_takes_every_n_that_prepares(capsys):
+    """The bench's limit is the library's: n = 11 runs."""
+    assert main(["bench", "--n-min", "11", "--n-max", "11", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.count("\n11,0,") == 1
 
 
 def test_bench_json_summary(capsys):

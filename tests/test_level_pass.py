@@ -4,8 +4,10 @@ the flag rule that sends a matrix to the single-matrix factorizations.
 Every node at one depth of the tree is factored in one stacked pass; a
 matrix whose own numbers flag it goes through the public ``cosine_sine`` /
 ``demultiplex`` instead.  The counts below were taken from the depth-first
-recursion that the level pass replaced; the level pass must match every
-entry, input by input.
+recursion that the level pass replaced; four structured rows (a permutation
+at k = 3 and 4, a Dicke state at n = 7 and 8) are one CNOT lower since a
+node's flag no longer passes to its subtree.  The level pass must match
+every entry, input by input.
 """
 
 import itertools
@@ -95,7 +97,7 @@ def _synthesize(kind, target):
     return schmidt_prepare(target).total if kind == "state" else synth_kq_unitary(target)
 
 
-# (CNOTs, depth, gates) of the depth-first recursion, input by input
+# (CNOTs, depth, gates), input by input
 PINNED = {
     ("haar", 2, 0): (1, 1, 4),
     ("haar", 2, 1): (1, 1, 4),
@@ -133,11 +135,11 @@ PINNED = {
     ("identity", 3): (13, 13, 43),
     ("tensor", 3): (20, 20, 69),
     ("block_diagonal", 3): (20, 20, 69),
-    ("permutation", 3): (19, 19, 66),
+    ("permutation", 3): (18, 18, 58),
     ("identity", 4): (77, 75, 239),
     ("tensor", 4): (100, 98, 313),
     ("block_diagonal", 4): (100, 98, 313),
-    ("permutation", 4): (100, 98, 313),
+    ("permutation", 4): (99, 97, 310),
     ("ghz", 4): (7, 4, 24),
     ("w", 4): (7, 4, 24),
     ("dicke", 4): (8, 5, 32),
@@ -152,11 +154,11 @@ PINNED = {
     ("bell_pairs", 6): (33, 18, 108),
     ("ghz", 7): (126, 103, 401),
     ("w", 7): (126, 102, 396),
-    ("dicke", 7): (126, 103, 396),
+    ("dicke", 7): (125, 103, 393),
     ("bell_pairs", 7): (97, 80, 304),
     ("ghz", 8): (204, 99, 634),
     ("w", 8): (203, 99, 626),
-    ("dicke", 8): (211, 103, 654),
+    ("dicke", 8): (210, 103, 651),
     ("bell_pairs", 8): (158, 76, 486),
 }
 
@@ -172,6 +174,86 @@ def test_pinned_inputs_keep_their_counts():
         else:
             assert phase_aligned_distance(circuit_unitary(c), target) <= 1e-9, key
     assert seen == PINNED
+
+
+# -- near-structured inputs ----------------------------------------------------
+
+EPSILONS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def _near_structured_inputs():
+    """(row, kind, target): structured unitaries times expm(i eps H), sparse
+    states, and eps-perturbed GHZ and sum_i |i>|i> states, one eps per entry
+    of EPSILONS."""
+    rng = np.random.default_rng(16)
+    for k in (3, 4, 5):
+        bases = {
+            "identity": np.eye(1 << k, dtype=complex),
+            "tensor": _tensor(k, rng),
+            "block_diagonal": _block_diagonal(k, rng),
+            "permutation": _permutation(k, rng),
+        }
+        for (name, base), eps in itertools.product(bases.items(), EPSILONS):
+            h = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+            yield (name, k), "unitary", base @ sla.expm(0.5j * eps * (h + h.conj().T))
+    for n in range(4, 11):
+        s = np.zeros(1 << n, dtype=complex)
+        s[rng.choice(1 << n, 5, replace=False)] = rng.normal(size=5) + 1j * rng.normal(size=5)
+        yield ("sparse", n), "state", s / np.linalg.norm(s)
+        bases = {"ghz": _weight_state(n, {0, n}), "bell_pairs": _bell_pairs(n)}
+        for (name, base), eps in itertools.product(bases.items(), EPSILONS):
+            s = base + eps * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+            yield (name, n), "state", s / np.linalg.norm(s)
+
+
+# CNOTs per row, one per entry of EPSILONS (a sparse state has one entry)
+NEAR_PINNED = {
+    ("identity", 3): (20, 20, 20, 20),
+    ("tensor", 3): (20, 20, 20, 20),
+    ("block_diagonal", 3): (20, 20, 20, 20),
+    ("permutation", 3): (20, 20, 20, 20),
+    ("identity", 4): (100, 100, 100, 100),
+    ("tensor", 4): (100, 100, 100, 100),
+    ("block_diagonal", 4): (100, 100, 100, 100),
+    ("permutation", 4): (100, 100, 100, 100),
+    ("identity", 5): (444, 444, 444, 444),
+    ("tensor", 5): (444, 444, 444, 444),
+    ("block_diagonal", 5): (444, 444, 444, 444),
+    ("permutation", 5): (444, 444, 444, 444),
+    ("sparse", 4): (8,),
+    ("ghz", 4): (7, 9, 9, 9),
+    ("bell_pairs", 4): (9, 9, 9, 9),
+    ("sparse", 5): (23,),
+    ("ghz", 5): (25, 25, 26, 26),
+    ("bell_pairs", 5): (26, 26, 26, 26),
+    ("sparse", 6): (47,),
+    ("ghz", 6): (47, 47, 47, 47),
+    ("bell_pairs", 6): (47, 47, 47, 47),
+    ("sparse", 7): (116,),
+    ("ghz", 7): (127, 127, 127, 127),
+    ("bell_pairs", 7): (127, 127, 127, 127),
+    ("sparse", 8): (204,),
+    ("ghz", 8): (212, 212, 213, 213),
+    ("bell_pairs", 8): (212, 212, 212, 212),
+    ("sparse", 9): (549,),
+    ("ghz", 9): (557, 556, 556, 557),
+    ("bell_pairs", 9): (548, 557, 556, 557),
+    ("sparse", 10): (919,),
+    ("ghz", 10): (919, 919, 919, 919),
+    ("bell_pairs", 10): (919, 919, 919, 919),
+}
+
+
+def test_near_structured_inputs_keep_their_counts():
+    seen = {}
+    for row, kind, target in _near_structured_inputs():
+        c = _synthesize(kind, target)
+        seen[row] = seen.get(row, ()) + (cnot_count(c),)
+        if kind == "state":
+            assert 1.0 - fidelity(run(c, zero_state(c.n_qubits)), target) <= 1e-9, row
+        else:
+            assert phase_aligned_distance(circuit_unitary(c), target) <= 1e-9, row
+    assert seen == NEAR_PINNED
 
 
 # -- the size limit ------------------------------------------------------------
@@ -224,15 +306,18 @@ def _recorder(monkeypatch, name, record):
 
 
 def test_one_mixed_level_sends_exactly_the_flagged_matrices_to_the_fallback(monkeypatch):
-    """Haar blocks share their levels with flagged blocks: a GHZ and a W
-    Schmidt basis, a permutation, a block-diagonal unitary and one whose
+    """Haar blocks share their levels with structured blocks: a GHZ and a W
+    Schmidt basis, a permutation, block-diagonal unitaries and one whose
     top-left quadrant has a singular value of 1 - 1e-9.  The single-matrix
-    functions see exactly the matrices the level pass flags: the structured
-    blocks and their subtrees, never a Haar block or its subtree."""
+    functions see exactly the matrices whose own numbers flag them: a matrix
+    (or pair) of a mixed stack goes to the fallback iff it does when it is
+    factored alone.  No flag passes down the tree: the children of a flagged
+    split, and its own demultiplexed pairs, are judged by their numbers."""
     rng = np.random.default_rng(33)
     haar = [haar_unitary(16, rng), haar_unitary(8, rng), haar_unitary(16, rng)]
     structured = [
         schmidt_prepare(_weight_state(8, {0, 8})).schmidt.basis_left,
+        _block_diagonal(4, rng),
         _near_unit_cosine(4, rng),
         schmidt_prepare(_weight_state(6, {1})).schmidt.basis_right,
         _permutation(3, rng),
@@ -241,36 +326,56 @@ def test_one_mixed_level_sends_exactly_the_flagged_matrices_to_the_fallback(monk
     # every block on qubits 1..k of a 4-qubit register
     blocks = [(u, 1) for u in haar + structured]
 
-    splits, demuxes, csd_calls, demux_calls, eig_calls = [], [], [], [], []
-    _recorder(monkeypatch, "_split_level", lambda args, out: splits.append((args[0], out[-1])))
-    _recorder(monkeypatch, "_demux_level", lambda args, out: demuxes.append((*args[:2], out[-1])))
+    split_level, demux_level = synthesis._split_level, synthesis._demux_level
+    splits, demuxes, csd_calls, demux_calls = [], [], [], []
+    _recorder(monkeypatch, "_split_level", lambda args, out: splits.append(args[0]))
+    _recorder(monkeypatch, "_demux_level", lambda args, out: demuxes.append(args))
     _recorder(monkeypatch, "cosine_sine", lambda args, out: csd_calls.append(args[0]))
     _recorder(monkeypatch, "demultiplex", lambda args, out: demux_calls.append(args))
-    _recorder(monkeypatch, "unitary_eig", lambda args, out: eig_calls.append(args[0]))
     circuits = synthesis._synth_blocks(blocks, 4)
+    fallback_inputs = sorted(u.tobytes() for u in csd_calls)
+    fallback_pairs = sorted((u0.tobytes(), u1.tobytes()) for u0, u1 in demux_calls)
+
+    def alone(level, calls, *stacks):
+        """Whether each matrix (pair) of a stack is flagged when factored alone."""
+        flags = []
+        for args in zip(*stacks):
+            before = len(calls)
+            level(*(a[None] for a in args))
+            flags.append(len(calls) > before)
+        return np.array(flags)
 
     # levels k = 4 and k = 3; the roots come first in each, in block order
-    (us4, flags4), (us3, flags3) = splits
-    assert flags4.tolist() == [False, False, True, True]
-    assert flags3[:4].tolist() == [False, True, True, True]
-    # the children of the k = 4 roots follow, four per root
-    assert flags3[4:].tolist() == [False] * 8 + [True] * 8
+    us4, us3 = splits
+    flags4, flags3 = (alone(split_level, csd_calls, us) for us in splits)
+    pairs4, pairs3 = demuxes
+    pair_flags4, pair_flags3 = (alone(demux_level, demux_calls, *pairs) for pairs in demuxes)
 
     def as_bytes(stack, flags):
         return sorted(np.ascontiguousarray(u).tobytes() for u in stack[flags])
 
-    expected = as_bytes(us4, flags4) + as_bytes(us3, flags3)
-    assert sorted(u.tobytes() for u in csd_calls) == sorted(expected)
+    assert fallback_inputs == sorted(as_bytes(us4, flags4) + as_bytes(us3, flags3))
     flagged_pairs = [
         (u0.tobytes(), u1.tobytes())
-        for a, b, flags in demuxes
+        for (a, b), flags in ((pairs4, pair_flags4), (pairs3, pair_flags3))
         for u0, u1 in zip(a[flags], b[flags])
     ]
-    called_pairs = [(u0.tobytes(), u1.tobytes()) for u0, u1 in demux_calls]
-    assert sorted(called_pairs) == sorted(flagged_pairs)
-    # two pairs per flagged node: the two k = 4 roots, their 8 children and
-    # the three k = 3 roots
-    assert len(eig_calls) == len(demux_calls) == 2 * (2 + 8 + 3)
+    assert fallback_pairs == sorted(flagged_pairs)
+
+    # the k = 4 roots: Haar, Haar, GHZ basis, block-diagonal, near-unit cosine
+    assert flags4.tolist() == [False, False, True, True, False]
+    # their right pairs, then their left pairs: only the GHZ basis's flag
+    assert pair_flags4.tolist() == [False, False, True, False, False] * 2
+    # the k = 3 roots: Haar, W basis, permutation, block-diagonal
+    assert flags3[:4].tolist() == [False, True, True, True]
+    # four children per k = 4 root: the block-diagonal root's children pass
+    # on their own numbers, the GHZ basis's fail on theirs
+    children = flags3[4:].reshape(5, 4)
+    assert children.tolist() == [[False] * 4] * 2 + [[True] * 4] + [[False] * 4] * 2
+    # the k = 3 pairs, 24 right then 24 left: only the permutation's left pair
+    # is flagged; the pairs of the W basis and the block-diagonal root, whose
+    # splits are flagged, pass on their own numbers
+    assert pair_flags3.nonzero()[0].tolist() == [24 + 2]
 
     for (u, _), c in zip(blocks, circuits):
         k = len(u).bit_length() - 1

@@ -390,7 +390,7 @@ def test_scanner_agrees_with_general_dispatch(monkeypatch):
     same gates (bit for bit) or the same exception and message whether the
     scanner's emitted-form branch reads them or the general dispatch does.
     Two bad statements in either order check that the first in text order
-    raises, although the emitted-form gates are checked only at the end."""
+    raises: every statement, emitted form or not, is checked as it is read."""
     rng = np.random.default_rng(14)
     texts = []
     for n in (2, 3, 4):
@@ -412,6 +412,18 @@ def test_scanner_agrees_with_general_dispatch(monkeypatch):
     assert sum(isinstance(o, list) for o in emitted) >= 24
     messages = {o[1].split(" ")[0] for o in emitted if isinstance(o, tuple)}
     assert {"operand", "qubit", "cx", "angle", "unsupported"} <= messages
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_first_bad_statement_raises(first):
+    """An emitted-form cx on one qubit and an unsupported h, in either order:
+    the first in the text raises, with its own message."""
+    bad = ["cx q[0],q[0];", "h q[0];"]
+    messages = ["cx control and target are both q[0]", "unsupported statement 'h q[0]'"]
+    head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nu3(0.1,0.2,0.3) q[1];\n'
+    with pytest.raises(QasmParseError) as exc:
+        parse_qasm(head + bad[first] + "\n" + bad[1 - first] + "\n")
+    assert str(exc.value) == messages[first]
 
 
 def test_scan_time_is_linear_in_separator_runs():
