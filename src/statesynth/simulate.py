@@ -237,8 +237,10 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         matrices, qubits = _window_products(cnots, factors, n)
     else:
         matrices, qubits = _cnot_kernels(cnots, factors), cnots
-    views = {q: _view(state, sorted(q)) for q in set(qubits)}
-    for m, q in zip(matrices, qubits):
+    # then what is still pending, as 2x2 products on one qubit each
+    steps = [*zip(matrices, qubits), *((m, (q,)) for q, m in pending.items())]
+    views = {q: _view(state, sorted(q)) for q in {q for _, q in steps}}
+    for m, q in steps:
         view, side = views[q]
         if side == _LEFT:
             np.matmul(m, view, out=view)
@@ -246,12 +248,6 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
             np.matmul(view, m.T, out=view)
         else:
             view[...] = (m @ view.reshape(len(m), -1)).reshape(view.shape)
-    for q, m in pending.items():
-        view, side = _local_view(state, q, 2)
-        if side == _LEFT:
-            np.matmul(m, view, out=view)
-        else:
-            np.matmul(view, m.T, out=view)
     return state
 
 
@@ -287,7 +283,8 @@ def state_from_json(text: str, normalize: bool = False) -> np.ndarray:
         raise BadDimensionError('state JSON must be {"n": ..., "amplitudes": [...]}')
     n = data["n"]
     amps = data["amplitudes"]
-    if not isinstance(n, int) or n < 1:
+    # checked before 1 << n is formed, which a huge n could not allocate
+    if type(n) is not int or not 1 <= n <= len(amps).bit_length():
         raise BadDimensionError(f"bad qubit count {n!r}")
     if len(amps) != 1 << n:
         raise BadDimensionError(f"expected {1 << n} amplitudes for n={n}, got {len(amps)}")

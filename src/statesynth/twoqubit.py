@@ -14,19 +14,20 @@ Leaves are synthesized as one stack, in three stages:
    it is pushed into; nothing else runs per leaf;
 2. one stacked Cartan decomposition of every leaf u Delta(t)^dag, formed as
    one stacked product after the chain, from numpy's stacked
-   det/eigvalsh/eigh/solve.  Where an eigenvalue spectrum clusters, the
-   clusters of two are resolved as one stack; only clusters of three or more
-   go through the recursive joint diagonalization.  The coordinates are
-   reduced as one stack, and a twist that leaves the smallest coordinate
-   above _TWIST_TOL is refined, after which the chain restarts after that
-   leaf;
+   det/eigvalsh/eigh/solve.  Where an eigenvalue spectrum clusters, one
+   recursive routine resolves the clusters of each size, across the stack,
+   as one stack; a cluster of two ends at one stacked 2x2 eigh.  The
+   coordinates are reduced as one stack, and a twist that leaves the
+   smallest coordinate above _TWIST_TOL is refined, after which the chain
+   restarts after that leaf;
 3. layout and checks: the leaves are laid out by CNOT class as one stack
    (grouped by class and by the axes exchanged), one stacked SVD splits every
-   local factor, the gates are built on their final qubits, every one-qubit
-   matrix passes one stacked unitarity check, and every leaf's emitted gate
-   list is checked against its class layout, folded into its 4x4 matrix and
-   compared with the leaf at 1e-9.  The fold is stacked over the leaves of
-   one class; nothing is simulated.
+   local factor, and each leaf's gates are emitted on their final qubits by
+   walking its class's row of _LAYOUTS, the one table of leaf gate orders.
+   Every one-qubit matrix passes one stacked unitarity check, and every
+   leaf's emitted gate list is checked against the same row, folded into its
+   4x4 matrix and compared with the leaf at 1e-9.  The fold is stacked over
+   the leaves of one class; nothing is simulated.
 
 The public functions check their input and are one-leaf stacks.
 """
@@ -64,15 +65,13 @@ _AXIS_SWAP = {(0, 1): np.kron(_S, _S), (1, 2): np.kron(_SQRT_X, _SQRT_X), (0, 2)
 
 # eigenvector basis of ZX = iY, used when a CZ is merged into a trailing CNOT
 _G_MERGE = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
+_G_MERGE_DAG = _G_MERGE.conj().T
 
 # CNOT @ m permutes the rows of m; keyed by the control qubit
 _CNOT_ROWS = {1: np.array([0, 1, 3, 2]), 2: np.array([0, 3, 2, 1])}
 
 _EYE4 = np.eye(4, dtype=complex)
 _DIAG = np.arange(4)
-# row and column indices of a two-column block of a 4x4 stack
-_ROWS4 = np.arange(4)[None, :, None]
-_PAIR = np.arange(2)[None, None, :]
 _NO_DIAGONAL = np.ones(4)
 
 # diagonal patterns of XX, YY, ZZ in the magic basis; rows of the linear
@@ -141,106 +140,50 @@ def _centered(m: np.ndarray) -> np.ndarray:
     return m - (trace / dim) * np.eye(dim)
 
 
-def _joint_diagonalize(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
-    """Common orthonormal eigenbasis of commuting real symmetric a and b.
+def _joint_bases(parts: np.ndarray) -> np.ndarray:
+    """Common orthonormal eigenbases P[i] of the pairs parts[:, i], for a (2, N, d, d) stack.
 
-    Always splits on the matrix with the wider spectrum: clustering its
-    eigenvalues at a threshold proportional to its own spread keeps the
-    cross-cluster error at rounding level, and the splittings that sit below
-    that threshold are resolved recursively from the centered restrictions,
-    where they reappear at full relative precision.
+    The two parts of each pair must be commuting real symmetric matrices.
+    Each pair takes the eigenbasis of its part with the wider spectrum:
+    clustering those eigenvalues at a threshold proportional to their own
+    spread keeps the cross-cluster error at rounding level.  The splittings
+    below that threshold are resolved from the centered restrictions of both
+    parts to each cluster, where they reappear at full relative precision;
+    the clusters of one size, across the stack, recurse as one stack.  A
+    cluster's d - 1 gaps sum to less than the spread, so it is smaller than
+    its block; a centered 2x2 pair never clusters, so a 2x2 block ends at
+    its eigenbasis.
     """
-    n = a.shape[0]
-    if n == 1:
-        return np.eye(1)
-    wa = np.linalg.eigvalsh(a)
-    wb = np.linalg.eigvalsh(b)
-    if wb[-1] - wb[0] > wa[-1] - wa[0]:
-        a, b = b, a
-        wa = wb
-    w, p = np.linalg.eigh(a)
-    return _split_clusters(a, b, w, p, wa[-1] - wa[0], depth)
-
-
-def _split_clusters(
-    a: np.ndarray, b: np.ndarray, w: np.ndarray, p: np.ndarray, spread: float, depth: int
-) -> np.ndarray:
-    """Eigenbasis p of a (eigenvalues w, spread ``spread``) resolved by b.
-
-    Within each cluster of w, closer than spread / (4n), the basis is rotated
-    to diagonalize b as well; p is updated in place and returned.
-    """
-    n = len(w)
-    if spread < 1e-13 or depth > 12:
-        # both matrices are scalar on this block; any orthonormal basis works
-        return p
-    tol = spread / (4.0 * n)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] < tol:
-            j += 1
-        if j - i > 1:
-            cols = p[:, i:j]
-            sub_a = _centered(cols.T @ a @ cols)
-            sub_b = _centered(cols.T @ b @ cols)
-            rot = _joint_diagonalize(sub_a, sub_b, depth + 1)
-            p[:, i:j] = cols @ rot
-        i = j
-    return p
-
-
-def _orth_bases(g: np.ndarray) -> np.ndarray:
-    """Real orthogonal P[i] with P[i]^T g[i] P[i] diagonal, for a (N, 4, 4) stack.
-
-    Each g[i] must be complex symmetric unitary (its real and imaginary parts
-    then commute), which holds for every gamma matrix handled here.  The
-    stack takes the eigenbasis of whichever part has the wider spectrum.
-    Where that spectrum clusters (the threshold of _split_clusters), the
-    other part resolves the cluster: clusters of two are resolved as one
-    stack by _rotate_pairs, and a leaf with a cluster of three or more goes
-    through _split_clusters.
-    """
-    sym = g + g.transpose(0, 2, 1)
-    parts = np.array((sym.real, sym.imag)) / 2.0
     w_parts = np.linalg.eigvalsh(parts)
-    spread_a, spread_b = w_parts[:, :, -1] - w_parts[:, :, 0]
+    spread_a, spread_b = w_parts[..., -1] - w_parts[..., 0]
     wider_b = spread_b > spread_a
-    spread = np.where(wider_b, spread_b, spread_a)
     # [0]: the part with the wider spectrum, [1]: the other part
     wide_other = np.where(wider_b[:, None, None], parts[::-1], parts)
     w, p = np.linalg.eigh(wide_other[0])
+    dim = w.shape[-1]
+    if dim == 2:
+        return p
     # links[i, j]: w[i, j] and w[i, j + 1] share a cluster; on a spread below
     # 1e-13 both parts are scalar, any basis works, and no gap is below 0
-    tol = np.where(spread >= 1e-13, spread / (4.0 * 4), 0.0)
+    spread = np.where(wider_b, spread_b, spread_a)
+    tol = np.where(spread >= 1e-13, spread / (4.0 * dim), 0.0)
     links = w[:, 1:] - w[:, :-1] < tol[:, None]
-    if links.any():
-        long_run = (links[:, 1:] & links[:, :-1]).any(axis=1)
-        if long_run.any():
-            for i in long_run.nonzero()[0]:
-                _split_clusters(wide_other[0, i], wide_other[1, i], w[i], p[i], spread[i], 0)
-            links[long_run] = False
-        leaf, start = links.nonzero()
-        if len(leaf):
-            _rotate_pairs(wide_other[:, leaf], p, leaf, start)
+    if not links.any():
+        return p
+    # each run of links opens at a +1 step and closes at a -1 step of the padded links
+    padded = np.zeros((len(w), dim + 1), dtype=np.int8)
+    padded[:, 1:dim] = links
+    steps = padded[:, 1:] - padded[:, :-1]
+    leaf, start = (steps == 1).nonzero()
+    sizes = (steps == -1).nonzero()[1] - start + 1
+    rows = np.arange(dim)[:, None]
+    for size in set(sizes.tolist()):
+        sel = sizes == size
+        at = (leaf[sel, None, None], rows, start[sel, None, None] + np.arange(size))
+        cols = p[at]
+        sub = _centered(cols.transpose(0, 2, 1) @ wide_other[:, leaf[sel]] @ cols)
+        p[at] = cols @ _joint_bases(sub)
     return p
-
-
-def _rotate_pairs(wide_other: np.ndarray, p: np.ndarray, leaf, start) -> None:
-    """_split_clusters on the two-column clusters p[leaf, :, start:start+2], as one stack.
-
-    ``wide_other`` holds the two parts of each cluster's leaf, wider first.
-    On a centered 2x2 block the recursive _joint_diagonalize reduces to the
-    eigenbasis of whichever of the two restrictions has the wider spectrum;
-    the rotated columns are written back into p.
-    """
-    at = (leaf[:, None, None], _ROWS4, start[:, None, None] + _PAIR)
-    cols = p[at]
-    sub = _centered(cols.transpose(0, 2, 1) @ wide_other @ cols)
-    w = np.linalg.eigvalsh(sub)
-    spread_a, spread_b = w[:, :, -1] - w[:, :, 0]
-    _, rot = np.linalg.eigh(np.where((spread_b > spread_a)[:, None, None], sub[1], sub[0]))
-    p[at] = cols @ rot
 
 
 def _kak_stack(xs: np.ndarray):
@@ -254,7 +197,9 @@ def _kak_stack(xs: np.ndarray):
     scale = np.array([cmath.exp(-1j * cmath.phase(d) / 4.0) for d in dets.tolist()])
     m = MAGIC_DAG @ (xs * scale[:, None, None]) @ MAGIC
     g = m @ m.transpose(0, 2, 1)
-    p = _orth_bases(g)
+    # g is complex symmetric unitary, so its real and imaginary parts commute
+    sym = g + g.transpose(0, 2, 1)
+    p = _joint_bases(np.array((sym.real, sym.imag)) / 2.0)
     eig = np.diagonal(p.transpose(0, 2, 1) @ g @ p, axis1=1, axis2=2).copy()
     flip = np.linalg.det(p) < 0
     p[flip, :, 0] = -p[flip, :, 0]
@@ -333,47 +278,9 @@ def _swap_axes(l1, r, l2, sel, i: int, j: int) -> None:
     l2[sel] = cc.conj().T @ l2[sel]
 
 
-@functools.cache
-def _fixed_gates(offset: int) -> tuple:
-    """CNOT(1, 2), H on 2, S on 1 and G_merge^dag on 2, on qubits offset+1, offset+2."""
-    q1, q2 = offset + 1, offset + 2
-    return (
-        Cnot(q1, q2),
-        OneQubitGate(q2, _H),
-        OneQubitGate(q1, _S),
-        OneQubitGate(q2, _G_MERGE.conj().T),
-    )
-
-
-def _interior_gates(hx: float, hy: float, hz: float, offset: int) -> list:
-    """Three-CNOT realization of exp(i(hx XX + hy YY + hz ZZ)).
-
-    Conjugating by CNOT(1,2) turns the interaction into a rotation on qubit 1
-    multiplexed by qubit 2 plus a z-rotation on qubit 2; the trailing
-    CZ-CNOT pair merges into a single CNOT with one-qubit corrections.  The
-    rotations are checked with the rest of the stack.
-    """
-    cx, h_2, s_1, g_merge_dag_2 = _fixed_gates(offset)
-    u_angle, v_angle, c_angle = -2.0 * hx, 2.0 * hy, -2.0 * hz
-    return [
-        g_merge_dag_2,
-        h_2,
-        cx,
-        h_2,
-        s_1,
-        _rebuilt_1q(offset + 2, _rz(c_angle) @ _G_MERGE),
-        _rebuilt_1q(offset + 1, _rx(v_angle)),
-        h_2,
-        cx,
-        h_2,
-        _rebuilt_1q(offset + 1, _rx(u_angle)),
-        cx,
-    ]
-
-
 # the gate layout of a leaf with 0, 1, 2 or 3 CNOTs, position by position: a
 # CNOT is coded by its control, a one-qubit gate by minus its target, both
-# counted from the leaf offset
+# counted from the leaf offset; leaves are emitted and checked by this table
 _LAYOUTS = (
     (-1, -2),
     (-1, -2, 1, -1, -2),
@@ -386,7 +293,7 @@ def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list[int]:
     """Fewest-CNOT layout of L1 exp(i r.(XX, YY, ZZ)) L2, for a stack with r reduced.
 
     Returns the CNOT count of each leaf, and moves, in place, the leaf's
-    coordinates onto the axes its interior realizes (:func:`_interior`), its
+    coordinates onto the axes its interior realizes (:func:`_leaf_gates`), its
     frames absorbing the change; a leaf with no CNOT gets the whole local
     product L1 L2 in l2.  The frames are changed as one stack per axis
     exchange and per class.
@@ -423,33 +330,34 @@ def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list[int]:
     return cnots
 
 
-def _interior(cnots: int, r: list, offset: int) -> list:
-    """A leaf's interior gates on qubits offset+1, offset+2, from its
-    coordinates r as :func:`_kak_frames` left them."""
-    if cnots == 3:
-        return _interior_gates(*r, offset)
-    cx = _fixed_gates(offset)[0]
-    if cnots == 2:
-        return [
-            cx,
-            _rebuilt_1q(offset + 1, _rx(-2.0 * r[0])),
-            _rebuilt_1q(offset + 2, _rz(-2.0 * r[2])),
-            cx,
-        ]
-    return [cx] if cnots else []
+@functools.cache
+def _cnot(offset: int) -> Cnot:
+    """The CNOT(offset+1, offset+2) shared by every leaf at ``offset``."""
+    return Cnot(offset + 1, offset + 2)
 
 
-def _kak_gates(factors: list, interior: list, offset: int) -> list:
-    """A leaf's gates on qubits offset+1, offset+2.
+def _leaf_gates(cnots: int, r: list, frames: tuple, offset: int) -> list:
+    """A leaf's gates on qubits offset+1, offset+2, laid out by _LAYOUTS[cnots].
 
-    ``factors`` holds the one-qubit factor pair of each frame, right frame
-    first; the matrices are checked with the rest of the stack.
+    ``frames`` holds the one-qubit factors (b1, b2) of the right frame and,
+    when there are CNOTs, (a1, a2) of the left; the interior between them
+    realizes exp(i r.(XX, YY, ZZ)), r as :func:`_kak_frames` left it.  With
+    three CNOTs, conjugating by CNOT(1,2) turns the interaction into a
+    rotation on qubit 1 multiplexed by qubit 2 plus a z-rotation on qubit 2;
+    the trailing CZ-CNOT pair merges into a single CNOT with one-qubit
+    corrections.  The matrices are checked with the rest of the stack.
     """
-    (b1, b2), *left = factors
-    gates = [_rebuilt_1q(offset + 1, b1), _rebuilt_1q(offset + 2, b2), *interior]
-    for a1, a2 in left:
-        gates += [_rebuilt_1q(offset + 1, a1), _rebuilt_1q(offset + 2, a2)]
-    return gates
+    hx, hy, hz = r
+    if cnots == 3:
+        c_z = _rz(-2.0 * hz) @ _G_MERGE
+        interior = (_G_MERGE_DAG, _H, _H, _S, c_z, _rx(2.0 * hy), _H, _H, _rx(-2.0 * hx))
+    elif cnots == 2:
+        interior = (_rx(-2.0 * hx), _rz(-2.0 * hz))
+    else:
+        interior = ()
+    mats = iter((*frames[:2], *interior, *frames[2:]))
+    cx = _cnot(offset)
+    return [cx if code > 0 else _rebuilt_1q(offset - code, next(mats)) for code in _LAYOUTS[cnots]]
 
 
 _KIND_TARGET = operator.attrgetter("__class__", "target")
@@ -460,10 +368,9 @@ _MATRIX = operator.attrgetter("matrix")
 def _layout_gates(cnots: int, offset: int) -> tuple[tuple, tuple]:
     """The layout of a leaf with ``cnots`` CNOTs at ``offset``: the (kind,
     target) of each one-qubit gate, and each CNOT, in order."""
-    cx = _fixed_gates(offset)[0]
     layout = _LAYOUTS[cnots]
     one_qubit = tuple((OneQubitGate, offset - code) for code in layout if code < 0)
-    return one_qubit, (cx,) * layout.count(1)
+    return one_qubit, (_cnot(offset),) * layout.count(1)
 
 
 def _check_leaves(leaves: list) -> None:
@@ -684,8 +591,8 @@ def _synth_leaves(leaves: list) -> None:
     lefts = zip(a[len(leaves):], b[len(leaves):])
     for leaf, c, coords in zip(leaves, cnots, r.tolist()):
         leaf.cnots = c
-        factors = [next(rights), next(lefts)] if c else [next(rights)]
-        leaf.gates = _kak_gates(factors, _interior(c, coords, leaf.offset), leaf.offset)
+        frames = (*next(rights), *next(lefts)) if c else next(rights)
+        leaf.gates = _leaf_gates(c, coords, frames, leaf.offset)
     _check_leaves(leaves)
 
 

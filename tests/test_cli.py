@@ -86,6 +86,18 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("n", [2**64, True])
+def test_bad_qubit_count_exit_code(tmp_path, capsys, n):
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+    qasm = tmp_path / "one.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n')
+    for argv in (["prepare", str(path)], ["verify", str(qasm), str(path)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "bad qubit count" in err and "Traceback" not in err
+
+
 def test_unnormalized_exit_code(tmp_path):
     path = tmp_path / "unnorm.json"
     amps = [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]

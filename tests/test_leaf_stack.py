@@ -9,6 +9,7 @@ with the same matrix bytes.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import scipy.linalg as sla
 from statesynth import (
     Circuit,
     Cnot,
+    OneQubitGate,
     haar_state,
     haar_unitary,
     schmidt_prepare,
@@ -230,9 +232,28 @@ def _mixed_stack():
     return np.array(stack + twisted), flags
 
 
+def _near_special_leaves():
+    """The CNOT, SWAP, sqrt(SWAP), CZ and identity classes between random
+    locals, times expm(i eps H) for eps = 0 and 1e-14..1e-8, 6 per class and
+    eps: 150 leaves a hair off a special stratum."""
+    rng = np.random.default_rng(71)
+    cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    leaves = []
+    for special in (cnot, swap, sla.sqrtm(swap), cz, np.eye(4, dtype=complex)):
+        for eps in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+            for _ in range(6):
+                g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                a = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+                b = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+                leaves.append(a @ special @ b @ sla.expm(0.5j * eps * (g + g.conj().T)))
+    return np.array(leaves)
+
+
 def _clusters(x):
     """Cluster sizes of the wider part of the gamma spectrum of x, in
-    ascending order, at the threshold of _split_clusters; "flat" below its
+    ascending order, at the threshold of _joint_bases; "flat" below its
     spread floor."""
     u = twoqubit.to_su4(x)
     m = MAGIC_DAG @ u @ MAGIC
@@ -257,45 +278,38 @@ def test_mixed_stack_covers_every_cluster_path():
     assert patterns & {(3, 1), (1, 3), (4,)}
 
 
+def _resolver_calls(monkeypatch) -> list:
+    """Record the (2, N, d, d) stack of each call of twoqubit._joint_bases."""
+    calls = []
+    joint = twoqubit._joint_bases
+    monkeypatch.setattr(twoqubit, "_joint_bases", lambda parts: calls.append(parts) or joint(parts))
+    return calls
+
+
+def _block_sizes(calls) -> list:
+    return [parts.shape[-1] for parts in calls]
+
+
 def test_stacked_kak_matches_the_single_matrix_kak(monkeypatch):
-    stack = _mixed_stack()[0]
-    clustered = []
-    split = twoqubit._split_clusters
-    monkeypatch.setattr(twoqubit, "_split_clusters", lambda *a: clustered.append(1) or split(*a))
-    l1s, hs, l2s, phases, failed = twoqubit._kak_stack(stack)
-    # only the leaves with a cluster of three or more go through the recursion
-    assert 0 < len(clustered) < len(stack)
-    assert not failed.any()
-    for i, u in enumerate(stack):
-        ref_l1, ref_h, ref_l2, ref_phase = _reference_kak(u)
-        for ours, ref in ((l1s[i], ref_l1), (hs[i], ref_h), (l2s[i], ref_l2)):
-            assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(ref).tobytes()
-        assert phases[i] == ref_phase
-        one = twoqubit.kak_decompose(u)
-        assert one[1].tobytes() == ref_h.tobytes() and one[3] == ref_phase
+    """Byte for byte the single-matrix decomposition, with one resolver call
+    per block size and depth, however many leaves cluster."""
+    calls = _resolver_calls(monkeypatch)
+    for stack in (_mixed_stack()[0], _near_special_leaves()):
+        calls.clear()
+        l1s, hs, l2s, phases, failed = twoqubit._kak_stack(stack)
+        sizes = _block_sizes(calls)
+        assert sizes[0] == 4 and 1 < len(sizes) <= 4
+        assert not failed.any()
+        for i, u in enumerate(stack):
+            ref_l1, ref_h, ref_l2, ref_phase = _reference_kak(u)
+            for ours, ref in ((l1s[i], ref_l1), (hs[i], ref_h), (l2s[i], ref_l2)):
+                assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(ref).tobytes()
+            assert phases[i] == ref_phase
+            one = twoqubit.kak_decompose(u)
+            assert one[1].tobytes() == ref_h.tobytes() and one[3] == ref_phase
 
 
 # -- the per-leaf forms of the stacked steps, as they were before stacking ----
-
-
-def _serial_orth_bases(g):
-    """_orth_bases with every clustered leaf resolved by its own _split_clusters call."""
-    sym = g + g.transpose(0, 2, 1)
-    a = sym.real / 2.0
-    b = sym.imag / 2.0
-    wa = np.linalg.eigvalsh(a)
-    wb = np.linalg.eigvalsh(b)
-    spread_a = wa[:, -1] - wa[:, 0]
-    spread_b = wb[:, -1] - wb[:, 0]
-    wider_b = (spread_b > spread_a)[:, None, None]
-    spread = np.where(wider_b[:, 0, 0], spread_b, spread_a)
-    wide = np.where(wider_b, b, a)
-    w, p = np.linalg.eigh(wide)
-    clustered = (w[:, 1:] - w[:, :-1] < (spread / (4.0 * 4))[:, None]).any(axis=1)
-    for i in clustered.nonzero()[0]:
-        other = np.where(wider_b[i], a[i], b[i])
-        twoqubit._split_clusters(wide[i], other, w[i], p[i], spread[i], 0)
-    return p
 
 
 def _serial_reduce(l1, h):
@@ -316,30 +330,66 @@ def _serial_swap_axes(l1, r, l2, i, j):
     return l1 @ cc, r, cc.conj().T @ l2
 
 
+_REF_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_REF_S = np.diag([1.0, 1j])
+_REF_G_MERGE = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0)
+
+
+def _ref_rx(theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def _ref_rz(theta):
+    return np.diag([cmath.exp(-1j * theta / 2.0), cmath.exp(1j * theta / 2.0)])
+
+
+def _ref_interior(r, offset):
+    """The interior gates of a leaf with coordinates r on qubits offset+1,
+    offset+2: the CNOT(1,2) conjugation with its trailing CZ-CNOT pair merged
+    into one CNOT, written out gate by gate apart from the layout table."""
+    q1, q2 = offset + 1, offset + 2
+    cx, h_2 = Cnot(q1, q2), OneQubitGate(q2, _REF_H)
+    return [
+        OneQubitGate(q2, _REF_G_MERGE.conj().T),
+        h_2,
+        cx,
+        h_2,
+        OneQubitGate(q1, _REF_S),
+        OneQubitGate(q2, _ref_rz(-2.0 * r[2]) @ _REF_G_MERGE),
+        OneQubitGate(q1, _ref_rx(2.0 * r[1])),
+        h_2,
+        cx,
+        h_2,
+        OneQubitGate(q1, _ref_rx(-2.0 * r[0])),
+        cx,
+    ]
+
+
 def _serial_kak_frames(l1, r, l2, offset):
     """(frames, interior) of one leaf: its local tensor products, right frame
     first (L1 L2 alone when the interior is empty), and its interior gates."""
     tol = twoqubit._CLASS_TOL
-    cx = twoqubit._fixed_gates(offset)[0]
+    cx = Cnot(offset + 1, offset + 2)
     zero = np.abs(r) <= tol
     if zero.all():
         return [l1 @ l2], []
     if zero.sum() == 2 and abs(np.pi / 4.0 - np.max(np.abs(r))) <= tol:
         l1, r, l2 = _serial_swap_axes(l1, r, l2, int(np.argmin(zero)), 2)
         p = np.diag([1.0, -1j * np.sign(r[2])])
-        l1 = l1 @ np.kron(p, p @ twoqubit._H)
-        l2 = np.kron(np.eye(2), twoqubit._H) @ l2
+        l1 = l1 @ np.kron(p, p @ _REF_H)
+        l2 = np.kron(np.eye(2), _REF_H) @ l2
         interior = [cx]
     elif zero.any():
         l1, r, l2 = _serial_swap_axes(l1, r, l2, 1 if zero[1] else int(np.argmax(zero)), 1)
         interior = [
             cx,
-            twoqubit._rebuilt_1q(offset + 1, twoqubit._rx(-2.0 * r[0])),
-            twoqubit._rebuilt_1q(offset + 2, twoqubit._rz(-2.0 * r[2])),
+            OneQubitGate(offset + 1, _ref_rx(-2.0 * r[0])),
+            OneQubitGate(offset + 2, _ref_rz(-2.0 * r[2])),
             cx,
         ]
     else:
-        interior = twoqubit._interior_gates(*r, offset)
+        interior = _ref_interior(r, offset)
     return [l2, l1], interior
 
 
@@ -348,13 +398,16 @@ def _same_bytes(a, b):
 
 
 def test_orth_bases_match_the_per_leaf_cluster_loop(monkeypatch):
-    stack = _mixed_stack()[0]
-    gammas = []
-    orth = twoqubit._orth_bases
-    monkeypatch.setattr(twoqubit, "_orth_bases", lambda g: gammas.append(g.copy()) or orth(g))
+    """The stacked resolver gives every leaf's basis byte for byte as the
+    per-leaf recursion does."""
+    stack = np.concatenate((_mixed_stack()[0], _near_special_leaves()))
+    joint = twoqubit._joint_bases
+    calls = _resolver_calls(monkeypatch)
     twoqubit._kak_stack(stack)
-    (g,) = gammas
-    assert _same_bytes(orth(g.copy()), _serial_orth_bases(g.copy()))
+    parts = calls[0]
+    ours = joint(parts.copy())
+    for i in range(parts.shape[1]):
+        assert _same_bytes(ours[i], _ref_joint_diagonalize(parts[0, i], parts[1, i]))
 
 
 def test_stacked_reduce_and_layout_match_the_per_leaf_forms():
@@ -377,26 +430,25 @@ def test_stacked_reduce_and_layout_match_the_per_leaf_forms():
         ours = [l2_f[i], l1_f[i]] if cnots[i] else [l2_f[i]]
         assert len(ours) == len(ref_frames)
         assert all(_same_bytes(a, b) for a, b in zip(ours, ref_frames))
-        interior = twoqubit._interior(cnots[i], r_f[i].tolist(), offset)
-        assert sum(isinstance(g, Cnot) for g in interior) == cnots[i]
-        _assert_same_gates(interior, ref_interior)
+        # the emitted leaf: right frame, interior, left frame
+        ones = [m for pair in zip(*twoqubit._tensor_split(np.array(ours))) for m in pair]
+        gates = twoqubit._leaf_gates(cnots[i], r_f[i].tolist(), tuple(ones), offset)
+        frame_gates = [OneQubitGate(offset + 1 + j % 2, m) for j, m in enumerate(ones)]
+        assert sum(isinstance(g, Cnot) for g in gates) == cnots[i]
+        _assert_same_gates(gates, frame_gates[:2] + ref_interior + frame_gates[2:])
 
 
 def test_pair_clusters_are_resolved_without_recursion(monkeypatch):
-    """Every cluster of a Haar n = 8 prepare is a pair, resolved by the
-    stacked rotation; a cluster of three (the sqrt(SWAP) class) still takes
-    the recursive joint diagonalization."""
-    recursed, paired = [], []
-    joint = twoqubit._joint_diagonalize
-    pairs = twoqubit._rotate_pairs
-    monkeypatch.setattr(twoqubit, "_joint_diagonalize", lambda *a: recursed.append(1) or joint(*a))
-    monkeypatch.setattr(twoqubit, "_rotate_pairs", lambda *a: paired.append(len(a[2])) or pairs(*a))
+    """Every cluster of a Haar n = 8 prepare is a pair, a 2x2 block that ends
+    at its eigenbasis; a cluster of three (the sqrt(SWAP) class) reaches a 3x3
+    block."""
     stack = _mixed_stack()[0]
-    recursed.clear()
+    calls = _resolver_calls(monkeypatch)
     schmidt_prepare(haar_state(8, np.random.default_rng(90)))
-    assert recursed == [] and sum(paired) > 0
+    assert set(_block_sizes(calls)) == {4, 2}
+    calls.clear()
     twoqubit._kak_stack(stack)
-    assert recursed
+    assert 3 in _block_sizes(calls)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

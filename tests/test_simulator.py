@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from statesynth import (
+    BadDimensionError,
     Circuit,
     Cnot,
     DimensionMismatchError,
@@ -270,6 +271,15 @@ def test_state_json_rejects_unnormalized():
         state_from_json(json.dumps(payload))
     fixed = state_from_json(json.dumps(payload), normalize=True)
     assert np.allclose(fixed, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [2**64, True])
+def test_state_json_rejects_a_bad_qubit_count(n):
+    """A count far above what the amplitudes hold, or a boolean, is
+    rejected before any 2^n is formed."""
+    payload = {"n": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(BadDimensionError):
+        state_from_json(json.dumps(payload))
 
 
 def test_two_pass_run_matches_dense_reference_on_long_circuits():

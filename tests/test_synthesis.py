@@ -420,8 +420,8 @@ def test_reordered_leaf_gate_fails_the_leaf_check(monkeypatch, mutation):
             del gates[2]
         return gates
 
-    for synth, arg, at in _mutated_calls(monkeypatch, "_kak_gates"):
-        _mutate_one_call(monkeypatch, twoqubit, "_kak_gates", at, mutate_result=mutated)
+    for synth, arg, at in _mutated_calls(monkeypatch, "_leaf_gates"):
+        _mutate_one_call(monkeypatch, twoqubit, "_leaf_gates", at, mutate_result=mutated)
         with pytest.raises(SynthesisError):
             synth(arg)
         monkeypatch.undo()
