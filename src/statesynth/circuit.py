@@ -2,9 +2,19 @@
 
 Qubit indices are 1-based; qubit 1 is the most significant bit of basis-state
 labels.  Circuits are immutable after construction.
+
+A circuit has two forms, each derived from the other on first use and then
+cached: the tuple of gate objects, ``gates``, and a private array form,
+``_arrays``, in gate order: an (G, 2) integer array ``ops`` holding
+(control, target) for a CNOT and (target, 0) for a one-qubit gate, and the
+(G1, 2, 2) stack ``mats`` of the one-qubit matrices.  A circuit built from
+gates derives its arrays when a bulk reader (emission, the windowed
+simulator) first asks; a parsed circuit is built from arrays and derives its
+gate tuple only if something reads it.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +74,28 @@ def _require_unitary_stack(ms: np.ndarray, what: str = "matrix") -> None:
                 require_unitary(m, what=what)
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral value raises BadDimensionError.
+
+    NumPy integers are accepted and come back as int.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadDimensionError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class OneQubitGate:
     target: int
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "target", _index(self.target, "gate qubit"))
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise BadDimensionError(f"one-qubit gate matrix must be 2x2, got {m.shape}")
@@ -96,6 +122,8 @@ class Cnot:
     target: int
 
     def __post_init__(self):
+        object.__setattr__(self, "control", _index(self.control, "CNOT control"))
+        object.__setattr__(self, "target", _index(self.target, "CNOT target"))
         if self.control == self.target:
             raise BadDimensionError("CNOT control and target must differ")
 
@@ -115,6 +143,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _index(self.n_qubits, "qubit count"))
         if self.n_qubits < 1:
             raise BadDimensionError("circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -126,7 +155,49 @@ class Circuit:
                     )
 
     def __len__(self) -> int:
-        return len(self.gates)
+        # read from the form at hand: a parsed circuit's gates are not derived for it
+        return len(self.gates if "gates" in self.__dict__ else self._arrays[0])
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: the form not yet derived,
+        # which is derived from the other and cached
+        if name == "gates" and "_arrays" in self.__dict__:
+            value = _gates_from_arrays(*self._arrays)
+        elif name == "_arrays" and "gates" in self.__dict__:
+            value = _arrays_from_gates(self.gates)
+        else:
+            raise AttributeError(f"'Circuit' object has no attribute {name!r}")
+        self.__dict__[name] = value
+        return value
+
+
+def _gates_from_arrays(ops: np.ndarray, mats: np.ndarray) -> tuple[Gate, ...]:
+    """The gate tuple of an array form: one CNOT object per qubit pair, and
+    each one-qubit gate holding a view of its row of the matrix stack."""
+    cnots = {pair: Cnot(*pair) for pair in set(map(tuple, ops[ops[:, 1] > 0].tolist()))}
+    it = iter(mats)
+    return tuple(cnots[a, b] if b else _rebuilt_1q(a, next(it)) for a, b in ops.tolist())
+
+
+def _arrays_from_gates(gates: tuple[Gate, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The array form (ops, mats) of a gate tuple; see the module docstring."""
+    flat, mats = [], []
+    for g in gates:
+        if isinstance(g, Cnot):
+            flat += (g.control, g.target)
+        else:
+            flat += (g.target, 0)
+            mats.append(g.matrix)
+    ops = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    return ops, np.array(mats, dtype=complex).reshape(-1, 2, 2)
+
+
+def _from_arrays(n_qubits: int, ops: np.ndarray, mats: np.ndarray) -> Circuit:
+    """A circuit from its array form, whose qubits are known to lie in
+    1..n_qubits and whose matrices already passed the gate checks."""
+    c = object.__new__(Circuit)
+    c.__dict__.update(n_qubits=n_qubits, _arrays=(ops, mats))
+    return c
 
 
 def _rewrapped(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:

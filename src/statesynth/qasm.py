@@ -2,9 +2,13 @@
 
 Qubit j maps to register index j-1.  One-qubit gates are stored as full 2x2
 unitaries in the IR and converted to ZYZ Euler angles only here, once per
-circuit: emission turns the (G, 2, 2) stack of all one-qubit matrices into
-angles in one pass, and parsing collects every u3's angles, then builds and
-checks all the matrices as one stack.
+circuit.  Both directions work on the circuit's array form (see
+``circuit``): emission turns its (G1, 2, 2) matrix stack into angles in one
+pass and writes one line per row of its ops array, and parsing collects every
+u3's angles and every statement's qubits in flat lists, then builds and
+checks all the matrices as one stack and returns the circuit as those
+arrays, with no gate object; its ``gates`` are derived if something reads
+them.
 
 Parsing is one ``finditer`` scan of the text, with one match per statement
 or comment; a statement ends at a ";", a comment or a line break.  The forms
@@ -23,7 +27,7 @@ import re
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, _rebuilt_1q, _require_unitary_stack, _rewrapped
+from .circuit import Circuit, _from_arrays, _require_unitary_stack
 from .errors import QasmParseError
 
 
@@ -65,21 +69,26 @@ def u3_matrix(theta: np.ndarray, phi: np.ndarray, lam: np.ndarray) -> np.ndarray
     out[:, 0, 0] = c
     out[:, 0, 1] = -np.exp(1j * lam) * s
     out[:, 1, 0] = np.exp(1j * phi) * s
-    out[:, 1, 1] = np.exp(1j * (phi + lam)) * c
+    with np.errstate(over="ignore"):
+        total = phi + lam
+    wide = ~np.isfinite(total)  # finite angles whose sum overflows
+    total[wide] = 0.0
+    out[:, 1, 1] = np.exp(1j * total) * c
+    out[wide, 1, 1] = np.exp(1j * phi[wide]) * np.exp(1j * lam[wide]) * c[wide]
     return out
 
 
 def emit_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text using only u3 and cx."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.n_qubits}];"]
-    ones = [g.matrix for g in c.gates if not isinstance(g, Cnot)]
-    angles = iter(zyz_angles(np.array(ones)).tolist())
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            lines.append(f"cx q[{g.control - 1}],q[{g.target - 1}];")
+    ops, mats = c._arrays
+    angles = iter(zyz_angles(mats).tolist())
+    for a, b in ops.tolist():
+        if b:
+            lines.append(f"cx q[{a - 1}],q[{b - 1}];")
         else:
             theta, phi, lam = next(angles)
-            lines.append(f"u3({theta!r},{phi!r},{lam!r}) q[{g.target - 1}];")
+            lines.append(f"u3({theta!r},{phi!r},{lam!r}) q[{a - 1}];")
     return "\n".join(lines) + "\n"
 
 
@@ -186,13 +195,13 @@ def parse_qasm(text: str) -> Circuit:
     """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit.
 
     One scan reads and checks the statements, each as it is read; every u3
-    matrix is built and checked at the end, as one stack.
+    matrix is built and checked at the end, as one stack.  The circuit is
+    returned in its array form.
     """
     n_qubits = None
     reg = None
-    gates = []  # the 1-based target of each u3, the (control, target) of each cx
+    ops = []  # the 1-based (target, 0) of each u3 and (control, target) of each cx, flat
     angles = []  # theta, phi, lam of each u3, flat
-    pairs = set()  # the (control, target) of every cx
     for m in _SCAN_RE.finditer(text):
         kind = m.lastindex
         if kind == _U3_EMITTED:
@@ -202,20 +211,20 @@ def parse_qasm(text: str) -> Circuit:
             q = int(m[5]) + 1
             if m[4] != reg or q > n_qubits or not math.isfinite(theta + phi + lam):
                 # the general dispatch's checks decide, with their messages
-                # (they pass finite angles whose sum overflows)
+                # (they pass finite angles whose sum overflows, which
+                # u3_matrix takes apart)
                 for arg in m.group(1, 2, 3):
                     _eval_angle(arg)
                 _qubit(m[4], m[5], reg, n_qubits)
             angles += (theta, phi, lam)
-            gates.append(q)
+            ops += (q, 0)
         elif kind == _CX_EMITTED:
             if n_qubits is None:
                 raise QasmParseError("gate before qreg declaration")
             pair = int(m[7]) + 1, int(m[9]) + 1
             if m[6] != reg or m[8] != reg or max(pair) > n_qubits or pair[0] == pair[1]:
                 _cx(m.group(6, 7, 8, 9), reg, n_qubits)  # raises, with its message
-            gates.append(pair)
-            pairs.add(pair)
+            ops += pair
         elif kind == _OTHER:
             stmt = m[_OTHER].strip()
             if not stmt or _HEADER_RE.fullmatch(stmt):
@@ -232,9 +241,7 @@ def parse_qasm(text: str) -> Circuit:
             if m:
                 if n_qubits is None:
                     raise QasmParseError("gate before qreg declaration")
-                pair = _cx(m.group(1, 2, 3, 4), reg, n_qubits)
-                gates.append(pair)
-                pairs.add(pair)
+                ops += _cx(m.group(1, 2, 3, 4), reg, n_qubits)
                 continue
             m = _U_RE.fullmatch(stmt)
             if m:
@@ -244,7 +251,7 @@ def parse_qasm(text: str) -> Circuit:
                 if len(args) != 3:
                     raise QasmParseError(f"u3 needs 3 angles, got {len(args)}")
                 angles += (_eval_angle(a) for a in args)
-                gates.append(_qubit(m.group(3), m.group(4), reg, n_qubits))
+                ops += (_qubit(m.group(3), m.group(4), reg, n_qubits), 0)
                 continue
             raise QasmParseError(f"unsupported statement {stmt!r}")
     if n_qubits is None:
@@ -252,10 +259,7 @@ def parse_qasm(text: str) -> Circuit:
     theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
     matrices = u3_matrix(theta, phi, lam)
     _require_unitary_stack(matrices)
-    it = iter(matrices)
-    cnots = {pair: Cnot(*pair) for pair in pairs}  # one gate object per qubit pair
-    gates = [cnots[g] if type(g) is tuple else _rebuilt_1q(g, next(it)) for g in gates]
-    return _rewrapped(n_qubits, tuple(gates))
+    return _from_arrays(n_qubits, np.array(ops, dtype=np.intp).reshape(-1, 2), matrices)
 
 
 def _qubit(name: str, index: str, reg: str, n_qubits: int) -> int:

@@ -6,13 +6,12 @@ state or on a stack of states held as columns, through reshaped views that
 put the gate's qubits on axes of length 2.  No 2^n x 2^n gate matrices are
 formed.
 
-``run`` works in two passes.  The first, in Python, walks the gates and
-multiplies back-to-back one-qubit gates on a qubit into one pending 2x2
-matrix; one-qubit gates on different qubits commute, so only the CNOTs order
-the kernels.  Each CNOT takes in the pending matrices of its two qubits
-(identity where none) and is recorded with them.  The second pass builds
-every CNOT's 4x4 kernel at once, as one stacked Kronecker product with the
-CNOT's row permutation.  It then groups the kernels into windows: maximal
+``run`` works in two passes.  The first multiplies back-to-back one-qubit
+gates on a qubit into one pending 2x2 matrix; one-qubit gates on different
+qubits commute, so only the CNOTs order the kernels.  Each CNOT takes in the
+pending matrices of its two qubits (identity where none).  The second pass
+builds every CNOT's 4x4 kernel at once, as one stacked Kronecker product with
+the CNOT's row permutation.  It then groups the kernels into windows: maximal
 runs of consecutive kernels that together touch at most three qubits (a
 window on two qubits is widened by a neighbouring third).  Each kernel is
 gathered into its window's 8x8 through fixed index tables, the windows are
@@ -25,10 +24,15 @@ ends is applied as 2x2 products.
 The window build has a fixed cost that a short circuit or a small state
 does not repay.  When the amplitude count (2^n times the columns) times the
 CNOT count is below ``_WINDOW_MIN_WORK``, or n < 3, the kernels are applied
-one per CNOT instead, over their pairs, in the same way.
+one per CNOT instead, over their pairs, in the same way.  The same test
+picks the first pass.  On the window path it reads the circuit's array form
+(see ``circuit``): one sort assigns every one-qubit gate to the CNOT side or
+trailing slot it feeds, and the runs are multiplied out by rank as stacked
+2x2 products; a parsed circuit is simulated without any gate object.  Below
+the bound, where that fixed cost would not be repaid either, it walks the
+gate objects.  Both give the same products, bit for bit.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -106,14 +110,14 @@ _EMBED = _embed_tables()
 _STACK_SLOTS = 256
 
 
-def _cnot_kernels(cnots: list, factors: list) -> np.ndarray:
+def _cnot_kernels(flip: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """The (K, 4, 4) kernels of K CNOTs, each after the pending products on its qubits.
 
-    ``cnots`` holds the (control, target) pairs; ``factors`` holds, flat,
-    the products pending on the control and on the target of each.
+    ``flip`` marks each CNOT whose control is the higher qubit; ``factors``,
+    a (2K, 2, 2) array, holds the products pending on the control and on the
+    target of each, and is reordered in place.
     """
-    f = np.array(factors).reshape(-1, 2, 2, 2)
-    flip = np.array([c > t for c, t in cnots], dtype=bool)  # the control is the higher qubit
+    f = factors.reshape(-1, 2, 2, 2)
     f[flip] = f[flip, ::-1]  # now the products on lo, hi
     kron = (f[:, 0, :, None, :, None] * f[:, 1, None, :, None, :]).reshape(-1, 4, 4)
     return kron[np.arange(len(kron))[:, None], _CNOT_ROWS[flip.astype(int)]]
@@ -145,23 +149,26 @@ def _windows(cnots: list, n: int) -> tuple:
     return starts, [triples[mask] for mask in masks]
 
 
-def _window_products(cnots: list, factors: list, n: int) -> tuple:
+def _window_products(pairs: np.ndarray, factors: np.ndarray, n: int) -> tuple:
     """The (W, 8, 8) products of the W windows of the CNOTs, and their qubits.
+
+    ``pairs`` holds the (control, target) of each CNOT, as a (K, 2) array,
+    and ``factors`` the products pending on them, as :func:`_cnot_kernels`
+    takes them.
 
     Every kernel is placed in its window's 8x8 by one gather through the
     ``_EMBED`` tables.  Windows of up to 2^r kernels are multiplied as
     stacks of at most ``_STACK_SLOTS`` factors, padded at the front with
     identities to 2^r factors each and reduced pairwise in r rounds.
     """
-    starts, triples = _windows(cnots, n)
-    k = len(cnots)  # kernel k, the last, is the identity that pads the stacks
+    starts, triples = _windows(pairs.tolist(), n)
+    k = len(pairs)  # kernel k, the last, is the identity that pads the stacks
     kernels = np.zeros((k + 1, 18), dtype=complex)  # 16 entries, then a zero and a one
-    kernels[:k, :16] = _cnot_kernels(cnots, factors).reshape(-1, 16)
+    kernels[:k, :16] = _cnot_kernels(pairs[:, 0] > pairs[:, 1], factors).reshape(-1, 16)
     kernels[:, 17] = 1.0
     # each kernel's placement: its qubits' positions in its window's triple
     lengths = np.diff([*starts, k])
     window = np.array(triples)[np.repeat(np.arange(len(starts)), lengths)]
-    pairs = np.fromiter(itertools.chain.from_iterable(cnots), dtype=np.intp).reshape(-1, 2)
     place = np.full(k + 1, 3)
     place[:k] = (pairs.min(1) > window[:, 0]).astype(np.intp) + (pairs.max(1) > window[:, 1])
     products = np.empty((len(starts), 8, 8), dtype=complex)
@@ -207,6 +214,67 @@ def _view(state: np.ndarray, qubits: list) -> tuple:
     return state.reshape(*shape, 2, -1).transpose(_QUBIT_AXES_FIRST[k]), _COPY
 
 
+def _fold_gates(gates: tuple) -> tuple:
+    """Pass 1 as a walk over the gate objects.
+
+    Returns the (control, target) of each CNOT, the products pending on its
+    control and target, flat, and the (qubit, product) still pending at the
+    end, in the order their first gates come.
+    """
+    pending = {}  # qubit -> product of its one-qubit gates not yet applied
+    cnots = []
+    factors = []
+    for g in gates:
+        if isinstance(g, Cnot):
+            cnots.append((g.control, g.target))
+            factors += (pending.pop(g.control, _I2), pending.pop(g.target, _I2))
+        else:
+            m = pending.get(g.target)
+            pending[g.target] = g.matrix if m is None else g.matrix @ m
+    return cnots, factors, list(pending.items())
+
+
+def _fold_stack(ops: np.ndarray, mats: np.ndarray, n: int) -> tuple:
+    """Pass 1 on the circuit's array form, with the products of the walk.
+
+    Every one-qubit gate feeds a slot: the control or target side of the
+    next CNOT on its qubit, or, after the last, its qubit's trailing slot.
+    One sort of the gates and CNOT sides on (qubit, position), with an end
+    marker per qubit, puts each gate just before the slot it feeds, with
+    the gates of one slot in circuit order.  The runs are then multiplied
+    out by rank, the r-th gate of every run at once, left-multiplying as
+    the walk does.  Returns the (K, 2) CNOT pairs, a (2K + n, 2, 2) factor
+    array (control and target side of each CNOT, then one slot per qubit)
+    and the (qubit, product) of the trailing slots that hold a gate, in the
+    order their first gates come.
+    """
+    g = len(ops)
+    cx = ops[:, 1] > 0
+    pairs = ops[cx]
+    k = len(pairs)
+    one = np.flatnonzero(~cx)  # the position of each one-qubit gate
+    # the events: each one-qubit gate, then each slot (both sides of each
+    # CNOT, then each qubit's end marker), so that event len(one) + s is slot s
+    qubit = np.concatenate([ops[one, 0], pairs.ravel(), np.arange(1, n + 1)])
+    position = np.concatenate([one, np.repeat(np.flatnonzero(cx), 2), np.full(n, g)])
+    order = np.argsort(qubit * (g + 1) + position)
+    ends = np.flatnonzero(order >= len(one))  # the slots, in sorted order
+    gate_at = np.flatnonzero(order < len(one))
+    nxt = np.searchsorted(ends, gate_at)
+    gate_slot = order[ends[nxt]] - len(one)
+    rank = gate_at - np.concatenate([[-1], ends])[nxt] - 1
+    gate = order[gate_at]  # index into mats
+    factors = np.empty((2 * k + n, 2, 2), dtype=complex)
+    factors[:] = _I2
+    for r in range(rank.max(initial=-1) + 1):
+        at = rank == r
+        s = gate_slot[at]
+        factors[s] = mats[gate[at]] if r == 0 else mats[gate[at]] @ factors[s]
+    first = (rank == 0) & (gate_slot >= 2 * k)
+    trailing = gate_slot[first][np.argsort(one[gate[first]])]
+    return pairs, factors, [(s - 2 * k + 1, factors[s]) for s in trailing.tolist()]
+
+
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in order to the input state.
 
@@ -219,26 +287,23 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
-    # pass 1: fold the one-qubit gates into pending products, which each CNOT
-    # takes in from its two qubits
-    pending = {}  # qubit -> product of its one-qubit gates not yet applied
-    cnots = []  # (control, target) of each CNOT
-    factors = []  # the products pending on its control and target, flat
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            cnots.append((g.control, g.target))
-            factors += (pending.pop(g.control, _I2), pending.pop(g.target, _I2))
-        else:
-            m = pending.get(g.target)
-            pending[g.target] = g.matrix if m is None else g.matrix @ m
-    # pass 2: one product per window of CNOTs or, below the work bound, one
-    # kernel per CNOT, all built at once and applied in circuit order
-    if n >= _WINDOW_QUBITS and state.size * len(cnots) >= _WINDOW_MIN_WORK:
-        matrices, qubits = _window_products(cnots, factors, n)
+    windowed = False
+    if n >= _WINDOW_QUBITS and state.size * len(c) >= _WINDOW_MIN_WORK:  # len(c) bounds the CNOTs
+        ops, mats = c._arrays
+        windowed = state.size * np.count_nonzero(ops[:, 1]) >= _WINDOW_MIN_WORK
+    # pass 1: fold the one-qubit gates into the products pending on each
+    # CNOT's two qubits, and the trailing ones; pass 2: one product per window
+    # of CNOTs or, below the work bound, one kernel per CNOT, all built at once
+    if windowed:
+        pairs, factors, pending = _fold_stack(ops, mats, n)
+        matrices, qubits = _window_products(pairs, factors[: 2 * len(pairs)], n)
     else:
-        matrices, qubits = _cnot_kernels(cnots, factors), cnots
-    # then what is still pending, as 2x2 products on one qubit each
-    steps = [*zip(matrices, qubits), *((m, (q,)) for q, m in pending.items())]
+        qubits, factors, pending = _fold_gates(c.gates)
+        flip = np.array([a > b for a, b in qubits], dtype=bool)  # control above target
+        matrices = _cnot_kernels(flip, np.array(factors).reshape(-1, 2, 2))
+    # applied in circuit order, then what is still pending, as 2x2 products
+    # on one qubit each
+    steps = [*zip(matrices, qubits), *((m, (q,)) for q, m in pending)]
     views = {q: _view(state, sorted(q)) for q in {q for _, q in steps}}
     for m, q in steps:
         view, side = views[q]

@@ -350,14 +350,28 @@ def _leaf_gates(cnots: int, r: list, frames: tuple, offset: int) -> list:
     hx, hy, hz = r
     if cnots == 3:
         c_z = _rz(-2.0 * hz) @ _G_MERGE
-        interior = (_G_MERGE_DAG, _H, _H, _S, c_z, _rx(2.0 * hy), _H, _H, _rx(-2.0 * hx))
+        dag, h, s = _fixed_gates(offset)
+        interior = (dag, h, h, s, c_z, _rx(2.0 * hy), h, h, _rx(-2.0 * hx))
     elif cnots == 2:
         interior = (_rx(-2.0 * hx), _rz(-2.0 * hz))
     else:
         interior = ()
-    mats = iter((*frames[:2], *interior, *frames[2:]))
+    items = iter((*frames[:2], *interior, *frames[2:]))  # matrices, and the shared gates
     cx = _cnot(offset)
-    return [cx if code > 0 else _rebuilt_1q(offset - code, next(mats)) for code in _LAYOUTS[cnots]]
+    return [
+        cx if code > 0
+        else m if type(m := next(items)) is OneQubitGate
+        else _rebuilt_1q(offset - code, m)
+        for code in _LAYOUTS[cnots]
+    ]
+
+
+@functools.cache
+def _fixed_gates(offset: int) -> tuple:
+    """G_MERGE^dag and H on qubit offset+2 and S on offset+1: the constant
+    gates of every three-CNOT leaf at ``offset``, shared by all of them."""
+    q1, q2 = offset + 1, offset + 2
+    return OneQubitGate(q2, _G_MERGE_DAG), OneQubitGate(q2, _H), OneQubitGate(q1, _S)
 
 
 _KIND_TARGET = operator.attrgetter("__class__", "target")

@@ -17,9 +17,11 @@ from statesynth import (
     cnot_count,
     concat,
     depth,
+    emit_qasm,
     haar_state,
     haar_unitary,
     inverse,
+    parse_qasm,
     run,
     schmidt_prepare,
     shift,
@@ -140,6 +142,76 @@ def test_gate_validation():
                 _require_unitary_stack(stack)
     with pytest.raises(BadDimensionError):
         OneQubitGate(1, np.zeros((2, 3)))
+
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: OneQubitGate(1.5, X), id="gate-1.5"),
+        pytest.param(lambda: OneQubitGate(1.0, X), id="gate-1.0"),
+        pytest.param(lambda: OneQubitGate(True, X), id="gate-True"),
+        pytest.param(lambda: OneQubitGate(np.float64(1.0), X), id="gate-float64"),
+        pytest.param(lambda: Cnot(1.0, 2), id="cnot-1.0"),
+        pytest.param(lambda: Cnot(1, 2.5), id="cnot-2.5"),
+        pytest.param(lambda: Cnot(False, 2), id="cnot-False"),
+        pytest.param(lambda: Cnot(np.True_, 2), id="cnot-np.True_"),
+        pytest.param(lambda: Cnot("1", 2), id="cnot-str"),
+        pytest.param(lambda: Circuit(True, ()), id="width-True"),
+        pytest.param(lambda: Circuit(2.0, ()), id="width-2.0"),
+        pytest.param(lambda: Circuit(np.float64(2.0), ()), id="width-float64"),
+        pytest.param(lambda: Circuit(None, ()), id="width-None"),
+    ],
+)
+def test_non_integer_qubits_and_widths_are_rejected(make):
+    """A bool or a non-integral qubit index or width raises BadDimensionError
+    where the gate or circuit is built: before, OneQubitGate(1.5, X) built,
+    emit_qasm wrote q[0.5], Cnot(1.0, 2) wrote q[0.0], Circuit(True, ())
+    wrote qreg q[True], and run raised an untyped TypeError."""
+    with pytest.raises(BadDimensionError):
+        make()
+
+
+def test_numpy_integer_qubits_are_stored_as_int():
+    gate = OneQubitGate(np.int64(2), X)
+    cnot = Cnot(np.int32(1), np.uint8(2))
+    c = Circuit(np.int64(2), (gate, cnot))
+    assert type(gate.target) is int and gate.target == 2
+    assert type(cnot.control) is int and type(cnot.target) is int
+    assert type(c.n_qubits) is int and c.n_qubits == 2
+    qreg, u3, cx = emit_qasm(c).splitlines()[2:]
+    assert qreg == "qreg q[2];" and u3.endswith(") q[1];") and cx == "cx q[0],q[1];"
+
+
+def test_array_form_of_a_circuit_built_from_gates():
+    """ops holds (control, target) per CNOT and (target, 0) per one-qubit
+    gate, in gate order, and mats the one-qubit matrices; both are built
+    once and cached."""
+    rng = np.random.default_rng(19)
+    gates = (OneQubitGate(2, haar_unitary(2, rng)), Cnot(3, 1), OneQubitGate(1, X), Cnot(1, 2))
+    c = Circuit(3, gates)
+    ops, mats = c._arrays
+    assert ops.tolist() == [[2, 0], [3, 1], [1, 0], [1, 2]]
+    assert mats.shape == (2, 2, 2) and mats.dtype == complex
+    assert mats.tobytes() == np.array([gates[0].matrix, X]).tobytes()
+    assert c._arrays is c._arrays
+    empty_ops, empty_mats = Circuit(2, ())._arrays
+    assert empty_ops.shape == (0, 2) and empty_mats.shape == (0, 2, 2)
+
+
+def test_parsed_circuit_derives_its_gates_once():
+    """A parsed circuit holds only its array form; its gate tuple is derived
+    on first access, cached, and shared by a width-only shift."""
+    c = parse_qasm(emit_qasm(schmidt_prepare(haar_state(4, 5)).total))
+    assert "gates" not in c.__dict__
+    assert len(c) == len(c._arrays[0]) and "gates" not in c.__dict__
+    gates = c.gates
+    assert c.gates is gates and len(gates) == len(c)
+    assert shift(c, 0, 6).gates is gates
+    with pytest.raises(AttributeError):
+        c.no_such_attribute
 
 
 def _gate_check_verdict(make) -> str:

@@ -1,6 +1,7 @@
 """CLI: file round trips, exit codes, bench determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ def test_verify_empty_circuit_on_zero(tmp_path):
     target = tmp_path / "zero.json"
     target.write_text(state_to_json(zero_state(3)))
     assert main(["verify", str(qasm), str(target)]) == 0
+
+
+def test_verify_accepts_a_u3_whose_phase_sum_overflows(tmp_path, capsys):
+    """u3(0,1e308,1e308) is finite and unitary: verify exits 0 with no
+    warning (before, three numpy RuntimeWarnings and exit 1 on a NaN
+    entry)."""
+    qasm = tmp_path / "phase.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nu3(0,1e308,1e308) q[0];\n')
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(qasm), str(target)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "fidelity=1.0\n" and err == ""
 
 
 def test_missing_file_exit_code(tmp_path):

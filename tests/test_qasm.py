@@ -6,9 +6,11 @@ products.
 """
 
 import cmath
+import hashlib
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from statesynth import (
     schmidt_prepare,
     zero_state,
 )
+import statesynth.circuit
 import statesynth.qasm
+from statesynth.linalg import unitarity_defect
 from statesynth.qasm import _NUMBER_RE, _eval_angle, _eval_expr, u3_matrix, zyz_angles
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -169,6 +173,108 @@ def test_stacked_u3_matrix_matches_scalar_reference():
     stacked = u3_matrix(*angles.T)
     reference = np.array([_u3_scalar(*a) for a in angles.tolist()])
     assert stacked.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("angles", ["0,1e308,1e308", "0.5,-1e308,-1.5e308", "0.5,1e308,1e308+0"])
+def test_u3_whose_phase_sum_overflows_is_accepted(angles):
+    """Finite angles whose sum phi + lam overflows (in the emitted form, and
+    through the general dispatch) give a unitary, the product of the two
+    phases, with no numpy warning; before, three RuntimeWarnings and a NaN
+    entry rejected the gate.  The other matrices of a stack keep their
+    bits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = parse_qasm(f"qreg q[1];\nu3({angles}) q[0];\n")
+    theta, phi, lam = (_eval_angle(a) for a in angles.split(","))
+    assert not math.isfinite(phi + lam)
+    m = c.gates[0].matrix
+    cos, sin = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    reference = np.array(
+        [
+            [cos, -cmath.exp(1j * lam) * sin],
+            [cmath.exp(1j * phi) * sin, cmath.exp(1j * phi) * cmath.exp(1j * lam) * cos],
+        ]
+    )
+    assert np.max(np.abs(m - reference)) <= 1e-15
+    assert unitarity_defect(m) <= 1e-15
+    rng = np.random.default_rng(17)
+    stack = rng.uniform(-7, 7, size=(9, 3))
+    stack[4] = theta, phi, lam
+    matrices = u3_matrix(*stack.T)
+    assert matrices[4].tobytes() == u3_matrix([theta], [phi], [lam])[0].tobytes()
+    for row in (*range(4), *range(5, 9)):
+        assert matrices[row].tobytes() == _u3_scalar(*stack[row]).tobytes()
+
+
+def _gate_by_gate_parse(text: str) -> Circuit:
+    """Emitted QASM read line by line into gate objects (test-local
+    reference): the u3 matrices built as one stack with u3_matrix, then one
+    OneQubitGate or Cnot per statement, in order."""
+    n, entries, angles = None, [], []
+    for line in text.splitlines():
+        if m := re.fullmatch(r"qreg q\[(\d+)\];", line):
+            n = int(m[1])
+        elif m := re.fullmatch(r"cx q\[(\d+)\],q\[(\d+)\];", line):
+            entries.append((int(m[1]) + 1, int(m[2]) + 1))
+        elif m := re.fullmatch(r"u3\((.*),(.*),(.*)\) q\[(\d+)\];", line):
+            angles.append([float(m[1]), float(m[2]), float(m[3])])
+            entries.append(int(m[4]) + 1)
+    mats = iter(u3_matrix(*np.array(angles).reshape(-1, 3).T))
+    gates = [Cnot(*e) if isinstance(e, tuple) else OneQubitGate(e, next(mats)) for e in entries]
+    return Circuit(n, tuple(gates))
+
+
+def _fingerprint(gates) -> str:
+    """A digest equal for two gate lists iff they match gate for gate, bit for bit."""
+    h = hashlib.sha256()
+    for g in gates:
+        if isinstance(g, Cnot):
+            h.update(b"cx%d,%d;" % (g.control, g.target))
+        else:
+            h.update(b"u%d:" % g.target)
+            h.update(g.matrix.dtype.str.encode() + np.ascontiguousarray(g.matrix).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_parsed_gates_match_a_gate_by_gate_parse(n):
+    """parse_qasm builds the array form with no gate object; the gate tuple
+    derived from it matches a gate-by-gate parse bit for bit, and both emit
+    the same text."""
+    for seed in range(2):
+        text = emit_qasm(schmidt_prepare(haar_state(n, seed)).total)
+        parsed = parse_qasm(text)
+        reference = _gate_by_gate_parse(text)
+        assert emit_qasm(parsed) == emit_qasm(reference)
+        assert "gates" not in parsed.__dict__
+        assert _fingerprint(parsed.gates) == _fingerprint(reference.gates)
+        assert [type(g.target) for g in parsed.gates] == [int] * len(parsed)
+
+
+def test_parse_and_run_create_no_gate_objects(monkeypatch):
+    """The verify path, parse_qasm then run on a Haar n = 10 text (window
+    path), creates no OneQubitGate and no Cnot; reading .gates afterwards
+    derives one gate per one-qubit statement and one CNOT per qubit pair."""
+    text = emit_qasm(schmidt_prepare(haar_state(10, 1)).total)
+    made = []
+    rebuilt = statesynth.circuit._rebuilt_1q
+    monkeypatch.setattr(
+        statesynth.circuit, "_rebuilt_1q", lambda *a: made.append("1q") or rebuilt(*a)
+    )
+    for cls in (OneQubitGate, Cnot):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda g, check=check: made.append(type(g)) or check(g)
+        )
+    c = parse_qasm(text)
+    state = run(c, zero_state(10))
+    assert made == [] and "gates" not in c.__dict__
+    assert fidelity(state, haar_state(10, 1)) >= 1 - 1e-9
+    ones = text.count("u3(")
+    pairs = set(re.findall(r"cx q\[\d+\],q\[\d+\];", text))
+    assert len(c.gates) == ones + text.count("cx ")
+    assert made.count("1q") == ones and made.count(Cnot) == len(pairs)
+    assert len(made) == ones + len(pairs)
 
 
 def test_parse_pi_expressions():

@@ -16,9 +16,11 @@ from statesynth import (
     OneQubitGate,
     circuit_unitary,
     concat,
+    emit_qasm,
     fidelity,
     haar_state,
     haar_unitary,
+    parse_qasm,
     run,
     schmidt_prepare,
     simulate,
@@ -474,3 +476,91 @@ def test_haar_n10_run_memory(haar_n10_circuit):
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+# -- pass 1 on the array form ---------------------------------------------------
+
+
+def _walk_fold(gates):
+    """Pass 1 as a walk over the gate objects: the products pending on each
+    CNOT's control and target, flat, and on each qubit at the end, with the
+    left-to-right products of the walk (test-local reference)."""
+    pending, cnots, factors = {}, [], []
+    eye = np.eye(2, dtype=complex)
+    for g in gates:
+        if isinstance(g, Cnot):
+            cnots.append((g.control, g.target))
+            factors += (pending.pop(g.control, eye), pending.pop(g.target, eye))
+        else:
+            m = pending.get(g.target)
+            pending[g.target] = g.matrix if m is None else g.matrix @ m
+    return cnots, factors, pending
+
+
+def _fold_cases():
+    """(name, circuit): long runs on one qubit, no CNOT, no one-qubit gate,
+    random mixes and a parsed circuit."""
+    rng = np.random.default_rng(23)
+
+    def ones(q, count):
+        return [OneQubitGate(q, haar_unitary(2, rng)) for _ in range(count)]
+
+    long_runs = [
+        *ones(2, 40), Cnot(2, 4), *ones(4, 30), *ones(2, 25), Cnot(4, 2), *ones(3, 1),
+        Cnot(1, 5), *ones(3, 20), *ones(1, 1), *ones(5, 33), Cnot(3, 1),
+    ]
+    yield "long_runs", Circuit(5, tuple(long_runs))
+    yield "no_cnot", Circuit(4, tuple(g for q in (3, 1, 4, 3) for g in ones(q, 3)))
+    yield "no_one_qubit_gate", Circuit(5, tuple(g for g in _random_circuit(5, 80, rng).gates
+                                                if isinstance(g, Cnot)))
+    for n in (3, 6, 8):
+        yield f"random_{n}", _random_circuit(n, 300, rng)
+    yield "parsed", parse_qasm(emit_qasm(schmidt_prepare(haar_state(7, 3)).total))
+
+
+@pytest.mark.parametrize("name, c", list(_fold_cases()))
+def test_stacked_fold_matches_the_gate_walk(name, c):
+    """The stacked pass 1 gives the walk's CNOT pairs, each CNOT's factors
+    and the trailing products, in the walk's order, bit for bit."""
+    cnots, factors, pending = _walk_fold(c.gates)
+    ops, mats = c._arrays
+    pairs, stacked, trailing = simulate._fold_stack(ops, mats, c.n_qubits)
+    assert pairs.tolist() == [list(p) for p in cnots]
+    assert stacked.shape == (2 * len(cnots) + c.n_qubits, 2, 2)
+    if cnots:
+        assert stacked[: 2 * len(cnots)].tobytes() == np.array(factors).tobytes()
+    assert [q for q, _ in trailing] == list(pending)
+    for (_, m), expected in zip(trailing, pending.values()):
+        assert m.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("path", ["window", "kernel"])
+@pytest.mark.parametrize("name, c", list(_fold_cases()))
+def test_run_matches_the_gate_walk_bit_for_bit(name, c, path, monkeypatch):
+    """On either path, run's output on one state and on a (2^n, 3) stack is
+    bit-identical to a run whose pass 1 is the gate walk."""
+    limit = 1 if path == "window" else 1 << 62
+    monkeypatch.setattr(simulate, "_WINDOW_MIN_WORK", limit)
+    rng = np.random.default_rng(24)
+    n = c.n_qubits
+    states = [haar_state(n, rng), np.stack([haar_state(n, rng) for _ in range(3)], axis=1)]
+    outputs = [run(c, s) for s in states]
+    calls = []
+
+    def walk(*_):
+        calls.append("gates")
+        cnots, factors, pending = _walk_fold(c.gates)
+        return cnots, factors, list(pending.items())
+
+    def walk_as_stack(*_):
+        cnots, factors, pending = _walk_fold(c.gates)
+        calls.append("stack")
+        pairs = np.array(cnots, dtype=np.intp).reshape(-1, 2)
+        return pairs, np.array(factors).reshape(-1, 2, 2), list(pending.items())
+
+    monkeypatch.setattr(simulate, "_fold_gates", walk)
+    monkeypatch.setattr(simulate, "_fold_stack", walk_as_stack)
+    for s, out in zip(states, outputs):
+        assert np.array_equal(run(c, s), out)
+    windowed = path == "window" and any(isinstance(g, Cnot) for g in c.gates)
+    assert calls == ["stack" if windowed else "gates"] * len(states)
