@@ -3,7 +3,6 @@ models of the four-phase scheme, in exact integer arithmetic."""
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,14 +18,14 @@ def cnot_lower_bound(n: int) -> int:
     """
     if n < 1:
         raise BadRangeError("need n >= 1")
-    return max(0, math.ceil((2 ** (n + 1) - 2 - 2 * n) / 4))
+    return max(0, -(-(2 ** (n + 1) - 2 - 2 * n) // 4))
 
 
 def depth_lower_bound(n: int) -> int:
     """At most floor(n/2) CNOTs fit in one step, so depth >= ceil(k_min / floor(n/2))."""
     if n < 2:
         raise BadRangeError("need n >= 2")
-    return math.ceil(cnot_lower_bound(n) / (n // 2))
+    return -(-cnot_lower_bound(n) // (n // 2))
 
 
 @functools.cache

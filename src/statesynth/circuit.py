@@ -3,14 +3,13 @@
 Qubit indices are 1-based; qubit 1 is the most significant bit of basis-state
 labels.  Circuits are immutable after construction.
 
-A circuit has two forms, each derived from the other on first use and then
-cached: the tuple of gate objects, ``gates``, and a private array form,
-``_arrays``, in gate order: an (G, 2) integer array ``ops`` holding
-(control, target) for a CNOT and (target, 0) for a one-qubit gate, and the
-(G1, 2, 2) stack ``mats`` of the one-qubit matrices.  A circuit built from
-gates derives its arrays when a bulk reader (emission, the windowed
-simulator) first asks; a parsed circuit is built from arrays and derives its
-gate tuple only if something reads it.
+A circuit stores one form, the private ``_arrays``, in gate order: an (G, 2)
+integer array ``ops`` holding (control, target) for a CNOT and (target, 0)
+for a one-qubit gate, and the (G1, 2, 2) stack ``mats`` of the one-qubit
+matrices.  Synthesis, parsing and the IR helpers write it directly, and
+counting, simulation and emission read it.  The tuple of gate objects,
+``gates``, is derived from it on first read and cached; a circuit built from
+gates keeps the given tuple as that cache.
 """
 
 import json
@@ -106,8 +105,8 @@ class OneQubitGate:
 def _rebuilt_1q(target: int, matrix: np.ndarray) -> OneQubitGate:
     """A one-qubit gate from parts that already passed the gate checks.
 
-    For IR rebuilds (relabelled qubits, the adjoint of a checked unitary),
-    which would otherwise re-run the unitarity check on every gate.
+    For the gates derived from a circuit's array form, which would otherwise
+    re-run the unitarity check on every gate.
     """
     g = object.__new__(OneQubitGate)
     fields = g.__dict__
@@ -131,10 +130,23 @@ class Cnot:
 Gate = OneQubitGate | Cnot
 
 
-def _gate_qubits(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, Cnot):
-        return (gate.control, gate.target)
-    return (gate.target,)
+def _width(n_qubits) -> int:
+    """``n_qubits`` as a register width: an int of at least one."""
+    n_qubits = _index(n_qubits, "qubit count")
+    if n_qubits < 1:
+        raise BadDimensionError("circuit needs at least one qubit")
+    return n_qubits
+
+
+def _require_in_register(ops: np.ndarray, cx: np.ndarray, n_qubits: int) -> None:
+    """Raise BadDimensionError for the first qubit of ``ops`` outside 1..n_qubits.
+
+    ``cx`` marks the CNOT rows; the second column of any other row holds no qubit.
+    """
+    bad = (ops < 1) | (ops > n_qubits)
+    bad[:, 1] &= cx
+    if bad.any():
+        raise BadDimensionError(f"gate qubit {ops[bad][0]} outside register 1..{n_qubits}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,32 +155,20 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", _index(self.n_qubits, "qubit count"))
-        if self.n_qubits < 1:
-            raise BadDimensionError("circuit needs at least one qubit")
+        object.__setattr__(self, "n_qubits", _width(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for q in _gate_qubits(g):
-                if not 1 <= q <= self.n_qubits:
-                    raise BadDimensionError(
-                        f"gate qubit {q} outside register 1..{self.n_qubits}"
-                    )
+        self.__dict__["_arrays"] = _arrays_from_gates(self.gates, self.n_qubits)
 
     def __len__(self) -> int:
-        # read from the form at hand: a parsed circuit's gates are not derived for it
-        return len(self.gates if "gates" in self.__dict__ else self._arrays[0])
+        return len(self._arrays[0])
 
     def __getattr__(self, name: str):
-        # called only for a missing attribute: the form not yet derived,
-        # which is derived from the other and cached
-        if name == "gates" and "_arrays" in self.__dict__:
-            value = _gates_from_arrays(*self._arrays)
-        elif name == "_arrays" and "gates" in self.__dict__:
-            value = _arrays_from_gates(self.gates)
-        else:
+        # called only for a missing attribute: the gate tuple of a circuit
+        # written as arrays, derived on first read and cached
+        if name != "gates":
             raise AttributeError(f"'Circuit' object has no attribute {name!r}")
-        self.__dict__[name] = value
-        return value
+        gates = self.__dict__["gates"] = _gates_from_arrays(*self._arrays)
+        return gates
 
 
 def _gates_from_arrays(ops: np.ndarray, mats: np.ndarray) -> tuple[Gate, ...]:
@@ -179,16 +179,20 @@ def _gates_from_arrays(ops: np.ndarray, mats: np.ndarray) -> tuple[Gate, ...]:
     return tuple(cnots[a, b] if b else _rebuilt_1q(a, next(it)) for a, b in ops.tolist())
 
 
-def _arrays_from_gates(gates: tuple[Gate, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The array form (ops, mats) of a gate tuple; see the module docstring."""
-    flat, mats = [], []
+def _arrays_from_gates(gates: tuple[Gate, ...], n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The array form (ops, mats) of a gate tuple, every qubit checked
+    against 1..n_qubits; see the module docstring."""
+    flat, cx, mats = [], [], []
     for g in gates:
         if isinstance(g, Cnot):
             flat += (g.control, g.target)
+            cx.append(True)
         else:
             flat += (g.target, 0)
+            cx.append(False)
             mats.append(g.matrix)
     ops = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    _require_in_register(ops, np.array(cx, dtype=bool), n_qubits)
     return ops, np.array(mats, dtype=complex).reshape(-1, 2, 2)
 
 
@@ -200,20 +204,9 @@ def _from_arrays(n_qubits: int, ops: np.ndarray, mats: np.ndarray) -> Circuit:
     return c
 
 
-def _rewrapped(n_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
-    """A circuit from a gate tuple whose qubits are known to lie in 1..n_qubits.
-
-    For IR rebuilds whose width check already covers every gate, which would
-    otherwise re-check each gate's qubits.
-    """
-    c = object.__new__(Circuit)
-    c.__dict__.update(n_qubits=n_qubits, gates=gates)
-    return c
-
-
 def cnot_count(c: Circuit) -> int:
     """Number of CNOT gates in the circuit."""
-    return sum(1 for g in c.gates if isinstance(g, Cnot))
+    return int(np.count_nonzero(c._arrays[0][:, 1]))
 
 
 def depth(c: Circuit) -> int:
@@ -223,14 +216,13 @@ def depth(c: Circuit) -> int:
     and are absorbed into adjacent layers, so only layers holding at least one
     CNOT are counted.
     """
+    ops = c._arrays[0]
     level = [0] * (c.n_qubits + 1)
     d = 0
-    for g in c.gates:
-        if isinstance(g, Cnot):
-            layer = max(level[g.control], level[g.target]) + 1
-            level[g.control] = layer
-            level[g.target] = layer
-            d = max(d, layer)
+    for control, target in ops[ops[:, 1] > 0].tolist():
+        layer = max(level[control], level[target]) + 1
+        level[control] = level[target] = layer
+        d = max(d, layer)
     return d
 
 
@@ -242,42 +234,32 @@ def concat(*circuits: Circuit) -> Circuit:
     for c in circuits[1:]:
         if c.n_qubits != n:
             raise DimensionMismatchError("cannot concatenate circuits of different widths")
-    gates: list[Gate] = []
-    for c in circuits:
-        gates.extend(c.gates)
-    return _rewrapped(n, tuple(gates))
+    ops, mats = zip(*(c._arrays for c in circuits))
+    return _from_arrays(n, np.concatenate(ops), np.concatenate(mats))
 
 
 def inverse(c: Circuit) -> Circuit:
     """Reverse the gate order and invert every gate (CNOT is self-inverse)."""
-    gates: list[Gate] = []
-    for g in reversed(c.gates):
-        if isinstance(g, Cnot):
-            gates.append(g)
-        else:
-            gates.append(_rebuilt_1q(g.target, g.matrix.conj().T))
-    return Circuit(n_qubits=c.n_qubits, gates=tuple(gates))
-
-
-def _shifted_gates(gates, offset: int) -> list[Gate]:
-    """The gates with every qubit index moved up by ``offset``."""
-    out: list[Gate] = []
-    for g in gates:
-        if isinstance(g, Cnot):
-            out.append(Cnot(g.control + offset, g.target + offset))
-        else:
-            out.append(_rebuilt_1q(g.target + offset, g.matrix))
-    return out
+    ops, mats = c._arrays
+    return _from_arrays(c.n_qubits, ops[::-1], mats[::-1].conj().swapaxes(1, 2))
 
 
 def shift(c: Circuit, offset: int, n_qubits: int) -> Circuit:
-    """Re-embed a circuit with all qubit indices moved up by ``offset``."""
-    if offset == 0 and c.n_qubits <= n_qubits:
-        return _rewrapped(n_qubits, c.gates)  # the same gates on a wider register
-    gates = tuple(_shifted_gates(c.gates, offset))
-    if offset >= 0 and c.n_qubits + offset <= n_qubits:
-        return _rewrapped(n_qubits, gates)
-    return Circuit(n_qubits=n_qubits, gates=gates)
+    """Re-embed a circuit with all qubit indices moved up by ``offset``.
+
+    A width-only shift shares the circuit's arrays and, if derived, its gates.
+    """
+    n_qubits = _width(n_qubits)
+    ops, mats = c._arrays
+    cx = ops[:, 1] > 0
+    if offset:
+        ops = ops + offset
+        ops[~cx, 1] = 0
+    _require_in_register(ops, cx, n_qubits)
+    out = _from_arrays(n_qubits, ops, mats)
+    if not offset and "gates" in c.__dict__:
+        out.__dict__["gates"] = c.gates
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from .circuit import (
     Circuit,
-    Cnot,
     OneQubitGate,
+    _from_arrays,
+    _require_unitary_stack,
     cnot_count,
     concat,
     cost_report,
@@ -88,7 +89,9 @@ def _load_1q(amps: np.ndarray) -> Circuit:
     by up to 1e-8: the gate is built from the unit vector.
     """
     a, b = amps / np.linalg.norm(amps)
-    return Circuit(1, (OneQubitGate(1, _map_zero_to(a, b)),))
+    mats = np.asarray(_map_zero_to(a, b), dtype=complex)[None]
+    _require_unitary_stack(mats)
+    return _from_arrays(1, np.array([[1, 0]], dtype=np.intp), mats)
 
 
 def baseline_prepare(s: np.ndarray) -> Circuit:
@@ -169,7 +172,7 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
             k2=1,
             alphas=np.ones(1, dtype=complex),
             basis_left=np.eye(1, dtype=complex),
-            basis_right=p1.gates[0].matrix,
+            basis_right=p1._arrays[1][0],
         )
         empty = Circuit(1, ())
         return _plan(sf, p1, empty, empty, empty)
@@ -179,7 +182,8 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
         return _prepare_product(sf, n)
 
     p1 = shift(_phase1_circuit(sf.alphas, k1), 0, n)
-    p2 = Circuit(n, tuple(Cnot(j, j + k2) for j in range(1, k1 + 1)))
+    fan = np.arange(1, k1 + 1, dtype=np.intp)
+    p2 = _from_arrays(n, np.stack((fan, fan + k2), axis=1), np.empty((0, 2, 2), dtype=complex))
     p3, p4 = _synth_blocks([(sf.basis_left, 1), (sf.basis_right, k1 + 1)], n)
     return _plan(sf, p1, p2, p3, p4)
 

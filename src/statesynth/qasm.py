@@ -109,7 +109,15 @@ def _eval_angle(expr: str) -> float:
 
 
 def _eval_expr(expr: str) -> float:
-    """The angle grammar: a recursive-descent evaluator over the tokens."""
+    """The angle grammar, evaluated in one left-to-right pass over the tokens.
+
+    An expression is a sum of products of atoms, each operator left
+    associative; an atom is a number, pi, a parenthesized expression, or a
+    sign and an atom.  An open parenthesis pushes the partial sum and
+    product of the enclosing expression on a stack, and its close pops
+    them, so that nesting and runs of signs cost time and memory linear in
+    their length, with no recursion.
+    """
     tokens = []
     pos = 0
     while pos < len(expr):
@@ -119,51 +127,53 @@ def _eval_expr(expr: str) -> float:
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append("$")
-
-    def peek():
-        return tokens[0]
-
-    def pop():
-        return tokens.pop(0)
-
-    def atom() -> float:
-        tok = pop()
-        if tok == "pi":
-            return math.pi
+    groups = []  # per open parenthesis: the enclosing (sum, add op, product, mul op, negate)
+    total = add_op = prod = mul_op = None
+    i = 0
+    while True:
+        negate = False
+        while tokens[i] in ("+", "-"):
+            negate ^= tokens[i] == "-"
+            i += 1
+        tok = tokens[i]
+        i += 1
         if tok == "(":
-            val = add()
-            if pop() != ")":
-                raise QasmParseError(f"unbalanced parentheses in {expr!r}")
-            return val
-        if tok in "+-":
-            return atom() if tok == "+" else -atom()
+            groups.append((total, add_op, prod, mul_op, negate))
+            total = add_op = prod = mul_op = None
+            continue
         try:
-            return float(tok)
+            val = math.pi if tok == "pi" else float(tok)
         except ValueError as exc:
             raise QasmParseError(f"bad token {tok!r} in {expr!r}") from exc
-
-    def mul() -> float:
-        val = atom()
-        while peek() in "*/":
-            op = pop()
-            rhs = atom()
-            if op == "/" and rhs == 0:
+        while True:  # fold the atom in; a ")" makes its group the next atom
+            val = -val if negate else val
+            if prod is None:
+                prod = val
+            elif mul_op == "*":
+                prod = prod * val
+            elif val == 0:
                 raise QasmParseError(f"division by zero in {expr!r}")
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def add() -> float:
-        val = mul()
-        while peek() in "+-":
-            op = pop()
-            rhs = mul()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    result = add()
-    if pop() != "$":
-        raise QasmParseError(f"trailing tokens in {expr!r}")
-    return result
+            else:
+                prod = prod / val
+            tok = tokens[i]
+            i += 1
+            if tok in ("*", "/"):
+                mul_op = tok
+                break
+            if total is None:
+                total = prod
+            else:
+                total = total + prod if add_op == "+" else total - prod
+            if tok in ("+", "-"):
+                add_op, prod = tok, None
+                break
+            if tok == "$" and not groups:
+                return total
+            if tok != ")" or not groups:
+                what = "unbalanced parentheses" if groups else "trailing tokens"
+                raise QasmParseError(f"{what} in {expr!r}")
+            val = total
+            total, add_op, prod, mul_op, negate = groups.pop()
 
 
 _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]", re.ASCII)

@@ -25,19 +25,19 @@ The window build has a fixed cost that a short circuit or a small state
 does not repay.  When the amplitude count (2^n times the columns) times the
 CNOT count is below ``_WINDOW_MIN_WORK``, or n < 3, the kernels are applied
 one per CNOT instead, over their pairs, in the same way.  The same test
-picks the first pass.  On the window path it reads the circuit's array form
-(see ``circuit``): one sort assigns every one-qubit gate to the CNOT side or
-trailing slot it feeds, and the runs are multiplied out by rank as stacked
-2x2 products; a parsed circuit is simulated without any gate object.  Below
-the bound, where that fixed cost would not be repaid either, it walks the
-gate objects.  Both give the same products, bit for bit.
+picks the first pass; both read the circuit's array form (see ``circuit``)
+and no gate object.  On the window path one sort assigns every one-qubit
+gate to the CNOT side or trailing slot it feeds, and the runs are multiplied
+out by rank as stacked 2x2 products; below the bound, where that fixed cost
+would not be repaid either, the rows are walked in order.  Both give the
+same products, bit for bit.
 """
 
 import json
 
 import numpy as np
 
-from .circuit import Circuit, Cnot
+from .circuit import Circuit
 from .errors import BadDimensionError, DimensionMismatchError, NotNormalizedError
 
 NORM_TOL = 1e-8
@@ -214,8 +214,8 @@ def _view(state: np.ndarray, qubits: list) -> tuple:
     return state.reshape(*shape, 2, -1).transpose(_QUBIT_AXES_FIRST[k]), _COPY
 
 
-def _fold_gates(gates: tuple) -> tuple:
-    """Pass 1 as a walk over the gate objects.
+def _fold_gates(ops: np.ndarray, mats: np.ndarray) -> tuple:
+    """Pass 1 as a walk over the rows of the circuit's array form.
 
     Returns the (control, target) of each CNOT, the products pending on its
     control and target, flat, and the (qubit, product) still pending at the
@@ -224,13 +224,15 @@ def _fold_gates(gates: tuple) -> tuple:
     pending = {}  # qubit -> product of its one-qubit gates not yet applied
     cnots = []
     factors = []
-    for g in gates:
-        if isinstance(g, Cnot):
-            cnots.append((g.control, g.target))
-            factors += (pending.pop(g.control, _I2), pending.pop(g.target, _I2))
+    matrices = iter(mats)
+    for a, b in ops.tolist():
+        if b:
+            cnots.append((a, b))
+            factors += (pending.pop(a, _I2), pending.pop(b, _I2))
         else:
-            m = pending.get(g.target)
-            pending[g.target] = g.matrix if m is None else g.matrix @ m
+            m = next(matrices)
+            p = pending.get(a)
+            pending[a] = m if p is None else m @ p
     return cnots, factors, list(pending.items())
 
 
@@ -243,7 +245,8 @@ def _fold_stack(ops: np.ndarray, mats: np.ndarray, n: int) -> tuple:
     marker per qubit, puts each gate just before the slot it feeds, with
     the gates of one slot in circuit order.  The runs are then multiplied
     out by rank, the r-th gate of every run at once, left-multiplying as
-    the walk does.  Returns the (K, 2) CNOT pairs, a (2K + n, 2, 2) factor
+    the walk does; the gates are sorted by rank once, so that each round
+    reads one slice.  Returns the (K, 2) CNOT pairs, a (2K + n, 2, 2) factor
     array (control and target side of each CNOT, then one slot per qubit)
     and the (qubit, product) of the trailing slots that hold a gate, in the
     order their first gates come.
@@ -266,10 +269,13 @@ def _fold_stack(ops: np.ndarray, mats: np.ndarray, n: int) -> tuple:
     gate = order[gate_at]  # index into mats
     factors = np.empty((2 * k + n, 2, 2), dtype=complex)
     factors[:] = _I2
-    for r in range(rank.max(initial=-1) + 1):
-        at = rank == r
-        s = gate_slot[at]
-        factors[s] = mats[gate[at]] if r == 0 else mats[gate[at]] @ factors[s]
+    by_rank = np.argsort(rank, kind="stable")
+    slots, ranked = gate_slot[by_rank], mats[gate[by_rank]]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)).tolist():
+        s = slots[start:stop]
+        factors[s] = ranked[start:stop] if start == 0 else ranked[start:stop] @ factors[s]
+        start = stop
     first = (rank == 0) & (gate_slot >= 2 * k)
     trailing = gate_slot[first][np.argsort(one[gate[first]])]
     return pairs, factors, [(s - 2 * k + 1, factors[s]) for s in trailing.tolist()]
@@ -287,10 +293,8 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
-    windowed = False
-    if n >= _WINDOW_QUBITS and state.size * len(c) >= _WINDOW_MIN_WORK:  # len(c) bounds the CNOTs
-        ops, mats = c._arrays
-        windowed = state.size * np.count_nonzero(ops[:, 1]) >= _WINDOW_MIN_WORK
+    ops, mats = c._arrays
+    windowed = n >= _WINDOW_QUBITS and state.size * np.count_nonzero(ops[:, 1]) >= _WINDOW_MIN_WORK
     # pass 1: fold the one-qubit gates into the products pending on each
     # CNOT's two qubits, and the trailing ones; pass 2: one product per window
     # of CNOTs or, below the work bound, one kernel per CNOT, all built at once
@@ -298,7 +302,7 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
         pairs, factors, pending = _fold_stack(ops, mats, n)
         matrices, qubits = _window_products(pairs, factors[: 2 * len(pairs)], n)
     else:
-        qubits, factors, pending = _fold_gates(c.gates)
+        qubits, factors, pending = _fold_gates(ops, mats)
         flip = np.array([a > b for a, b in qubits], dtype=bool)  # control above target
         matrices = _cnot_kernels(flip, np.array(factors).reshape(-1, 2, 2))
     # applied in circuit order, then what is still pending, as 2x2 products

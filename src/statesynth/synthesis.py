@@ -15,7 +15,10 @@ goes through the single-matrix ``cosine_sine`` / ``demultiplex`` instead;
 its children are judged again by theirs.  The 4^(k-2) two-qubit leaves of
 every unitary of the call form one stack (see ``twoqubit``): the serial
 twist chain, then one stacked Cartan decomposition, then stacked emission
-and checks.  Every gate is built on its final qubit, in depth-first order.
+and checks.  The circuit is written in its array form (see ``circuit``),
+with every row on its final qubit: each ladder is a cached ops template and
+its rotation stack, each leaf a slice of its class's stack, concatenated in
+depth-first order.  No gate object is made.
 
 Qubit blocks are indexed most-significant first, matching the basis-label
 convention of the rest of the library.
@@ -29,14 +32,7 @@ import math
 import numpy as np
 
 from .bounds import unitary_upper_bound
-from .circuit import (
-    Circuit,
-    Cnot,
-    OneQubitGate,
-    _rebuilt_1q,
-    _require_unitary_stack,
-    _rewrapped,
-)
+from .circuit import Circuit, Cnot, OneQubitGate, _from_arrays, _require_unitary_stack
 from .errors import BadDimensionError, BadLengthError, SynthesisError
 from .linalg import CONSTRUCTION_TOL, cosine_sine, require_max_dim, require_unitary, unitary_eig
 from .twoqubit import _H, _Z, _Leaf, _synth_leaves
@@ -84,24 +80,28 @@ def _ladder_rotations(n_z: int, angles: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _ladder_links(controls: tuple[int, ...], target: int, cz: bool, skip_last: bool) -> tuple:
-    """The entangler after each rotation of a Gray-code ladder, as gate tuples.
+def _ladder_ops(controls: tuple[int, ...], target: int, cz: bool, skip_last: bool) -> np.ndarray:
+    """The ops of a Gray-code ladder: each rotation, then its entangler.
 
     ``controls`` are ordered most-significant first.  The select line after
     rotation l is the control of the bit in which gray(l) and gray(l+1)
     differ; a CZ entangler is a CNOT between Hadamards on the target.
     ``skip_last`` drops the cycle-closing entangler (whose select line is the
-    most significant control) for callers that absorb it elsewhere.
+    most significant control) for callers that absorb it elsewhere.  The
+    array is read-only, as it is shared.
     """
     size = 1 << len(controls)
-    links = []
+    rows = []
     for l in range(size):
+        rows.append((target, 0))
+        if skip_last and l == size - 1:
+            break
         diff = _gray(l) ^ _gray((l + 1) % size)
-        cnot = Cnot(controls[len(controls) - diff.bit_length()], target)
-        links.append((_h_gate(target), cnot, _h_gate(target)) if cz else (cnot,))
-    if skip_last:
-        links[-1] = ()
-    return tuple(links)
+        cnot = (controls[len(controls) - diff.bit_length()], target)
+        rows += ((target, 0), cnot, (target, 0)) if cz else (cnot,)
+    ops = np.array(rows, dtype=np.intp)
+    ops.flags.writeable = False
+    return ops
 
 
 def _ladder_gates(
@@ -110,16 +110,18 @@ def _ladder_gates(
     target: int,
     cz: bool = False,
     skip_last: bool = False,
-) -> list:
-    """Gates of one Gray-code ladder: each rotation, then its entangler.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The array form (ops, mats) of one Gray-code ladder of rotations ``mats``.
 
-    One CNOT per rotation, 2^c in total (see :func:`_ladder_links`).
+    One CNOT per rotation, 2^c in total (see :func:`_ladder_ops`); with
+    ``cz``, each rotation is followed by the two Hadamards of its entangler.
     """
-    gates = []
-    for mat, link in zip(mats, _ladder_links(controls, target, cz, skip_last)):
-        gates.append(_rebuilt_1q(target, mat))
-        gates += link
-    return gates
+    if cz:
+        steps = np.empty((len(mats), 3, 2, 2), dtype=complex)
+        steps[:, 0] = mats
+        steps[:, 1:] = _H
+        mats = steps.reshape(-1, 2, 2)[: -2 if skip_last else None]
+    return _ladder_ops(controls, target, cz, skip_last), mats
 
 
 def demultiplex(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,11 +297,12 @@ def _tree_level(nodes: list, k: int, below: list) -> None:
 
     A node is (u, first, parts) with u on qubits first..first+k-1.
     Its parts become seven lists, in emission order: the two halves of the
-    demultiplexed right factor around the gates of their multiplexed Rz, the
-    gates of the central multiplexed Ry (its closing CZ absorbed into the
-    left factor as a Z on the block's most significant qubit), and the same
-    for the left factor.  A half is one leaf when k = 3, and otherwise a node
-    of ``below``, whose parts list it is.
+    demultiplexed right factor around the ladder of their multiplexed Rz,
+    the ladder of the central multiplexed Ry (its closing CZ absorbed into
+    the left factor as a Z on the block's most significant qubit), and the
+    same for the left factor.  A ladder is one (ops, mats) piece.  A half is
+    one leaf when k = 3, and otherwise a node of ``below``, whose parts list
+    it is.
     """
     us = np.array([node[0] for node in nodes], dtype=complex)
     _require_unitary_stack(us, what="k-qubit unitary")
@@ -321,22 +324,22 @@ def _tree_level(nodes: list, k: int, below: list) -> None:
                     below.append((half, first + 1, halves[-1]))
         parts += (
             halves[0],
-            _ladder_gates(mats[i], controls, first),
+            [_ladder_gates(mats[i], controls, first)],
             halves[1],
-            _ladder_gates(mats[2 * count + i], controls, first, cz=True, skip_last=True),
+            [_ladder_gates(mats[2 * count + i], controls, first, cz=True, skip_last=True)],
             halves[2],
-            _ladder_gates(mats[count + i], controls, first),
+            [_ladder_gates(mats[count + i], controls, first)],
             halves[3],
         )
 
 
 def _tree_sinks(blocks: list[tuple[np.ndarray, int]]) -> list[list]:
-    """The gates and two-qubit leaves of each block, in depth-first order.
+    """The (ops, mats) pieces and two-qubit leaves of each block, in depth-first order.
 
     Blocks of three or more qubits enter the cosine-sine tree, which is
     factored one level at a time: every node of one size, across all blocks,
-    is one stack.  A block of one qubit is one gate and a block of two one
-    leaf, with no level pass.
+    is one stack.  A block of one qubit is one piece of one gate and a block
+    of two one leaf, with no level pass.
     """
     sinks = []
     levels: dict[int, list] = {}
@@ -352,7 +355,7 @@ def _tree_sinks(blocks: list[tuple[np.ndarray, int]]) -> list[list]:
             sinks.append([_Leaf(u, first - 1)])
         else:
             require_unitary(u, what="k-qubit unitary")
-            sinks.append([OneQubitGate(first, u)])
+            sinks.append([(np.array([[first, 0]], dtype=np.intp), u[None])])
     if pairs:
         _require_unitary_stack(np.array(pairs, dtype=complex), what="k-qubit unitary")
     top = max(levels, default=2)
@@ -386,17 +389,13 @@ def _synth_blocks(blocks: list[tuple[np.ndarray, int]], n: int) -> list[Circuit]
         _synth_leaves(leaves)
     circuits = []
     for (u, _), sink in zip(blocks, sinks):
-        gates = []
-        for item in sink:
-            if isinstance(item, _Leaf):
-                gates.extend(item.gates)
-            else:
-                gates.append(item)
-        n_cnots = sum(1 for g in gates if isinstance(g, Cnot))
+        pieces = [(item.ops, item.mats) if isinstance(item, _Leaf) else item for item in sink]
+        ops, mats = (np.concatenate(arrays) for arrays in zip(*pieces))
+        n_cnots = np.count_nonzero(ops[:, 1])
         ceiling = unitary_upper_bound(len(u).bit_length() - 1)
         if n_cnots > ceiling:
             raise SynthesisError(f"emitted {n_cnots} CNOTs, above the ceiling {ceiling}")
-        circuits.append(_rewrapped(n, tuple(gates)))
+        circuits.append(_from_arrays(n, ops, mats))
     return circuits
 
 

@@ -20,27 +20,26 @@ Leaves are synthesized as one stack, in three stages:
    coordinates are reduced as one stack, and a twist that leaves the
    smallest coordinate above _TWIST_TOL is refined, after which the chain
    restarts after that leaf;
-3. layout and checks: the leaves are laid out by CNOT class as one stack
-   (grouped by class and by the axes exchanged), one stacked SVD splits every
-   local factor, and each leaf's gates are emitted on their final qubits by
-   walking its class's row of _LAYOUTS, the one table of leaf gate orders.
-   Every one-qubit matrix passes one stacked unitarity check, and every
-   leaf's emitted gate list is checked against the same row, folded into its
-   4x4 matrix and compared with the leaf at 1e-9.  The fold is stacked over
-   the leaves of one class; nothing is simulated.
+3. layout, emission and checks: the leaves are laid out by CNOT class as
+   one stack (grouped by class and by the axes exchanged), and one stacked
+   SVD splits every local factor.  Each class's one-qubit matrices are
+   written as one (N, slots, 2, 2) stack, right frame, interior and left
+   frame, in the order of its row of _LAYOUTS, the one table of leaf gate
+   orders; a leaf's ops are that row on its final qubits.  Every matrix
+   passes one stacked unitarity check, and each class stack is folded by the
+   same row into 4x4 matrices and compared with its leaves at 1e-9.  Nothing
+   is simulated and no gate object is made.
 
 The public functions check their input and are one-leaf stacks.
 """
 
 import cmath
 import functools
-import itertools
 import math
-import operator
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, OneQubitGate, _rebuilt_1q, _require_unitary_stack
+from .circuit import Circuit, _from_arrays, _require_unitary_stack
 from .errors import BadDimensionError, SynthesisError
 from .linalg import require_unitary
 
@@ -293,7 +292,7 @@ def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list[int]:
     """Fewest-CNOT layout of L1 exp(i r.(XX, YY, ZZ)) L2, for a stack with r reduced.
 
     Returns the CNOT count of each leaf, and moves, in place, the leaf's
-    coordinates onto the axes its interior realizes (:func:`_leaf_gates`), its
+    coordinates onto the axes its interior realizes (:func:`_class_mats`), its
     frames absorbing the change; a leaf with no CNOT gets the whole local
     product L1 L2 in l2.  The frames are changed as one stack per axis
     exchange and per class.
@@ -331,90 +330,67 @@ def _kak_frames(l1: np.ndarray, r: np.ndarray, l2: np.ndarray) -> list[int]:
 
 
 @functools.cache
-def _cnot(offset: int) -> Cnot:
-    """The CNOT(offset+1, offset+2) shared by every leaf at ``offset``."""
-    return Cnot(offset + 1, offset + 2)
+def _leaf_ops(cnots: int, offset: int) -> np.ndarray:
+    """The ops of every leaf with ``cnots`` CNOTs at ``offset``, read off its
+    _LAYOUTS row; read-only, as it is shared."""
+    ops = np.array(
+        [(offset + code, offset + 3 - code) if code > 0 else (offset - code, 0)
+         for code in _LAYOUTS[cnots]],
+        dtype=np.intp,
+    )
+    ops.flags.writeable = False
+    return ops
 
 
-def _leaf_gates(cnots: int, r: list, frames: tuple, offset: int) -> list:
-    """A leaf's gates on qubits offset+1, offset+2, laid out by _LAYOUTS[cnots].
+def _class_mats(cnots: int, coords: list, right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The one-qubit matrices of the leaves of one CNOT class, as one
+    (N, slots, 2, 2) stack in the order of the class's _LAYOUTS row.
 
-    ``frames`` holds the one-qubit factors (b1, b2) of the right frame and,
-    when there are CNOTs, (a1, a2) of the left; the interior between them
-    realizes exp(i r.(XX, YY, ZZ)), r as :func:`_kak_frames` left it.  With
-    three CNOTs, conjugating by CNOT(1,2) turns the interaction into a
+    ``right`` and ``left`` hold the factors, on the leaf's first and second
+    qubit, of each leaf's right and left frame, as (N, 2, 2, 2) stacks
+    (``left`` is unused without CNOTs); the interior between them realizes
+    exp(i r.(XX, YY, ZZ)), r in ``coords`` as :func:`_kak_frames` left it.
+    With three CNOTs, conjugating by CNOT(1,2) turns the interaction into a
     rotation on qubit 1 multiplexed by qubit 2 plus a z-rotation on qubit 2;
     the trailing CZ-CNOT pair merges into a single CNOT with one-qubit
-    corrections.  The matrices are checked with the rest of the stack.
+    corrections, G_MERGE^dag, H and S in every leaf.  The matrices are
+    checked with the rest of the stack.
     """
-    hx, hy, hz = r
-    if cnots == 3:
-        c_z = _rz(-2.0 * hz) @ _G_MERGE
-        dag, h, s = _fixed_gates(offset)
-        interior = (dag, h, h, s, c_z, _rx(2.0 * hy), h, h, _rx(-2.0 * hx))
-    elif cnots == 2:
-        interior = (_rx(-2.0 * hx), _rz(-2.0 * hz))
-    else:
-        interior = ()
-    items = iter((*frames[:2], *interior, *frames[2:]))  # matrices, and the shared gates
-    cx = _cnot(offset)
-    return [
-        cx if code > 0
-        else m if type(m := next(items)) is OneQubitGate
-        else _rebuilt_1q(offset - code, m)
-        for code in _LAYOUTS[cnots]
-    ]
+    slots = sum(code < 0 for code in _LAYOUTS[cnots])
+    stack = np.empty((len(coords), slots, 2, 2), dtype=complex)
+    stack[:, :2] = right
+    if cnots:
+        stack[:, -2:] = left
+    if cnots == 2:
+        for mats, (hx, _, hz) in zip(stack, coords):
+            mats[2] = _rx(-2.0 * hx)
+            mats[3] = _rz(-2.0 * hz)
+    elif cnots == 3:
+        stack[:, [2, 3, 4, 5, 8, 9]] = _G_MERGE_DAG, _H, _H, _S, _H, _H
+        for mats, (hx, hy, hz) in zip(stack, coords):
+            mats[6] = _rz(-2.0 * hz) @ _G_MERGE
+            mats[7] = _rx(2.0 * hy)
+            mats[10] = _rx(-2.0 * hx)
+    return stack
 
 
-@functools.cache
-def _fixed_gates(offset: int) -> tuple:
-    """G_MERGE^dag and H on qubit offset+2 and S on offset+1: the constant
-    gates of every three-CNOT leaf at ``offset``, shared by all of them."""
-    q1, q2 = offset + 1, offset + 2
-    return OneQubitGate(q2, _G_MERGE_DAG), OneQubitGate(q2, _H), OneQubitGate(q1, _S)
+def _check_leaves(leaves: list, *, stacks: dict) -> None:
+    """Check every one-qubit matrix, then fold every leaf's matrices against it.
 
-
-_KIND_TARGET = operator.attrgetter("__class__", "target")
-_MATRIX = operator.attrgetter("matrix")
-
-
-@functools.cache
-def _layout_gates(cnots: int, offset: int) -> tuple[tuple, tuple]:
-    """The layout of a leaf with ``cnots`` CNOTs at ``offset``: the (kind,
-    target) of each one-qubit gate, and each CNOT, in order."""
-    layout = _LAYOUTS[cnots]
-    one_qubit = tuple((OneQubitGate, offset - code) for code in layout if code < 0)
-    return one_qubit, (_cnot(offset),) * layout.count(1)
-
-
-def _check_leaves(leaves: list) -> None:
-    """Check every one-qubit matrix, then fold every leaf's gates against it.
-
-    The leaves are grouped by CNOT class.  Each leaf's emitted gates must
-    follow the layout of its class: gate kind and qubit, position by
-    position, with the leaf's own CNOT.  Each group is folded as one stack.
+    ``stacks`` maps each CNOT class to the matrices :func:`_class_mats`
+    emitted for its leaves, in leaf order.  Each must hold one row per leaf
+    of the class and one matrix per one-qubit slot of its layout.  Each
+    class is folded by its _LAYOUTS row as one stack.
     """
     groups: dict[int, list] = {}
     for leaf in leaves:
         groups.setdefault(leaf.cnots, []).append(leaf)
-    columns = {}
     for cnots, group in groups.items():
-        layout = _LAYOUTS[cnots]
-        gate_lists = [leaf.gates for leaf in group]
-        flat = list(itertools.chain.from_iterable(gate_lists))
-        one_qubit = list(itertools.compress(flat, [code < 0 for code in layout] * len(group)))
-        cnot_gates = list(itertools.compress(flat, [code > 0 for code in layout] * len(group)))
-        ones, cxs = zip(*[_layout_gates(cnots, leaf.offset) for leaf in group])
-        if (
-            list(map(len, gate_lists)).count(len(layout)) != len(group)
-            or list(map(_KIND_TARGET, one_qubit)) != list(itertools.chain.from_iterable(ones))
-            or cnot_gates != list(itertools.chain.from_iterable(cxs))
-        ):
+        if stacks[cnots].shape[:2] != (len(group), sum(code < 0 for code in _LAYOUTS[cnots])):
             raise SynthesisError("two-qubit synthesis failed to verify")
-        columns[cnots] = np.array(list(map(_MATRIX, one_qubit)))
-    _require_unitary_stack(np.concatenate(list(columns.values())))
+    _require_unitary_stack(np.concatenate([stacks[cnots].reshape(-1, 2, 2) for cnots in groups]))
     for cnots, group in groups.items():
-        mats = columns[cnots].reshape(len(group), -1, 2, 2)
+        mats = stacks[cnots]
         m = np.array([_EYE4] * len(group))
         j = 0
         for code in _LAYOUTS[cnots]:
@@ -516,11 +492,13 @@ class _Leaf:
     A twisted leaf is realized up to a trailing diagonal ``delta``, which
     multiplies ``prev`` (when given) from the left; ``target`` is the matrix
     the gates must realize: ``matrix`` with the diagonal of the leaf pushed
-    into it, if any.  ``cnots`` is the CNOT count of its gates.
+    into it, if any.  ``cnots`` is the CNOT count of its gates, and ``ops``
+    and ``mats`` are its array form (see ``circuit``).
     """
 
     __slots__ = (
-        "matrix", "offset", "twisted", "prev", "target", "delta", "su4", "twist", "cnots", "gates"
+        "matrix", "offset", "twisted", "prev", "target", "delta", "su4", "twist", "cnots", "ops",
+        "mats",
     )
 
     def __init__(self, matrix: np.ndarray, offset: int, twisted: bool = False):
@@ -586,12 +564,12 @@ def _kak_chain(leaves: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _synth_leaves(leaves: list) -> None:
-    """Set the gates (and, if twisted, the diagonal) of every leaf of a stack.
+    """Set the array form (and, if twisted, the diagonal) of every leaf of a stack.
 
     ``leaves`` come in chain order: a twisted leaf before its ``prev``.  The
     chain fixes every twist and one stacked KAK decomposes every leaf
-    (:func:`_kak_chain`); the leaves are laid out by CNOT class, and the
-    gates are emitted and checked as one stack.
+    (:func:`_kak_chain`); the leaves are laid out by CNOT class, and each
+    class's matrices are emitted and checked as one stack.
     """
     l1, r, l2 = _kak_chain(leaves)
     twisted = [i for i, leaf in enumerate(leaves) if leaf.twisted]
@@ -600,14 +578,23 @@ def _synth_leaves(leaves: list) -> None:
     cnots = _kak_frames(l1, r, l2)
     # right frames of every leaf (the whole local product without CNOTs), then left frames
     entangled = [i for i, c in enumerate(cnots) if c]
-    a, b = _tensor_split(np.concatenate((l2, l1[entangled])))
-    rights = zip(a, b)
-    lefts = zip(a[len(leaves):], b[len(leaves):])
-    for leaf, c, coords in zip(leaves, cnots, r.tolist()):
+    factors = np.stack(_tensor_split(np.concatenate((l2, l1[entangled]))), axis=1)
+    left_of = np.zeros(len(leaves), dtype=np.intp)
+    left_of[entangled] = np.arange(len(leaves), len(factors))
+    classes: dict[int, list] = {}
+    for i, (leaf, c) in enumerate(zip(leaves, cnots)):
         leaf.cnots = c
-        frames = (*next(rights), *next(lefts)) if c else next(rights)
-        leaf.gates = _leaf_gates(c, coords, frames, leaf.offset)
-    _check_leaves(leaves)
+        classes.setdefault(c, []).append(i)
+    coords = r.tolist()
+    stacks = {
+        c: _class_mats(c, [coords[i] for i in idx], factors[idx], factors[left_of[idx]])
+        for c, idx in classes.items()
+    }
+    _check_leaves(leaves, stacks=stacks)
+    for c, idx in classes.items():
+        for i, mats in zip(idx, stacks[c]):
+            leaf = leaves[i]
+            leaf.ops, leaf.mats = _leaf_ops(c, leaf.offset), mats
 
 
 def synth_2q_unitary(u: np.ndarray) -> Circuit:
@@ -618,7 +605,7 @@ def synth_2q_unitary(u: np.ndarray) -> Circuit:
     """
     leaf = _Leaf(_require_2q_unitary(u), 0)
     _synth_leaves([leaf])
-    return Circuit(2, tuple(leaf.gates))
+    return _from_arrays(2, leaf.ops, leaf.mats)
 
 
 def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
@@ -631,4 +618,4 @@ def two_qubit_up_to_diagonal(u: np.ndarray) -> tuple[Circuit, np.ndarray]:
     """
     leaf = _Leaf(_require_2q_unitary(u), 0, twisted=True)
     _synth_leaves([leaf])
-    return Circuit(2, tuple(leaf.gates)), leaf.delta
+    return _from_arrays(2, leaf.ops, leaf.mats), leaf.delta

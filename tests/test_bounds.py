@@ -1,5 +1,8 @@
 """Bound calculators: pinned values, asymptotic prefactors, consistency."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,19 @@ def test_cnot_lower_bound_pins():
     assert cnot_lower_bound(4) == 6
     assert cnot_lower_bound(5) == 13
     assert cnot_lower_bound(6) == 29
+
+
+@pytest.mark.parametrize("n", [54, 61, 64, 65, 100, 257, 1019, 1030])
+def test_lower_bounds_are_exact_integers_for_large_n(n):
+    """Both lower bounds are exact ceilings of their rational formulas, also
+    where 2^(n+1) is far beyond float precision (or float range)."""
+    cnots = math.ceil(Fraction(2 ** (n + 1) - 2 - 2 * n, 4))
+    assert cnot_lower_bound(n) == cnots
+    assert depth_lower_bound(n) == math.ceil(Fraction(cnots, n // 2))
+
+
+def test_cnot_lower_bound_at_54():
+    assert cnot_lower_bound(54) == 9007199254740965  # a float division gives ...964
 
 
 def test_depth_lower_bound_pins():

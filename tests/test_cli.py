@@ -1,6 +1,7 @@
 """CLI: file round trips, exit codes, bench determinism."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from statesynth import (
     NotNormalizedError,
+    bound_set,
     fidelity,
     haar_state,
     parse_qasm,
@@ -249,6 +251,35 @@ def test_bounds_command(capsys):
         "depth_lower": 7,
         "depth_upper_scheme": 22,
     }
+
+
+def test_bounds_command_for_large_n(capsys):
+    """bounds prints exact integers where 2^(n+1) overflows a float."""
+    assert main(["bounds", "1030"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == bound_set(1030).to_dict()
+    assert data["cnot_lower"] == -(-(2**1031 - 2 - 2 * 1030) // 4)
+    assert data["depth_lower"] == -(-data["cnot_lower"] // 515)
+
+
+def test_verify_reads_deep_angle_expressions(tmp_path, capsys):
+    """An angle nested 2000 parentheses deep, or behind 2001 signs, is
+    evaluated; the same nesting followed by a stray ")(" is a parse error,
+    exit 3, with a message and no traceback."""
+    target = tmp_path / "target.json"
+    target.write_text(state_to_json(np.array([math.cos(0.5), -math.sin(0.5)])))  # u3(-1, 0, 0)|0>
+    qasm = tmp_path / "deep.qasm"
+    for angle, code in (
+        ("(" * 2000 + "-1" + ")" * 2000, 0),
+        ("-" * 2001 + "1", 0),
+        ("(" * 2000 + "-1" + ")" * 2000 + ")(", 3),
+    ):
+        qasm.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nu3({angle},0,0) q[0];\n')
+        assert main(["verify", str(qasm), str(target)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error:") and "trailing tokens" in err
 
 
 def test_nan_amplitude_is_not_normalized(tmp_path):

@@ -28,6 +28,7 @@ from statesynth import (
     two_qubit_up_to_diagonal,
 )
 from statesynth import synthesis, twoqubit
+from statesynth.circuit import _from_arrays
 from statesynth.twoqubit import MAGIC, MAGIC_DAG, _PATTERN
 
 
@@ -52,7 +53,7 @@ def _serial_qsd_gates(u: np.ndarray, k: int) -> list:
         if isinstance(item, Circuit):
             gates.extend(shift(item, k - 2, k).gates)
         else:
-            gates.append(item)
+            gates.extend(_from_arrays(k, *item).gates)
     return gates
 
 
@@ -432,7 +433,9 @@ def test_stacked_reduce_and_layout_match_the_per_leaf_forms():
         assert all(_same_bytes(a, b) for a, b in zip(ours, ref_frames))
         # the emitted leaf: right frame, interior, left frame
         ones = [m for pair in zip(*twoqubit._tensor_split(np.array(ours))) for m in pair]
-        gates = twoqubit._leaf_gates(cnots[i], r_f[i].tolist(), tuple(ones), offset)
+        frames = np.array(ones).reshape(-1, 1, 2, 2, 2)  # the right frame, then the left
+        mats = twoqubit._class_mats(cnots[i], [r_f[i].tolist()], frames[0], frames[-1])
+        gates = _from_arrays(offset + 2, twoqubit._leaf_ops(cnots[i], offset), mats[0]).gates
         frame_gates = [OneQubitGate(offset + 1 + j % 2, m) for j, m in enumerate(ones)]
         assert sum(isinstance(g, Cnot) for g in gates) == cnots[i]
         _assert_same_gates(gates, frame_gates[:2] + ref_interior + frame_gates[2:])

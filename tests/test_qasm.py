@@ -532,6 +532,23 @@ def test_first_bad_statement_raises(first):
     assert str(exc.value) == messages[first]
 
 
+def test_angle_time_is_linear_in_terms_nesting_and_signs():
+    """A long sum, deep parentheses and a long run of signs in an angle are
+    evaluated in one pass over the tokens, with no recursion: a pass
+    quadratic in the token count would take seconds here, and one level of
+    recursion per parenthesis or sign would overflow the stack."""
+    count = 100_000
+    for angle, value in (
+        ("+".join(["1"] * count), float(count)),
+        ("(" * count + "1" + ")" * count, 1.0),
+        ("-" * (count + 1) + "1", -1.0),
+    ):
+        start = time.perf_counter()
+        c = parse_qasm(f"qreg q[1];\nu3({angle},0,0) q[0];\n")
+        assert time.perf_counter() - start < 1.0
+        assert c._arrays[1].tobytes() == u3_matrix([value], [0.0], [0.0]).tobytes()
+
+
 def test_scan_time_is_linear_in_separator_runs():
     """Long runs of line breaks, blanks and ;'s before a statement or at the
     end of the text are read in one step, and a failed number match

@@ -1,6 +1,7 @@
 """Simulator semantics: gate action, composition, norm, fidelity, file format."""
 
 import json
+import time
 import tracemalloc
 from functools import reduce
 
@@ -564,3 +565,18 @@ def test_run_matches_the_gate_walk_bit_for_bit(name, c, path, monkeypatch):
         assert np.array_equal(run(c, s), out)
     windowed = path == "window" and any(isinstance(g, Cnot) for g in c.gates)
     assert calls == ["stack" if windowed else "gates"] * len(states)
+
+
+def test_stacked_fold_time_is_linear_in_long_runs():
+    """Each rank round of the stacked fold reads only its own gates: a run
+    of 10000 gates on one qubit after 300000 others folds in well under a
+    second, where rounds that each scanned every gate would take seconds."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+    block = [[1, 0], [2, 0], [1, 2], [3, 0], [4, 0], [3, 4]]
+    ops = np.array(block * 50_000 + [[5, 0]] * 10_000 + [[5, 1]], dtype=np.intp)
+    mats = np.broadcast_to(h, (np.count_nonzero(ops[:, 1] == 0), 2, 2)).copy()
+    start = time.perf_counter()
+    pairs, factors, trailing = simulate._fold_stack(ops, mats, 5)
+    assert time.perf_counter() - start < 0.5
+    assert len(pairs) == 100_001 and trailing == []
+    assert np.allclose(factors[-7], np.eye(2))  # H^10000 on the last CNOT's control

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import statesynth.circuit
 from statesynth import simulate, synthesis, twoqubit
+from statesynth.circuit import _from_arrays
 from statesynth import (
     BadLengthError,
     Circuit,
+    Cnot,
     NonFiniteError,
     NotNormalizedError,
     NotUnitaryError,
@@ -16,6 +19,7 @@ from statesynth import (
     circuit_unitary,
     cnot_count,
     demultiplex,
+    emit_qasm,
     fidelity,
     haar_state,
     haar_unitary,
@@ -122,17 +126,18 @@ def test_synth_2q_state_rejects_unnormalized():
 
 
 def _ucr_gates(axis, angles, controls, target):
-    """The Gray-code ladder of one multiplexed rotation; with no control, one gate."""
+    """The Gray-code ladder of one multiplexed rotation as (ops, mats); with
+    no control, one gate."""
     angles = np.asarray(angles, dtype=float)[None, :]
     mats = synthesis._ladder_rotations(int(axis == "Z"), angles)[0]
     if not controls:
-        return [OneQubitGate(target, mats[0])]
+        return np.array([[target, 0]]), mats
     return synthesis._ladder_gates(mats, tuple(controls), target)
 
 
 def _ucr_circuit(axis, angles, controls, target):
     """The Gray-code ladder of one multiplexed rotation as a circuit."""
-    return Circuit(max([target, *controls]), tuple(_ucr_gates(axis, angles, controls, target)))
+    return _from_arrays(max([target, *controls]), *_ucr_gates(axis, angles, controls, target))
 
 
 def test_multiplexed_rotation_no_controls():
@@ -352,6 +357,32 @@ def test_kq_leaves_route_without_simulation(monkeypatch, k, splits):
     assert cnot_count(c) == unitary_upper_bound(k)
 
 
+def test_synthesis_run_and_emit_create_no_gate_objects(monkeypatch):
+    """synth_kq_unitary writes the array form: synthesizing a Haar k = 4
+    unitary, running it on both simulator paths and emitting it creates no
+    OneQubitGate and no Cnot."""
+    made = []
+    rebuilt = statesynth.circuit._rebuilt_1q
+    monkeypatch.setattr(
+        statesynth.circuit, "_rebuilt_1q", lambda *a: made.append("1q") or rebuilt(*a)
+    )
+    for cls in (OneQubitGate, Cnot):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda g, check=check: made.append(type(g)) or check(g)
+        )
+    u = haar_unitary(16, np.random.default_rng(44))
+    c = synth_kq_unitary(u)
+    state = run(c, zero_state(4))  # below the window work bound
+    monkeypatch.setattr(simulate, "_WINDOW_MIN_WORK", 1)
+    full = circuit_unitary(c)
+    text = emit_qasm(c)
+    assert made == [] and "gates" not in c.__dict__
+    assert phase_aligned_distance(full, u) <= 1e-9
+    assert phase_aligned_distance(state, u[:, 0]) <= 1e-9
+    assert text.count("cx ") == cnot_count(c) == 100
+
+
 def _mutate_one_call(monkeypatch, module, name, at, mutate_args=None, mutate_result=None):
     """Replace module.name so that only its call number ``at`` is mutated.
 
@@ -406,22 +437,20 @@ def test_perturbed_leaf_gate_fails_the_leaf_check(monkeypatch):
 
 @pytest.mark.parametrize("mutation", ["swap", "drop"])
 def test_reordered_leaf_gate_fails_the_leaf_check(monkeypatch, mutation):
-    """The leaf check folds each leaf's emitted gate list itself: swapping the
-    first two interior gates of one leaf of a stack (non-commuting in both
-    the two- and the three-CNOT interior), or dropping the first, must fail
-    it.  A swap inside the three-CNOT interior keeps the leaf's gate layout,
-    so it folds in the same group as the other three-CNOT leaves; the other
-    mutations fold in a group of their own."""
+    """The leaf check folds each class's emitted matrix stack itself:
+    swapping the first two interior matrices of one leaf of a stack
+    (non-commuting in the three-CNOT interior, moved onto the other qubit in
+    the two-CNOT one) must fail its fold, and dropping the first interior
+    slot of a class must fail its slot-count test, as a SynthesisError."""
 
-    def mutated(gates):
+    def mutated(stack):
         if mutation == "swap":
-            gates[2], gates[3] = gates[3], gates[2]
-        else:
-            del gates[2]
-        return gates
+            stack[0, [2, 3]] = stack[0, [3, 2]]
+            return stack
+        return np.delete(stack, 2, axis=1)
 
-    for synth, arg, at in _mutated_calls(monkeypatch, "_leaf_gates"):
-        _mutate_one_call(monkeypatch, twoqubit, "_leaf_gates", at, mutate_result=mutated)
+    for synth, arg, at in _mutated_calls(monkeypatch, "_class_mats"):
+        _mutate_one_call(monkeypatch, twoqubit, "_class_mats", at, mutate_result=mutated)
         with pytest.raises(SynthesisError):
             synth(arg)
         monkeypatch.undo()

@@ -13,7 +13,6 @@ from statesynth import (
     BadDimensionError,
     NonFiniteError,
     NotUnitaryError,
-    OneQubitGate,
     circuit_unitary,
     cnot_count,
     haar_unitary,
@@ -256,14 +255,16 @@ def test_kq_synthesis_with_near_special_blocks():
         assert phase_aligned_distance(circuit_unitary(c), u) <= 1e-8
 
 
-def test_three_cnot_leaves_share_their_constant_gates():
-    """Every three-CNOT leaf at one offset holds the same CNOT and the same
-    G_MERGE^dag, H and S gate objects, where _LAYOUTS places them; only its
-    frames and rotations are new gates, 7 of its 13 one-qubit gates."""
+def test_three_cnot_leaves_share_their_layout():
+    """Every three-CNOT leaf at one offset holds the same read-only ops
+    array, read off _LAYOUTS, and the same G_MERGE^dag, H and S matrices
+    where the layout places them; only its frames and rotations are new, 7
+    of its 13 one-qubit matrices."""
     rng = np.random.default_rng(31)
     a, b = (synth_2q_unitary(haar_unitary(4, rng)) for _ in range(2))
     assert cnot_count(a) == cnot_count(b) == 3
-    shared = [i for i, (g, h) in enumerate(zip(a.gates, b.gates)) if g is h]
-    assert shared == [2, 3, 4, 5, 6, 9, 10, 11, 13]
-    # the four H gates are one object: 7 new gates and 3 shared ones
-    assert len({id(g) for g in a.gates if isinstance(g, OneQubitGate)}) == 7 + 3
+    (ops_a, mats_a), (ops_b, mats_b) = a._arrays, b._arrays
+    assert ops_a is ops_b and not ops_a.flags.writeable
+    assert len(mats_a) == len(mats_b) == 13
+    same = [i for i, (m, w) in enumerate(zip(mats_a, mats_b)) if m.tobytes() == w.tobytes()]
+    assert same == [2, 3, 4, 5, 8, 9]
