@@ -3,6 +3,7 @@ models of the four-phase scheme, in exact integer arithmetic."""
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,7 +100,15 @@ class BoundSet:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The bounds as JSON; BadRangeError where one has more digits than
+        Python prints an integer with (``sys.get_int_max_str_digits``)."""
+        try:
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        except ValueError as exc:  # raised only by the int-to-str digit limit
+            raise BadRangeError(
+                f"the bounds for n = {self.n} have more than "
+                f"{sys.get_int_max_str_digits()} digits, too many to print"
+            ) from exc
 
 
 def bound_set(n: int) -> BoundSet:

@@ -10,6 +10,15 @@ matrices.  Synthesis, parsing and the IR helpers write it directly, and
 counting, simulation and emission read it.  The tuple of gate objects,
 ``gates``, is derived from it on first read and cached; a circuit built from
 gates keeps the given tuple as that cache.
+
+One fold, ``_fold``, multiplies each run of one-qubit gates on a qubit into
+one product: the product fed into the control or target side of the next
+CNOT on the qubit or, after its last CNOT, into its trailing slot.  The
+simulator's first pass is this fold, and ``_folded`` writes its result back
+as a circuit in folded form: each CNOT comes after at most one one-qubit
+gate on its control and one on its target, and each qubit ends with at most
+one trailing gate.  The preparation pipeline returns its ``total`` in this
+form, so that fewer gates are simulated, emitted and parsed back.
 """
 
 import json
@@ -202,6 +211,118 @@ def _from_arrays(n_qubits: int, ops: np.ndarray, mats: np.ndarray) -> Circuit:
     c = object.__new__(Circuit)
     c.__dict__.update(n_qubits=n_qubits, _arrays=(ops, mats))
     return c
+
+
+_I2 = np.eye(2, dtype=complex)
+
+
+def _fold(ops: np.ndarray, mats: np.ndarray, n: int, stacked: bool) -> tuple:
+    """Fold every run of one-qubit gates on a qubit into one product.
+
+    Every one-qubit gate feeds a slot: the control or target side of the
+    next CNOT on its qubit or, after the last, its qubit's trailing slot.
+    Each slot's product multiplies its gates in circuit order, each later
+    gate on the left.  Returns the (K, 2) CNOT pairs, the (2K, 2, 2)
+    products on the control and the target side of each CNOT (identity
+    where no gate fed a side), a (2K,) mask of the sides a gate fed, and the
+    (qubit, product) of each trailing slot that holds a gate, in the order
+    their first gates come.
+
+    ``stacked`` picks the pass; both give the same products, bit for bit.
+    The walk goes over the rows in order.  The stacked pass sorts the gates
+    once to find the slot each feeds and multiplies the runs out by rank,
+    the r-th gate of every run at once; its fixed cost pays only on long
+    circuits, and ``simulate._windowed`` says where.
+    """
+    if not stacked:
+        return _fold_rows(ops, mats)
+    g = len(ops)
+    cx = ops[:, 1] > 0
+    pairs = ops[cx]
+    k = len(pairs)
+    one = np.flatnonzero(~cx)  # the position of each one-qubit gate
+    # one sort of the gates and slots on (qubit, position), with an end
+    # marker per qubit, puts each gate just before the slot it feeds; the
+    # events are each one-qubit gate, then each slot (both sides of each
+    # CNOT, then each qubit's end marker), so that event len(one) + s is slot s
+    qubit = np.concatenate([ops[one, 0], pairs.ravel(), np.arange(1, n + 1)])
+    position = np.concatenate([one, np.repeat(np.flatnonzero(cx), 2), np.full(n, g)])
+    order = np.argsort(qubit * (g + 1) + position)
+    ends = np.flatnonzero(order >= len(one))  # the slots, in sorted order
+    gate_at = np.flatnonzero(order < len(one))
+    nxt = np.searchsorted(ends, gate_at)
+    gate_slot = order[ends[nxt]] - len(one)
+    rank = gate_at - np.concatenate([[-1], ends])[nxt] - 1
+    gate = order[gate_at]  # index into mats
+    factors = np.empty((2 * k + n, 2, 2), dtype=complex)
+    factors[:] = _I2
+    fed = np.zeros(2 * k + n, dtype=bool)
+    fed[gate_slot] = True
+    # the r-th gate of every run at once, each round reading one slice of
+    # the gates sorted by rank
+    by_rank = np.argsort(rank, kind="stable")
+    slots, ranked = gate_slot[by_rank], mats[gate[by_rank]]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)).tolist():
+        s = slots[start:stop]
+        factors[s] = ranked[start:stop] if start == 0 else ranked[start:stop] @ factors[s]
+        start = stop
+    first = (rank == 0) & (gate_slot >= 2 * k)
+    trailing = gate_slot[first][np.argsort(one[gate[first]])]
+    tail = [(s - 2 * k + 1, factors[s]) for s in trailing.tolist()]
+    return pairs, factors[: 2 * k], fed[: 2 * k], tail
+
+
+def _fold_rows(ops: np.ndarray, mats: np.ndarray) -> tuple:
+    """:func:`_fold` as a walk over the rows of the array form."""
+    pending = {}  # qubit -> product of its one-qubit gates not yet taken in
+    pairs, sides = [], []
+    matrices = iter(mats)
+    for a, b in ops.tolist():
+        if b:
+            pairs += (a, b)
+            sides += (pending.pop(a, None), pending.pop(b, None))
+        else:
+            m = next(matrices)
+            p = pending.get(a)
+            pending[a] = m if p is None else m @ p
+    fed = np.array([s is not None for s in sides], dtype=bool)
+    factors = np.array([_I2 if s is None else s for s in sides], dtype=complex)
+    return (
+        np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        factors.reshape(-1, 2, 2),
+        fed,
+        list(pending.items()),
+    )
+
+
+def _folded(c: Circuit, stacked: bool) -> Circuit:
+    """The circuit with each run of one-qubit gates on a qubit folded into one gate.
+
+    Each CNOT comes after at most one gate on its control and then one on
+    its target, the products its sides were fed; the trailing products
+    follow the last CNOT, in the order their first gates came.  A side that
+    no gate fed gets no gate.  The circuit acts the same, CNOT for CNOT, and
+    ``run`` takes the same products from it, so its output is bit-identical.
+    The folded circuit keeps the fold as ``_pass1``, which is also the fold
+    of its own gates, and ``run`` takes it instead of folding again.
+    ``stacked`` picks the pass of :func:`_fold`.
+    """
+    fold = pairs, factors, fed, tail = _fold(*c._arrays, c.n_qubits, stacked)
+    flat = []
+    sides = iter(fed.tolist())
+    for a, b in pairs.tolist():
+        if next(sides):
+            flat += (a, 0)
+        if next(sides):
+            flat += (b, 0)
+        flat += (a, b)
+    for q, _ in tail:
+        flat += (q, 0)
+    mats = np.concatenate([factors[fed], *(m[None] for _, m in tail)])
+    out = _from_arrays(c.n_qubits, np.array(flat, dtype=np.intp).reshape(-1, 2), mats)
+    out.__dict__["_pass1"] = fold
+    return out
 
 
 def cnot_count(c: Circuit) -> int:

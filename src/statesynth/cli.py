@@ -113,6 +113,7 @@ def _bench_rows(n_min: int, n_max: int, trials: int, seed: int):
                 "fidelity": fid,
                 "lower": bounds_mod.cnot_lower_bound(n),
                 "upper": bounds_mod.scheme_upper_bound(n),
+                "gates": len(plan.total),
             }
 
 
@@ -125,11 +126,11 @@ def cmd_bench(args) -> int:
     rows = list(_bench_rows(args.n_min, args.n_max, args.trials, args.seed))
     if args.format == "csv":
         buf = io.StringIO()
-        buf.write("n,trial,cnots,depth,fidelity,lower,upper\n")
+        buf.write("n,trial,cnots,depth,fidelity,lower,upper,gates\n")
         for r in rows:
             buf.write(
                 f"{r['n']},{r['trial']},{r['cnots']},{r['depth']},"
-                f"{r['fidelity']!r},{r['lower']},{r['upper']}\n"
+                f"{r['fidelity']!r},{r['lower']},{r['upper']},{r['gates']}\n"
             )
         text = buf.getvalue()
     else:
@@ -144,6 +145,7 @@ def cmd_bench(args) -> int:
                         "max_cnots": max(r["cnots"] for r in group),
                         "mean_cnots": sum(r["cnots"] for r in group) / len(group),
                         "max_depth": max(r["depth"] for r in group),
+                        "mean_gates": sum(r["gates"] for r in group) / len(group),
                         "min_fidelity": min(r["fidelity"] for r in group),
                         "lower": bounds_mod.cnot_lower_bound(n),
                         "upper": bounds_mod.scheme_upper_bound(n),

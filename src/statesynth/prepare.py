@@ -12,6 +12,12 @@ Phases 3 and 4 are synthesized by one call, each on its final qubits, so the
 two-qubit leaves of both bases form one stack: the serial twist chain of each
 basis, then one stacked Cartan decomposition, then stacked emission and
 checks (see ``twoqubit``).
+
+The plan's ``total`` (and the circuit ``transform`` returns) is folded once
+(``circuit._folded``): each CNOT comes after at most one one-qubit gate on
+each of its qubits, and each qubit ends with at most one, so the seams
+between leaves, ladders and phases cost one gate a qubit.  The phase
+circuits are kept as synthesized.
 """
 
 from dataclasses import dataclass
@@ -22,6 +28,7 @@ from . import bounds as bounds_mod
 from .circuit import (
     Circuit,
     OneQubitGate,
+    _folded,
     _from_arrays,
     _require_unitary_stack,
     cnot_count,
@@ -33,7 +40,7 @@ from .circuit import (
 )
 from .errors import BadDimensionError, DimensionMismatchError, TooFewQubitsError
 from .linalg import require_max_dim, svd
-from .simulate import num_qubits, require_normalized
+from .simulate import _windowed, num_qubits, require_normalized
 from .synthesis import _synth_blocks, uc_su2_up_to_diagonal
 
 
@@ -142,7 +149,7 @@ def _phase1_circuit(alphas: np.ndarray, k1: int) -> Circuit:
 
 @dataclass(frozen=True)
 class PrepPlan:
-    """Phase circuits (all n qubits wide), their concatenation, and metrics."""
+    """Phase circuits (all n qubits wide), their folded concatenation, and metrics."""
 
     phase1: Circuit
     phase2: Circuit
@@ -191,7 +198,7 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
 def _plan(sf: SchmidtForm, p1: Circuit, p2: Circuit, p3: Circuit, p4: Circuit) -> PrepPlan:
     """The plan for four phase circuits on one register, with its cost report."""
     n = p1.n_qubits
-    total = concat(p1, p2, p3, p4)
+    total = _fold_total(concat(p1, p2, p3, p4))
     report = cost_report(
         total,
         cnot_lower=bounds_mod.cnot_lower_bound(n),
@@ -226,7 +233,12 @@ def transform(psi: np.ndarray, phi: np.ndarray) -> Circuit:
         )
     unprepare = inverse(schmidt_prepare(psi).total)
     prepare = schmidt_prepare(phi).total
-    return concat(unprepare, prepare)
+    return _fold_total(concat(unprepare, prepare))
+
+
+def _fold_total(c: Circuit) -> Circuit:
+    """The circuit folded (``circuit._folded``) by the pass ``run`` picks for one state."""
+    return _folded(c, _windowed(c.n_qubits, 1 << c.n_qubits, cnot_count(c)))
 
 
 def synth_2q_state(amps: np.ndarray) -> Circuit:

@@ -6,38 +6,40 @@ state or on a stack of states held as columns, through reshaped views that
 put the gate's qubits on axes of length 2.  No 2^n x 2^n gate matrices are
 formed.
 
-``run`` works in two passes.  The first multiplies back-to-back one-qubit
-gates on a qubit into one pending 2x2 matrix; one-qubit gates on different
-qubits commute, so only the CNOTs order the kernels.  Each CNOT takes in the
-pending matrices of its two qubits (identity where none).  The second pass
-builds every CNOT's 4x4 kernel at once, as one stacked Kronecker product with
-the CNOT's row permutation.  It then groups the kernels into windows: maximal
-runs of consecutive kernels that together touch at most three qubits (a
-window on two qubits is widened by a neighbouring third).  Each kernel is
-gathered into its window's 8x8 through fixed index tables, the windows are
-multiplied out as stacks, grouped by length rounded up to a power of two,
-padded with identities and reduced pairwise, and each window's product is
-applied once, in circuit order: in place when its three qubits are adjacent,
-through a transposed copy otherwise.  What is still pending when the circuit
-ends is applied as 2x2 products.
+``run`` works in two passes.  The first is the fold that lives in
+``circuit`` (``_fold``): it multiplies back-to-back one-qubit gates on a
+qubit into one pending 2x2 matrix; one-qubit gates on different qubits
+commute, so only the CNOTs order the kernels.  Each CNOT takes in the
+pending matrices of its two qubits (identity where none).  A circuit that
+was folded when it was made (``circuit._folded``, as the preparation
+pipeline's ``total`` is) carries this pass's result, and ``run`` takes it
+as is.  The second pass builds every CNOT's 4x4 kernel at once, as one
+stacked Kronecker product with the CNOT's row permutation.  It then groups
+the kernels into windows: maximal runs of consecutive kernels that together
+touch at most three qubits (a window on two qubits is widened by a
+neighbouring third).  Each kernel is gathered into its window's 8x8 through
+fixed index tables, the windows are multiplied out as stacks, grouped by
+length rounded up to a power of two, padded with identities and reduced
+pairwise, and each window's product is applied once, in circuit order: in
+place when its three qubits are adjacent, through a transposed copy
+otherwise.  What is still pending when the circuit ends is applied as 2x2
+products.
 
 The window build has a fixed cost that a short circuit or a small state
 does not repay.  When the amplitude count (2^n times the columns) times the
 CNOT count is below ``_WINDOW_MIN_WORK``, or n < 3, the kernels are applied
-one per CNOT instead, over their pairs, in the same way.  The same test
-picks the first pass; both read the circuit's array form (see ``circuit``)
-and no gate object.  On the window path one sort assigns every one-qubit
-gate to the CNOT side or trailing slot it feeds, and the runs are multiplied
-out by rank as stacked 2x2 products; below the bound, where that fixed cost
-would not be repaid either, the rows are walked in order.  Both give the
-same products, bit for bit.
+one per CNOT instead, over their pairs, in the same way.  The same rule
+(``_windowed``) picks the pass of the fold: its stacked pass on the window
+path, its row walk below the bound.  Both read the circuit's array form
+(see ``circuit``) and no gate object, and give the same products, bit for
+bit.
 """
 
 import json
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, _fold
 from .errors import BadDimensionError, DimensionMismatchError, NotNormalizedError
 
 NORM_TOL = 1e-8
@@ -66,7 +68,6 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-_I2 = np.eye(2, dtype=complex)
 # CNOT as a row permutation of a 4x4 matrix on a qubit pair lo < hi, indexed
 # 2 * bit(lo) + bit(hi); row 0 for a control on lo, row 1 for a control on hi
 _CNOT_ROWS = np.array([[0, 1, 3, 2], [0, 3, 2, 1]])
@@ -83,6 +84,15 @@ _WINDOW_QUBITS = 3
 # on one state, is near the crossover; short circuits on wide states and
 # small stacks are below it)
 _WINDOW_MIN_WORK = 1 << 15
+
+
+def _windowed(n: int, amplitudes: int, cnots: int) -> bool:
+    """Whether ``run`` on ``amplitudes`` (2^n times the columns) takes the window path.
+
+    The same rule picks the stacked pass of the fold (see ``circuit._fold``),
+    whose fixed cost pays where the window build's does.
+    """
+    return n >= _WINDOW_QUBITS and amplitudes * cnots >= _WINDOW_MIN_WORK
 
 
 def _embed_tables() -> np.ndarray:
@@ -115,10 +125,11 @@ def _cnot_kernels(flip: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
     ``flip`` marks each CNOT whose control is the higher qubit; ``factors``,
     a (2K, 2, 2) array, holds the products pending on the control and on the
-    target of each, and is reordered in place.
+    target of each.  It is not written to: it may be the fold a folded
+    circuit carries, which every run of that circuit reads.
     """
     f = factors.reshape(-1, 2, 2, 2)
-    f[flip] = f[flip, ::-1]  # now the products on lo, hi
+    f = np.where(flip[:, None, None, None], f[:, ::-1], f)  # the products on lo, hi
     kron = (f[:, 0, :, None, :, None] * f[:, 1, None, :, None, :]).reshape(-1, 4, 4)
     return kron[np.arange(len(kron))[:, None], _CNOT_ROWS[flip.astype(int)]]
 
@@ -214,73 +225,6 @@ def _view(state: np.ndarray, qubits: list) -> tuple:
     return state.reshape(*shape, 2, -1).transpose(_QUBIT_AXES_FIRST[k]), _COPY
 
 
-def _fold_gates(ops: np.ndarray, mats: np.ndarray) -> tuple:
-    """Pass 1 as a walk over the rows of the circuit's array form.
-
-    Returns the (control, target) of each CNOT, the products pending on its
-    control and target, flat, and the (qubit, product) still pending at the
-    end, in the order their first gates come.
-    """
-    pending = {}  # qubit -> product of its one-qubit gates not yet applied
-    cnots = []
-    factors = []
-    matrices = iter(mats)
-    for a, b in ops.tolist():
-        if b:
-            cnots.append((a, b))
-            factors += (pending.pop(a, _I2), pending.pop(b, _I2))
-        else:
-            m = next(matrices)
-            p = pending.get(a)
-            pending[a] = m if p is None else m @ p
-    return cnots, factors, list(pending.items())
-
-
-def _fold_stack(ops: np.ndarray, mats: np.ndarray, n: int) -> tuple:
-    """Pass 1 on the circuit's array form, with the products of the walk.
-
-    Every one-qubit gate feeds a slot: the control or target side of the
-    next CNOT on its qubit, or, after the last, its qubit's trailing slot.
-    One sort of the gates and CNOT sides on (qubit, position), with an end
-    marker per qubit, puts each gate just before the slot it feeds, with
-    the gates of one slot in circuit order.  The runs are then multiplied
-    out by rank, the r-th gate of every run at once, left-multiplying as
-    the walk does; the gates are sorted by rank once, so that each round
-    reads one slice.  Returns the (K, 2) CNOT pairs, a (2K + n, 2, 2) factor
-    array (control and target side of each CNOT, then one slot per qubit)
-    and the (qubit, product) of the trailing slots that hold a gate, in the
-    order their first gates come.
-    """
-    g = len(ops)
-    cx = ops[:, 1] > 0
-    pairs = ops[cx]
-    k = len(pairs)
-    one = np.flatnonzero(~cx)  # the position of each one-qubit gate
-    # the events: each one-qubit gate, then each slot (both sides of each
-    # CNOT, then each qubit's end marker), so that event len(one) + s is slot s
-    qubit = np.concatenate([ops[one, 0], pairs.ravel(), np.arange(1, n + 1)])
-    position = np.concatenate([one, np.repeat(np.flatnonzero(cx), 2), np.full(n, g)])
-    order = np.argsort(qubit * (g + 1) + position)
-    ends = np.flatnonzero(order >= len(one))  # the slots, in sorted order
-    gate_at = np.flatnonzero(order < len(one))
-    nxt = np.searchsorted(ends, gate_at)
-    gate_slot = order[ends[nxt]] - len(one)
-    rank = gate_at - np.concatenate([[-1], ends])[nxt] - 1
-    gate = order[gate_at]  # index into mats
-    factors = np.empty((2 * k + n, 2, 2), dtype=complex)
-    factors[:] = _I2
-    by_rank = np.argsort(rank, kind="stable")
-    slots, ranked = gate_slot[by_rank], mats[gate[by_rank]]
-    start = 0
-    for stop in np.cumsum(np.bincount(rank)).tolist():
-        s = slots[start:stop]
-        factors[s] = ranked[start:stop] if start == 0 else ranked[start:stop] @ factors[s]
-        start = stop
-    first = (rank == 0) & (gate_slot >= 2 * k)
-    trailing = gate_slot[first][np.argsort(one[gate[first]])]
-    return pairs, factors, [(s - 2 * k + 1, factors[s]) for s in trailing.tolist()]
-
-
 def run(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in order to the input state.
 
@@ -294,17 +238,17 @@ def run(c: Circuit, state: np.ndarray) -> np.ndarray:
             f"circuit acts on {c.n_qubits} qubits but the state has {n}"
         )
     ops, mats = c._arrays
-    windowed = n >= _WINDOW_QUBITS and state.size * np.count_nonzero(ops[:, 1]) >= _WINDOW_MIN_WORK
+    windowed = _windowed(n, state.size, np.count_nonzero(ops[:, 1]))
     # pass 1: fold the one-qubit gates into the products pending on each
-    # CNOT's two qubits, and the trailing ones; pass 2: one product per window
-    # of CNOTs or, below the work bound, one kernel per CNOT, all built at once
+    # CNOT's two qubits, and the trailing ones, unless a folded circuit
+    # carries them; pass 2: one product per window of CNOTs or, below the
+    # work bound, one kernel per CNOT, all built at once
+    pairs, factors, _, pending = c.__dict__.get("_pass1") or _fold(ops, mats, n, windowed)
     if windowed:
-        pairs, factors, pending = _fold_stack(ops, mats, n)
-        matrices, qubits = _window_products(pairs, factors[: 2 * len(pairs)], n)
+        matrices, qubits = _window_products(pairs, factors, n)
     else:
-        qubits, factors, pending = _fold_gates(ops, mats)
-        flip = np.array([a > b for a, b in qubits], dtype=bool)  # control above target
-        matrices = _cnot_kernels(flip, np.array(factors).reshape(-1, 2, 2))
+        matrices = _cnot_kernels(pairs[:, 0] > pairs[:, 1], factors)
+        qubits = list(map(tuple, pairs.tolist()))
     # applied in circuit order, then what is still pending, as 2x2 products
     # on one qubit each
     steps = [*zip(matrices, qubits), *((m, (q,)) for q, m in pending)]

@@ -157,18 +157,19 @@ def test_bench_csv_and_determinism(tmp_path):
     assert main(args + ["-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().strip().splitlines()
-    assert lines[0] == "n,trial,cnots,depth,fidelity,lower,upper"
+    assert lines[0] == "n,trial,cnots,depth,fidelity,lower,upper,gates"
     assert len(lines) == 1 + 3 * 3
     for line in lines[1:]:
-        n, trial, cnots, d, fid, lower, upper = line.split(",")
+        n, trial, cnots, d, fid, lower, upper, gates = line.split(",")
         assert int(cnots) <= int(upper)
         assert float(fid) >= 1 - 1e-9
+        assert int(cnots) <= int(gates) <= 3 * int(cnots) + int(n)  # the folded total
 
 
 def test_bench_zero_trials_header_only(capsys):
     assert main(["bench", "--n-min", "2", "--n-max", "3", "--trials", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.strip() == "n,trial,cnots,depth,fidelity,lower,upper"
+    assert out.strip() == "n,trial,cnots,depth,fidelity,lower,upper,gates"
 
 
 def test_bench_bad_range(capsys):
@@ -188,6 +189,7 @@ def test_bench_json_summary(capsys):
     data = json.loads(capsys.readouterr().out)
     row = data["results"][0]
     assert row["n"] == 4 and row["max_cnots"] <= 9 and row["lower"] == 6
+    assert row["mean_gates"] == 28  # a Haar 4-qubit total folds to 28 gates
 
 
 def test_prepare_json_format_and_flags(state_file):
@@ -260,6 +262,19 @@ def test_bounds_command_for_large_n(capsys):
     assert data == bound_set(1030).to_dict()
     assert data["cnot_lower"] == -(-(2**1031 - 2 - 2 * 1030) // 4)
     assert data["depth_lower"] == -(-data["cnot_lower"] // 515)
+
+
+def test_bounds_too_long_to_print_exit_code(capsys):
+    """From about n = 14280 a ceiling has more digits than Python prints an
+    integer with (4300 by default): bounds exits 1 with a message and no
+    traceback, and just below that it still prints."""
+    assert main(["bounds", "15000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "n = 15000" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["bounds", "14000"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 14000
 
 
 def test_verify_reads_deep_angle_expressions(tmp_path, capsys):

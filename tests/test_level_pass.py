@@ -97,35 +97,36 @@ def _synthesize(kind, target):
     return schmidt_prepare(target).total if kind == "state" else synth_kq_unitary(target)
 
 
-# (CNOTs, depth, gates), input by input
+# (CNOTs, depth, gates), input by input; a state's gates are those of its
+# folded total, at most one one-qubit gate per qubit between CNOTs
 PINNED = {
     ("haar", 2, 0): (1, 1, 4),
     ("haar", 2, 1): (1, 1, 4),
     ("haar", 2, 2): (1, 1, 4),
-    ("haar", 3, 0): (4, 4, 19),
-    ("haar", 3, 1): (4, 4, 19),
-    ("haar", 3, 2): (4, 4, 19),
-    ("haar", 4, 0): (9, 5, 40),
-    ("haar", 4, 1): (9, 5, 40),
-    ("haar", 4, 2): (9, 5, 40),
-    ("haar", 5, 0): (26, 22, 93),
-    ("haar", 5, 1): (26, 22, 93),
-    ("haar", 5, 2): (26, 22, 93),
-    ("haar", 6, 0): (47, 25, 160),
-    ("haar", 6, 1): (47, 25, 160),
-    ("haar", 6, 2): (47, 25, 160),
-    ("haar", 7, 0): (127, 103, 404),
-    ("haar", 7, 1): (127, 103, 404),
-    ("haar", 7, 2): (127, 103, 404),
-    ("haar", 8, 0): (213, 104, 670),
-    ("haar", 8, 1): (212, 103, 662),
-    ("haar", 8, 2): (213, 104, 670),
-    ("haar", 9, 0): (557, 440, 1710),
-    ("haar", 9, 1): (556, 439, 1702),
-    ("haar", 9, 2): (556, 439, 1702),
-    ("haar", 10, 0): (919, 461, 2820),
-    ("haar", 10, 1): (919, 461, 2820),
-    ("haar", 10, 2): (919, 461, 2820),
+    ("haar", 3, 0): (4, 4, 14),
+    ("haar", 3, 1): (4, 4, 14),
+    ("haar", 3, 2): (4, 4, 14),
+    ("haar", 4, 0): (9, 5, 28),
+    ("haar", 4, 1): (9, 5, 28),
+    ("haar", 4, 2): (9, 5, 28),
+    ("haar", 5, 0): (26, 22, 74),
+    ("haar", 5, 1): (26, 22, 74),
+    ("haar", 5, 2): (26, 22, 74),
+    ("haar", 6, 0): (47, 25, 128),
+    ("haar", 6, 1): (47, 25, 128),
+    ("haar", 6, 2): (47, 25, 128),
+    ("haar", 7, 0): (127, 103, 336),
+    ("haar", 7, 1): (127, 103, 336),
+    ("haar", 7, 2): (127, 103, 336),
+    ("haar", 8, 0): (213, 104, 562),
+    ("haar", 8, 1): (212, 103, 559),
+    ("haar", 8, 2): (213, 104, 562),
+    ("haar", 9, 0): (557, 440, 1442),
+    ("haar", 9, 1): (556, 439, 1439),
+    ("haar", 9, 2): (556, 439, 1439),
+    ("haar", 10, 0): (919, 461, 2352),
+    ("haar", 10, 1): (919, 461, 2352),
+    ("haar", 10, 2): (919, 461, 2352),
     ("kq_haar", 3, 0): (20, 20, 69),
     ("kq_haar", 3, 1): (20, 20, 69),
     ("kq_haar", 4, 0): (100, 98, 313),
@@ -140,26 +141,26 @@ PINNED = {
     ("tensor", 4): (100, 98, 313),
     ("block_diagonal", 4): (100, 98, 313),
     ("permutation", 4): (99, 97, 310),
-    ("ghz", 4): (7, 4, 24),
-    ("w", 4): (7, 4, 24),
-    ("dicke", 4): (8, 5, 32),
-    ("bell_pairs", 4): (3, 2, 12),
-    ("ghz", 5): (25, 22, 85),
-    ("w", 5): (25, 22, 85),
-    ("dicke", 5): (25, 21, 85),
-    ("bell_pairs", 5): (16, 15, 53),
-    ("ghz", 6): (45, 24, 154),
-    ("w", 6): (47, 25, 160),
-    ("dicke", 6): (46, 25, 152),
-    ("bell_pairs", 6): (33, 18, 108),
-    ("ghz", 7): (126, 103, 401),
-    ("w", 7): (126, 102, 396),
-    ("dicke", 7): (125, 103, 393),
-    ("bell_pairs", 7): (97, 80, 304),
-    ("ghz", 8): (204, 99, 634),
-    ("w", 8): (203, 99, 626),
-    ("dicke", 8): (210, 103, 651),
-    ("bell_pairs", 8): (158, 76, 486),
+    ("ghz", 4): (7, 4, 22),
+    ("w", 4): (7, 4, 22),
+    ("dicke", 4): (8, 5, 25),
+    ("bell_pairs", 4): (3, 2, 10),
+    ("ghz", 5): (25, 22, 71),
+    ("w", 5): (25, 22, 71),
+    ("dicke", 5): (25, 21, 71),
+    ("bell_pairs", 5): (16, 15, 44),
+    ("ghz", 6): (45, 24, 122),
+    ("w", 6): (47, 25, 128),
+    ("dicke", 6): (46, 25, 125),
+    ("bell_pairs", 6): (33, 18, 86),
+    ("ghz", 7): (126, 103, 333),
+    ("w", 7): (126, 102, 333),
+    ("dicke", 7): (125, 103, 330),
+    ("bell_pairs", 7): (97, 80, 246),
+    ("ghz", 8): (204, 99, 538),
+    ("w", 8): (203, 99, 535),
+    ("dicke", 8): (210, 103, 553),
+    ("bell_pairs", 8): (158, 76, 400),
 }
 
 

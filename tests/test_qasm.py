@@ -20,6 +20,9 @@ from statesynth import (
     Cnot,
     OneQubitGate,
     QasmParseError,
+    circuit_unitary,
+    cnot_count,
+    depth,
     emit_qasm,
     fidelity,
     haar_state,
@@ -113,6 +116,22 @@ def test_roundtrip_random_prep_circuits():
         # independent interpreter
         ref = _reference_simulate(text)
         assert fidelity(ref, target) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 7])
+def test_reemitted_output_keeps_counts_and_operator(n):
+    """Re-emission is not a canonical form: emit_qasm(parse_qasm(text)) reads
+    each u3's angles back from its parsed matrix, and they may differ from
+    the text's in the last bits.  What holds for the folded compiler output
+    is that the re-parsed circuit keeps the CNOT count, the depth, the gate
+    count and the operator within 1e-12."""
+    for seed in range(3):
+        text = emit_qasm(schmidt_prepare(haar_state(n, seed)).total)
+        first = parse_qasm(text)
+        second = parse_qasm(emit_qasm(first))
+        assert (cnot_count(second), depth(second)) == (cnot_count(first), depth(first))
+        assert len(second) == len(first) == text.count(";") - 3
+        assert np.max(np.abs(circuit_unitary(second) - circuit_unitary(first))) <= 1e-12
 
 
 def _equal_up_to_phase(u, v, tol=1e-9) -> bool:

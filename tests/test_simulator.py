@@ -15,6 +15,7 @@ from statesynth import (
     DimensionMismatchError,
     NotNormalizedError,
     OneQubitGate,
+    circuit,
     circuit_unitary,
     concat,
     emit_qasm,
@@ -485,17 +486,19 @@ def test_haar_n10_run_memory(haar_n10_circuit):
 def _walk_fold(gates):
     """Pass 1 as a walk over the gate objects: the products pending on each
     CNOT's control and target, flat, and on each qubit at the end, with the
-    left-to-right products of the walk (test-local reference)."""
-    pending, cnots, factors = {}, [], []
+    left-to-right products of the walk, and whether a gate fed each side
+    (test-local reference)."""
+    pending, cnots, factors, fed = {}, [], [], []
     eye = np.eye(2, dtype=complex)
     for g in gates:
         if isinstance(g, Cnot):
             cnots.append((g.control, g.target))
+            fed += (g.control in pending, g.target in pending)
             factors += (pending.pop(g.control, eye), pending.pop(g.target, eye))
         else:
             m = pending.get(g.target)
             pending[g.target] = g.matrix if m is None else g.matrix @ m
-    return cnots, factors, pending
+    return cnots, factors, pending, fed
 
 
 def _fold_cases():
@@ -521,25 +524,29 @@ def _fold_cases():
 
 @pytest.mark.parametrize("name, c", list(_fold_cases()))
 def test_stacked_fold_matches_the_gate_walk(name, c):
-    """The stacked pass 1 gives the walk's CNOT pairs, each CNOT's factors
-    and the trailing products, in the walk's order, bit for bit."""
-    cnots, factors, pending = _walk_fold(c.gates)
+    """Both passes of the shared fold give the walk's CNOT pairs, each
+    CNOT's factors, the sides a gate fed and the trailing products, in the
+    walk's order, bit for bit."""
+    cnots, factors, pending, fed = _walk_fold(c.gates)
     ops, mats = c._arrays
-    pairs, stacked, trailing = simulate._fold_stack(ops, mats, c.n_qubits)
-    assert pairs.tolist() == [list(p) for p in cnots]
-    assert stacked.shape == (2 * len(cnots) + c.n_qubits, 2, 2)
-    if cnots:
-        assert stacked[: 2 * len(cnots)].tobytes() == np.array(factors).tobytes()
-    assert [q for q, _ in trailing] == list(pending)
-    for (_, m), expected in zip(trailing, pending.values()):
-        assert m.tobytes() == expected.tobytes()
+    for stacked in (True, False):
+        pairs, folded, sides, trailing = circuit._fold(ops, mats, c.n_qubits, stacked)
+        assert pairs.tolist() == [list(p) for p in cnots]
+        assert folded.shape == (2 * len(cnots), 2, 2)
+        if cnots:
+            assert folded.tobytes() == np.array(factors).tobytes()
+        assert sides.tolist() == fed
+        assert [q for q, _ in trailing] == list(pending)
+        for (_, m), expected in zip(trailing, pending.values()):
+            assert m.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("path", ["window", "kernel"])
 @pytest.mark.parametrize("name, c", list(_fold_cases()))
 def test_run_matches_the_gate_walk_bit_for_bit(name, c, path, monkeypatch):
     """On either path, run's output on one state and on a (2^n, 3) stack is
-    bit-identical to a run whose pass 1 is the gate walk."""
+    bit-identical to a run whose pass 1 is the gate walk, and run folds
+    with the stacked pass exactly on the window path."""
     limit = 1 if path == "window" else 1 << 62
     monkeypatch.setattr(simulate, "_WINDOW_MIN_WORK", limit)
     rng = np.random.default_rng(24)
@@ -548,19 +555,14 @@ def test_run_matches_the_gate_walk_bit_for_bit(name, c, path, monkeypatch):
     outputs = [run(c, s) for s in states]
     calls = []
 
-    def walk(*_):
-        calls.append("gates")
-        cnots, factors, pending = _walk_fold(c.gates)
-        return cnots, factors, list(pending.items())
-
-    def walk_as_stack(*_):
-        cnots, factors, pending = _walk_fold(c.gates)
-        calls.append("stack")
+    def walk(ops, mats, n, stacked):
+        calls.append("stack" if stacked else "gates")
+        cnots, factors, pending, fed = _walk_fold(c.gates)
         pairs = np.array(cnots, dtype=np.intp).reshape(-1, 2)
-        return pairs, np.array(factors).reshape(-1, 2, 2), list(pending.items())
+        factors = np.array(factors, dtype=complex).reshape(-1, 2, 2)
+        return pairs, factors, np.array(fed, dtype=bool), list(pending.items())
 
-    monkeypatch.setattr(simulate, "_fold_gates", walk)
-    monkeypatch.setattr(simulate, "_fold_stack", walk_as_stack)
+    monkeypatch.setattr(simulate, "_fold", walk)
     for s, out in zip(states, outputs):
         assert np.array_equal(run(c, s), out)
     windowed = path == "window" and any(isinstance(g, Cnot) for g in c.gates)
@@ -576,7 +578,7 @@ def test_stacked_fold_time_is_linear_in_long_runs():
     ops = np.array(block * 50_000 + [[5, 0]] * 10_000 + [[5, 1]], dtype=np.intp)
     mats = np.broadcast_to(h, (np.count_nonzero(ops[:, 1] == 0), 2, 2)).copy()
     start = time.perf_counter()
-    pairs, factors, trailing = simulate._fold_stack(ops, mats, 5)
+    pairs, factors, fed, trailing = circuit._fold(ops, mats, 5, True)
     assert time.perf_counter() - start < 0.5
     assert len(pairs) == 100_001 and trailing == []
-    assert np.allclose(factors[-7], np.eye(2))  # H^10000 on the last CNOT's control
+    assert np.allclose(factors[-2], np.eye(2))  # H^10000 on the last CNOT's control
