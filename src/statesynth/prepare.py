@@ -8,10 +8,15 @@ first qubit stays |0>, and the right basis change is the right Schmidt basis
 itself, pinned on its first 2^k1 columns.  A state of Schmidt rank one skips
 the fan: its two halves are prepared independently.
 
-Phases 3 and 4 are synthesized by one call, each on its final qubits, so the
-two-qubit leaves of both bases form one stack: the serial twist chain of each
-basis, then one stacked Cartan decomposition, then stacked emission and
-checks (see ``twoqubit``).
+Phase 1 loads the coefficients with the loader of the lower ceiling: the
+multiplexed-gate cascade, or the pipeline applied recursively (k1 = 4, 6
+and 8, nested at 8).  The recursion is not a second prepare: it returns its
+pieces, its loader, fan and Schmidt bases, and its bases join the plan's.
+Every k-qubit unitary of the plan is synthesized by one call, each on its
+final qubits, so the two-qubit leaves of all of them form one stack: the
+twist chain of each unitary as one scalar recurrence, then one stacked
+Cartan decomposition, then stacked emission and checks (see ``twoqubit``).
+No inner plan, cost report or fold is made.
 
 The plan's ``total`` (and the circuit ``transform`` returns) is folded once
 (``circuit._folded``): each CNOT comes after at most one one-qubit gate on
@@ -135,16 +140,40 @@ def baseline_prepare(s: np.ndarray) -> Circuit:
     return inverse(Circuit(n, tuple(gates)))
 
 
-def _phase1_circuit(alphas: np.ndarray, k1: int) -> Circuit:
-    """Coefficient loader on the left half: the one with the lower ceiling.
+def _pieces(s: np.ndarray, offset: int, n: int, blocks: list) -> list:
+    """The pieces of a circuit preparing s on qubits offset+1.. of n qubits.
 
-    Ties go to the baseline cascade.
+    A piece is a circuit on the n qubits, or the index into ``blocks`` of a
+    (u, first qubit) block, whose circuit the caller's one ``_synth_blocks``
+    call makes.  A one-qubit state is one gate, and any other state the
+    pieces of its phases (:func:`_phases`).
     """
-    if k1 == 1:
-        return _load_1q(alphas)
-    if bounds_mod.scheme_upper_bound(k1) < bounds_mod.baseline_upper_bound(k1):
-        return schmidt_prepare(alphas).total
-    return baseline_prepare(alphas)
+    if len(s) == 2:
+        return [shift(_load_1q(s), offset, n)]
+    return [piece for phase in _phases(schmidt_decompose(s), offset, n, blocks) for piece in phase]
+
+
+def _phases(sf: SchmidtForm, offset: int, n: int, blocks: list) -> list[list]:
+    """The pieces of the four phases for the Schmidt form sf on qubits offset+1...
+
+    Phase 1 loads the coefficients with the loader of the lower ceiling, ties
+    going to the baseline cascade: the recursion's pieces, or one circuit.
+    The two Schmidt bases are appended to ``blocks`` on their final qubits.
+    A form of rank one has no phase 1 or 2: its halves are prepared
+    independently, in phases 3 and 4.
+    """
+    k1, k2 = sf.k1, sf.k2
+    if abs(sf.alphas[1]) < 1e-12:
+        left = _pieces(sf.basis_left[:, 0] * sf.alphas[0], offset, n, blocks)
+        return [[], [], left, _pieces(sf.basis_right[:, 0], offset + k1, n, blocks)]
+    if k1 == 1 or bounds_mod.scheme_upper_bound(k1) < bounds_mod.baseline_upper_bound(k1):
+        p1 = _pieces(sf.alphas, offset, n, blocks)
+    else:
+        p1 = [shift(baseline_prepare(sf.alphas), offset, n)]
+    fan = np.arange(offset + 1, offset + k1 + 1, dtype=np.intp)
+    p2 = _from_arrays(n, np.stack((fan, fan + k2), axis=1), np.empty((0, 2, 2), dtype=complex))
+    blocks += [(sf.basis_left, offset + 1), (sf.basis_right, offset + k1 + 1)]
+    return [p1, [p2], [len(blocks) - 2], [len(blocks) - 1]]
 
 
 @dataclass(frozen=True)
@@ -165,9 +194,11 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
 
     The input alone picks the path: a one-qubit state is one gate, in phase
     1; a state of Schmidt rank one across the cut has its halves prepared
-    independently; any other state runs the four phases.  A state of more
-    than 16 qubits, whose right Schmidt basis would exceed ``MAX_DIM``,
-    raises ``BadDimensionError`` before any factorization.
+    independently, in phases 3 and 4; any other state runs the four phases.
+    Every k-qubit unitary of the plan, phase 1's included, is synthesized by
+    one ``_synth_blocks`` call.  A state of more than 16 qubits, whose right
+    Schmidt basis would exceed ``MAX_DIM``, raises ``BadDimensionError``
+    before any factorization.
     """
     s = require_normalized(np.asarray(s, dtype=complex))
     n = num_qubits(s)
@@ -184,15 +215,19 @@ def schmidt_prepare(s: np.ndarray) -> PrepPlan:
         empty = Circuit(1, ())
         return _plan(sf, p1, empty, empty, empty)
     sf = schmidt_decompose(s)
-    k1, k2 = sf.k1, sf.k2
-    if abs(sf.alphas[1]) < 1e-12:
-        return _prepare_product(sf, n)
-
-    p1 = shift(_phase1_circuit(sf.alphas, k1), 0, n)
-    fan = np.arange(1, k1 + 1, dtype=np.intp)
-    p2 = _from_arrays(n, np.stack((fan, fan + k2), axis=1), np.empty((0, 2, 2), dtype=complex))
-    p3, p4 = _synth_blocks([(sf.basis_left, 1), (sf.basis_right, k1 + 1)], n)
+    blocks: list = []
+    phases = _phases(sf, 0, n, blocks)
+    circuits = _synth_blocks(blocks, n)
+    p1, p2, p3, p4 = (_joined(ps, circuits, n) for ps in phases)
     return _plan(sf, p1, p2, p3, p4)
+
+
+def _joined(pieces: list, circuits: list, n: int) -> Circuit:
+    """The circuit of a list of pieces (:func:`_pieces`), given the circuits of the blocks."""
+    parts = [circuits[p] if isinstance(p, int) else p for p in pieces]
+    if len(parts) == 1:
+        return parts[0]
+    return concat(*parts) if parts else Circuit(n, ())
 
 
 def _plan(sf: SchmidtForm, p1: Circuit, p2: Circuit, p3: Circuit, p4: Circuit) -> PrepPlan:
@@ -209,15 +244,6 @@ def _plan(sf: SchmidtForm, p1: Circuit, p2: Circuit, p3: Circuit, p4: Circuit) -
     return PrepPlan(
         phase1=p1, phase2=p2, phase3=p3, phase4=p4, total=total, report=report, schmidt=sf
     )
-
-
-def _prepare_product(sf: SchmidtForm, n: int) -> PrepPlan:
-    """Rank-1 shortcut: prepare the two halves independently, no CNOT fan."""
-    left = sf.basis_left[:, 0] * sf.alphas[0]
-    right = sf.basis_right[:, 0]
-    p3 = shift(schmidt_prepare(left).total, 0, n)
-    p4 = shift(schmidt_prepare(right).total, sf.k1, n)
-    return _plan(sf, Circuit(n, ()), Circuit(n, ()), p3, p4)
 
 
 def transform(psi: np.ndarray, phi: np.ndarray) -> Circuit:

@@ -13,9 +13,10 @@ angles come from one product.  A split or a pair whose own numbers flag it
 (stacked factors that miss their residual check, or clustered eigenphases)
 goes through the single-matrix ``cosine_sine`` / ``demultiplex`` instead;
 its children are judged again by theirs.  The 4^(k-2) two-qubit leaves of
-every unitary of the call form one stack (see ``twoqubit``): the serial
-twist chain, then one stacked Cartan decomposition, then stacked emission
-and checks.  The circuit is written in its array form (see ``circuit``),
+every unitary of the call form one stack (see ``twoqubit``): the twist
+chain as a scalar recurrence over coefficients computed as one stack, then
+one stacked Cartan decomposition, then stacked emission and checks.  A
+prepare makes one call for every unitary of its plan, phase 1's included.  The circuit is written in its array form (see ``circuit``),
 with every row on its final qubit: each ladder is a cached ops template and
 its rotation stack, each leaf a slice of its class's stack, concatenated in
 depth-first order.  No gate object is made.

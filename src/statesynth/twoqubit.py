@@ -9,17 +9,23 @@ single +-pi/4, two when any vanishes and three otherwise.
 
 Leaves are synthesized as one stack, in three stages:
 
-1. the twist chain, serial: a leaf realized up to a diagonal is rescaled to
-   SU(4) and takes the closed-form twist, and its diagonal multiplies the leaf
-   it is pushed into; nothing else runs per leaf;
-2. one stacked Cartan decomposition of every leaf u Delta(t)^dag, formed as
-   one stacked product after the chain, from numpy's stacked
+1. the twist chain, a scalar recurrence: a leaf realized up to a diagonal
+   takes the closed-form twist, which depends on the leaf only through the
+   Laurent coefficients of its two gamma traces in the diagonal pushed into
+   it.  The coefficients of every twisted leaf come from one stacked product;
+   then one walk in chain order over Python scalars gives each twist, whose
+   diagonal is pushed into the next leaf.  Where both traces are real to
+   rounding, every twist meets the class condition, and the leaf takes the
+   quarter turn that leaves the fewest CNOTs to it and to the leaf it pushes
+   into, t = 0 on ties;
+2. one stacked Cartan decomposition of every leaf u Delta(t)^dag, formed by
+   stacked row and column scalings after the walk, from numpy's stacked
    det/eigvalsh/eigh/solve.  Where an eigenvalue spectrum clusters, one
    recursive routine resolves the clusters of each size, across the stack,
    as one stack; a cluster of two ends at one stacked 2x2 eigh.  The
    coordinates are reduced as one stack, and a twist that leaves the
-   smallest coordinate above _TWIST_TOL is refined, after which the chain
-   restarts after that leaf;
+   smallest coordinate above _TWIST_TOL is refined, after which the walk
+   restarts after that leaf, from its refined diagonal;
 3. layout, emission and checks: the leaves are laid out by CNOT class as
    one stack (grouped by class and by the axes exchanged), and one stacked
    SVD splits every local factor.  Each class's one-qubit matrices are
@@ -27,7 +33,8 @@ Leaves are synthesized as one stack, in three stages:
    frame, in the order of its row of _LAYOUTS, the one table of leaf gate
    orders; a leaf's ops are that row on its final qubits.  Every matrix
    passes one stacked unitarity check, and each class stack is folded by the
-   same row into 4x4 matrices and compared with its leaves at 1e-9.  Nothing
+   same row into 4x4 matrices, each adjacent pair of slots on the two qubits
+   as one Kronecker product, and compared with its leaves at 1e-9.  Nothing
    is simulated and no gate object is made.
 
 The public functions check their input and are one-leaf stacks.
@@ -69,10 +76,6 @@ _G_MERGE_DAG = _G_MERGE.conj().T
 # CNOT @ m permutes the rows of m; keyed by the control qubit
 _CNOT_ROWS = {1: np.array([0, 1, 3, 2]), 2: np.array([0, 3, 2, 1])}
 
-_EYE4 = np.eye(4, dtype=complex)
-_DIAG = np.arange(4)
-_NO_DIAGONAL = np.ones(4)
-
 # diagonal patterns of XX, YY, ZZ in the magic basis; rows of the linear
 # system mapping (h0, hx, hy, hz) to the four interaction phases
 _PATTERN = np.array(
@@ -100,12 +103,6 @@ def _rx(theta: float) -> np.ndarray:
 
 def _rz(theta: float) -> np.ndarray:
     return np.diag([cmath.exp(-1j * theta / 2.0), cmath.exp(1j * theta / 2.0)])
-
-
-def to_su4(u: np.ndarray) -> np.ndarray:
-    """Rescale a 4x4 unitary to determinant one."""
-    det = np.linalg.det(u)
-    return u * cmath.exp(-1j * cmath.phase(det) / 4.0)
 
 
 def _phase_aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,8 +189,7 @@ def _kak_stack(xs: np.ndarray):
     L2[i] * phases[i] == xs[i] as in :func:`kak_decompose`; ``failed`` flags
     the leaves whose magic-basis bidiagonalization failed.
     """
-    dets = np.linalg.det(xs)
-    scale = np.array([cmath.exp(-1j * cmath.phase(d) / 4.0) for d in dets.tolist()])
+    scale = np.exp(-0.25j * np.angle(np.linalg.det(xs)))
     m = MAGIC_DAG @ (xs * scale[:, None, None]) @ MAGIC
     g = m @ m.transpose(0, 2, 1)
     # g is complex symmetric unitary, so its real and imaginary parts commute
@@ -211,8 +207,7 @@ def _kak_stack(xs: np.ndarray):
     l1 = MAGIC @ p @ MAGIC_DAG
     l2 = MAGIC @ r.real @ MAGIC_DAG
     coeffs = np.linalg.solve(_PATTERN, np.angle(d)[:, :, None])[:, :, 0]
-    phases = [cmath.exp(1j * c) for c in coeffs[:, 0].tolist()]
-    return l1, coeffs[:, 1:], l2, phases, failed
+    return l1, coeffs[:, 1:], l2, np.exp(1j * coeffs[:, 0]), failed
 
 
 def _require_2q_unitary(u) -> np.ndarray:
@@ -260,11 +255,9 @@ def _reduce(l1: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exp(i k pi/2 PP) = (i PP)^k is local and commutes with the interaction.
     """
     k = np.round(h / (math.pi / 2.0)).astype(int)
-    turns = k.tolist()
-    l1 = l1 * np.array([1j ** sum(leaf) for leaf in turns])[:, None, None]
-    for a, axis in enumerate(_AXES):
-        odd = [i for i, leaf in enumerate(turns) if leaf[a] % 2]
-        if odd:
+    l1 = l1 * (1j ** k.sum(axis=1))[:, None, None]
+    for axis, odd in zip(_AXES, (k % 2).astype(bool).T):
+        if odd.any():
             l1[odd] = l1[odd] @ axis
     return l1, h - k * (math.pi / 2.0)
 
@@ -374,37 +367,64 @@ def _class_mats(cnots: int, coords: list, right: np.ndarray, left: np.ndarray) -
     return stack
 
 
-def _check_leaves(leaves: list, *, stacks: dict) -> None:
+@functools.cache
+def _fold_steps(cnots: int) -> tuple:
+    """The fold of a _LAYOUTS row: (first, second, steps).
+
+    Each adjacent pair of one-qubit slots on the two qubits is folded as one
+    4x4 product, the Kronecker product of slot ``first[p]`` (on the leaf's
+    first qubit) and slot ``second[p]``; every row opens with such a pair.  A
+    step is (0, p) for a pair, (code, slot) for a lone slot and (code, None)
+    for a CNOT.
+    """
+    codes = _LAYOUTS[cnots]
+    first, second, steps = [], [], []
+    i = slot = 0
+    while i < len(codes):
+        pair = codes[i : i + 2]
+        if sorted(pair) == [-2, -1]:
+            first.append(slot + pair.index(-1))
+            second.append(slot + pair.index(-2))
+            steps.append((0, len(first) - 1))
+            i, slot = i + 2, slot + 2
+        else:
+            steps.append((codes[i], slot if codes[i] < 0 else None))
+            i, slot = i + 1, slot + (codes[i] < 0)
+    return np.array(first), np.array(second), tuple(steps)
+
+
+def _check_leaves(leaves: list, *, stacks: dict, targets: np.ndarray, deltas: np.ndarray) -> None:
     """Check every one-qubit matrix, then fold every leaf's matrices against it.
 
     ``stacks`` maps each CNOT class to the matrices :func:`_class_mats`
     emitted for its leaves, in leaf order.  Each must hold one row per leaf
     of the class and one matrix per one-qubit slot of its layout.  Each
-    class is folded by its _LAYOUTS row as one stack.
+    class is folded by its _LAYOUTS row as one stack (:func:`_fold_steps`),
+    and leaf i, times its diagonal ``deltas[i]``, must equal ``targets[i]``.
     """
     groups: dict[int, list] = {}
-    for leaf in leaves:
-        groups.setdefault(leaf.cnots, []).append(leaf)
-    for cnots, group in groups.items():
-        if stacks[cnots].shape[:2] != (len(group), sum(code < 0 for code in _LAYOUTS[cnots])):
+    for i, leaf in enumerate(leaves):
+        groups.setdefault(leaf.cnots, []).append(i)
+    for cnots, idx in groups.items():
+        if stacks[cnots].shape[:2] != (len(idx), sum(code < 0 for code in _LAYOUTS[cnots])):
             raise SynthesisError("two-qubit synthesis failed to verify")
     _require_unitary_stack(np.concatenate([stacks[cnots].reshape(-1, 2, 2) for cnots in groups]))
-    for cnots, group in groups.items():
+    for cnots, idx in groups.items():
         mats = stacks[cnots]
-        m = np.array([_EYE4] * len(group))
-        j = 0
-        for code in _LAYOUTS[cnots]:
+        first, second, steps = _fold_steps(cnots)
+        a, b = mats[:, first], mats[:, second]
+        pairs = (a[:, :, :, None, :, None] * b[:, :, None, :, None, :]).reshape(len(idx), -1, 4, 4)
+        m = pairs[:, 0]
+        for code, j in steps[1:]:
             if code > 0:
                 m = m[:, _CNOT_ROWS[code]]
-                continue
-            if code == -1:
+            elif code == 0:
+                m = pairs[:, j] @ m
+            elif code == -1:
                 m = (mats[:, j] @ m.reshape(-1, 2, 8)).reshape(-1, 4, 4)
             else:
                 m = (mats[:, j, None] @ m.reshape(-1, 2, 2, 4)).reshape(-1, 4, 4)
-            j += 1
-        deltas = np.array([_NO_DIAGONAL if leaf.delta is None else leaf.delta for leaf in group])
-        targets = np.array([leaf.target for leaf in group])
-        if not np.all(_phase_aligned_distances(m * deltas[:, None, :], targets) <= _VERIFY_TOL):
+        if not np.all(_phase_aligned_distances(m * deltas[idx, None, :], targets[idx]) <= _VERIFY_TOL):
             raise SynthesisError("two-qubit synthesis failed to verify")
 
 
@@ -414,26 +434,100 @@ def _twist_diagonal(t: float) -> np.ndarray:
 
 _QUARTER_TURN = _twist_diagonal(math.pi / 2.0)
 
+# The gamma traces of a leaf as Laurent polynomials in the diagonal pushed
+# into it.  Let B be the leaf rescaled to SU(4) and z the entry of the pushed
+# diagonal (1, 1, z, conj z), which scales B's rows.  The trace
+# g_k = tr(m m^T), m = MAGIC^dag diag(1, 1, z, conj z) B D_k MAGIC, equals
+# sum_d a[k, d] z^(d - 2) with a[k, d] the sum over e_i + e_j = d - 2 of
+# (B D_k Q D_k B^T)_ij P_ji; here Q = MAGIC MAGIC^T, P = conj(Q),
+# e = (0, 0, 1, -1), D_0 = I and D_1 = _QUARTER_TURN.  _LAURENT maps the 16
+# entries of B D_k Q D_k B^T to the five coefficients.
+_Q = MAGIC @ MAGIC.T
+_GAMMA_FRAMES = np.array([_Q, _QUARTER_TURN @ _Q @ _QUARTER_TURN])
+_E = np.array([0, 0, 1, -1])
+_LAURENT = (
+    (np.arange(5) == (_E[:, None] + _E + 2)[..., None]) * _Q.conj().T[..., None]
+).reshape(16, 5)
+
+
+def _twist_coefficients(ms: np.ndarray) -> tuple[np.ndarray, list]:
+    """(c, a) for a (N, 4, 4) stack of leaves.
+
+    c[i] = e^(-i arg det M / 4) rescales leaf i to SU(4), and a[i] is the
+    (2, 5) nested list of the Laurent coefficients of its gamma traces.
+    """
+    c = np.exp(-0.25j * np.angle(np.linalg.det(ms)))
+    b = (ms * c[:, None, None])[:, None]
+    y = b @ _GAMMA_FRAMES @ b.transpose(0, 1, 3, 2)
+    return c, (y.reshape(len(ms), 2, 16) @ _LAURENT).tolist()
+
+
+def _twist(coeffs: list, z: complex) -> float:
+    """Twist t for which u Delta(t)^dag has a vanishing Cartan coordinate.
+
+    u is the leaf of Laurent coefficients ``coeffs``, rescaled to SU(4),
+    with the diagonal (1, 1, z, conj z) pushed into it.  The class condition
+    -Re(phase^2) prod sin(2 h_a) is proportional to Im tr gamma, a zero-mean
+    sinusoid in t; its root follows from the gamma traces g_0(z), g_1(z) at
+    t = 0 and t = pi/2.  When both vanish to rounding, so does the sinusoid:
+    every twist is a root, and None is returned (see :func:`_free_twist`).
+    The root is exact on generic inputs but loses accuracy near a special
+    stratum, where the trace goes as a product of small coordinates; there
+    :func:`_refined_twist` takes over.
+    """
+    zc = z.conjugate()
+    z2, zc2 = z * z, zc * zc
+    a, b = coeffs
+    im0 = (a[0] * zc2 + a[1] * zc + a[2] + a[3] * z + a[4] * z2).imag
+    im1 = (b[0] * zc2 + b[1] * zc + b[2] + b[3] * z + b[4] * z2).imag
+    if abs(im0) <= _TWIST_TOL and abs(im1) <= _TWIST_TOL:
+        return None
+    return math.atan2(-im0, im1)
+
+
+# the twists tried on a leaf every twist of which meets the class condition:
+# t and t + pi differ by a local Z on the leaf's first qubit, in the leaf and
+# in the diagonal it pushes, so they give both leaves the same CNOT count
+_FREE_TWISTS = np.array([0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0])
+
+
+def _cnot_counts(xs: np.ndarray, twisted: bool) -> np.ndarray:
+    """The CNOT count of each matrix of a (N, 4, 4) stack as a leaf, by :func:`_kak_frames`.
+
+    A twisted leaf's smallest coordinate is dropped, as in the stack; a
+    matrix whose decomposition failed counts 4, above every class.
+    """
+    l1, h, l2, _, failed = _kak_stack(xs)
+    l1, r = _reduce(l1, h)
+    if twisted:
+        r[np.arange(len(r)), np.argmin(np.abs(r), axis=1)] = 0.0
+    return np.where(failed, 4, _kak_frames(l1, r, l2))
+
+
+def _free_twist(u_su4: np.ndarray, prev: tuple | None) -> float:
+    """The twist, of _FREE_TWISTS, of a leaf u every twist of which is a root.
+
+    It leaves the fewest CNOTs to u and to the leaf it pushes into; ties go
+    to t = 0.  ``prev`` is None if there is no such leaf, and otherwise its
+    (matrix, scale, coefficients), the last two from
+    :func:`_twist_coefficients` and the coefficients None if it is not
+    twisted; a twisted one takes its own twist from the push (t = 0 if that
+    is free too).
+    """
+    cost = _cnot_counts(u_su4 * _diagonals(np.exp(-1j * _FREE_TWISTS))[:, None, :], True)
+    if prev is not None:
+        m, scale, coeffs = prev
+        zs = np.exp(1j * _FREE_TWISTS)
+        xs = m * _diagonals(zs)[:, :, None]
+        if coeffs is not None:
+            ts = [_twist(coeffs, z) or 0.0 for z in zs.tolist()]
+            xs = scale * xs * _diagonals(np.exp(-1j * np.array(ts)))[:, None, :]
+        cost += _cnot_counts(xs, coeffs is not None)
+    return float(_FREE_TWISTS[np.argmin(cost)])
+
 
 def _twisted(u_su4: np.ndarray, t: float) -> np.ndarray:
     return u_su4 @ _twist_diagonal(t)
-
-
-def _closed_form_twist(u_su4: np.ndarray) -> float:
-    """Twist t for which u Delta(t)^dag has a vanishing Cartan coordinate.
-
-    The class condition -Re(phase^2) prod sin(2 h_a) is proportional to
-    Im tr gamma, a zero-mean sinusoid in t; its root follows from the gamma
-    traces at t = 0 and t = pi/2, taken as one stack.  The root is exact on
-    generic inputs but loses accuracy near a special stratum, where the trace
-    goes as a product of small coordinates; there :func:`_refined_twist`
-    takes over.
-    """
-    m = MAGIC_DAG @ np.array([u_su4, u_su4 @ _QUARTER_TURN]) @ MAGIC
-    g0, g1 = np.trace(m @ m.transpose(0, 2, 1), axis1=1, axis2=2)
-    q14 = g0 / 4.0 + g1 / 4j
-    q23 = g1 / 4j - g0 / 4.0
-    return math.atan2(-(q14.imag - q23.imag), q14.real + q23.real)
 
 
 def _twist_point(t: float, kak) -> tuple:
@@ -490,77 +584,100 @@ class _Leaf:
     """A two-qubit block of a stack, on qubits offset+1, offset+2.
 
     A twisted leaf is realized up to a trailing diagonal ``delta``, which
-    multiplies ``prev`` (when given) from the left; ``target`` is the matrix
-    the gates must realize: ``matrix`` with the diagonal of the leaf pushed
-    into it, if any.  ``cnots`` is the CNOT count of its gates, and ``ops``
-    and ``mats`` are its array form (see ``circuit``).
+    multiplies ``prev`` (when given) from the left: the gates of ``prev``
+    realize its ``matrix`` with that diagonal pushed into it.  ``cnots`` is
+    the CNOT count of its gates, and ``ops`` and ``mats`` are its array form
+    (see ``circuit``).
     """
 
-    __slots__ = (
-        "matrix", "offset", "twisted", "prev", "target", "delta", "su4", "twist", "cnots", "ops",
-        "mats",
-    )
+    __slots__ = ("matrix", "offset", "twisted", "prev", "delta", "cnots", "ops", "mats")
 
     def __init__(self, matrix: np.ndarray, offset: int, twisted: bool = False):
         self.matrix = matrix
-        self.target = matrix
         self.offset = offset
         self.twisted = twisted
         self.prev = None
         self.delta = None
 
-    def set_twist(self, t: float) -> None:
-        self.twist = t
-        self.delta = np.array([1.0, 1.0, cmath.exp(1j * t), cmath.exp(-1j * t)])
-        if self.prev is not None:
-            self.prev.target = np.diag(self.delta) @ self.prev.matrix
+
+def _diagonals(zs) -> np.ndarray:
+    """The (N, 4) diagonals (1, 1, z, conj z) of N unit complex numbers."""
+    z = np.asarray(zs, dtype=complex)
+    d = np.ones((len(z), 4), dtype=complex)
+    d[:, 2] = z
+    d[:, 3] = z.conj()
+    return d
 
 
-def _kak_chain(leaves: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Twist every twisted leaf of a stack and return its reduced KAK (L1, r, L2).
+def _kak_chain(leaves: list) -> tuple:
+    """Twist every twisted leaf of a stack; return its reduced KAK (L1, r, L2),
+    and the targets and diagonals of its leaves.
 
-    The chain is serial: each twisted leaf, in chain order, is rescaled to
-    SU(4), takes the closed-form twist, and pushes its diagonal into ``prev``.
-    Then every u Delta(t)^dag is formed and decomposed as one stack.  A twist
-    that leaves the smallest coordinate above _TWIST_TOL is refined, and the
-    chain restarts after its leaf.
+    The twist chain is a scalar recurrence: a leaf's twist depends on its
+    matrix only through the Laurent coefficients of its gamma traces, computed
+    as one stack (:func:`_twist_coefficients`), and on the diagonal pushed
+    into it, so one walk in chain order over scalars fixes every twist.  Each
+    target (the matrix with the pushed diagonal), and each u Delta(t)^dag, is
+    then formed by stacked row and column scalings and decomposed as one
+    stack.  A twist that leaves the smallest coordinate above _TWIST_TOL is
+    refined, and the walk restarts after its leaf, from the refined push.
     """
+    count = len(leaves)
+    ms = np.array([leaf.matrix for leaf in leaves])
+    twisted = [i for i, leaf in enumerate(leaves) if leaf.twisted]
+    if not twisted:
+        l1, h, l2, _, failed = _kak_stack(ms)
+        if failed.any():
+            raise SynthesisError("magic-basis bidiagonalization failed")
+        return (*_reduce(l1, h), l2, ms, np.ones((count, 4)))
+    index = {id(leaf): i for i, leaf in enumerate(leaves)}
+    pushes_into = [-1 if leaf.prev is None else index[id(leaf.prev)] for leaf in leaves]
+    scale = np.ones(count, dtype=complex)
+    scale[twisted], coeffs = _twist_coefficients(ms[twisted])
+    coeffs_of = dict(zip(twisted, coeffs))
+    pushed = [1.0 + 0.0j] * count  # z of the diagonal pushed into each leaf
+    twists = [0.0] * count
     parts = []
     done = 0
-    while done < len(leaves):
-        rest = leaves[done:]
-        twisted = [i for i, leaf in enumerate(rest) if leaf.twisted]
+    while done < count:
         for i in twisted:
-            leaf = rest[i]
-            leaf.su4 = to_su4(leaf.target)
-            leaf.set_twist(_closed_form_twist(leaf.su4))
-        xs = np.array([leaf.su4 if leaf.twisted else leaf.target for leaf in rest])
-        if twisted:
-            # Delta(t)^dag = diag(1, 1, e^-it, e^it): each delta with its last two entries exchanged
-            diagonals = np.zeros((len(twisted), 4, 4), dtype=complex)
-            diagonals[:, _DIAG, _DIAG] = np.array([rest[i].delta for i in twisted])[:, [0, 1, 3, 2]]
-            xs[twisted] = xs[twisted] @ diagonals
+            if i >= done:
+                t = _twist(coeffs_of[i], pushed[i])
+                j = pushes_into[i]
+                if t is None:
+                    u_su4 = ms[i] * (_diagonals([pushed[i]])[0] * scale[i])[:, None]
+                    t = _free_twist(u_su4, None if j < 0 else (ms[j], scale[j], coeffs_of.get(j)))
+                twists[i] = t
+                if j >= 0:
+                    pushed[j] = cmath.exp(1j * t)
+        su4 = ms[done:] * (_diagonals(pushed[done:]) * scale[done:, None])[:, :, None]
+        # Delta(t)^dag = diag(1, 1, e^-it, e^it) scales the columns
+        xs = su4 * _diagonals(np.exp(-1j * np.array(twists[done:])))[:, None, :]
         l1, h, l2, phases, failed = _kak_stack(xs)
         l1_reduced, r = _reduce(l1, h)
-        stop = len(rest)
-        if twisted:
-            refine = np.min(np.abs(r[twisted]), axis=1) > _TWIST_TOL
+        stop = count - done
+        rest = [i - done for i in twisted if i >= done]
+        if rest:
+            refine = np.min(np.abs(r[rest]), axis=1) > _TWIST_TOL
             if refine.any():
-                stop = twisted[int(refine.argmax())]
+                stop = rest[int(refine.argmax())]
         if failed[: stop + 1].any():
             raise SynthesisError("magic-basis bidiagonalization failed")
         parts.append((l1_reduced[:stop], r[:stop], l2[:stop]))
-        if stop < len(rest):
-            leaf = rest[stop]
+        if stop < count - done:
+            i = done + stop
             kak = (l1[stop], h[stop], l2[stop], phases[stop])
-            t, reduced = _refined_twist(leaf.su4, leaf.twist, kak)
-            leaf.set_twist(t)
+            twists[i], reduced = _refined_twist(su4[stop], twists[i], kak)
+            if pushes_into[i] >= 0:
+                pushed[pushes_into[i]] = cmath.exp(1j * twists[i])
             parts.append(reduced)
-            stop += 1  # the leaves after it in the chain saw the unrefined diagonal
+            stop += 1  # the leaves after it in the chain saw the unrefined push
         done += stop
+    targets = ms * _diagonals(pushed)[:, :, None]
+    deltas = _diagonals(np.exp(1j * np.array(twists)))
     if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(stacks) for stacks in zip(*parts))
+        return (*parts[0], targets, deltas)
+    return (*(np.concatenate(stacks) for stacks in zip(*parts)), targets, deltas)
 
 
 def _synth_leaves(leaves: list) -> None:
@@ -571,7 +688,7 @@ def _synth_leaves(leaves: list) -> None:
     (:func:`_kak_chain`); the leaves are laid out by CNOT class, and each
     class's matrices are emitted and checked as one stack.
     """
-    l1, r, l2 = _kak_chain(leaves)
+    l1, r, l2, targets, deltas = _kak_chain(leaves)
     twisted = [i for i, leaf in enumerate(leaves) if leaf.twisted]
     if twisted:
         r[twisted, np.argmin(np.abs(r[twisted]), axis=1)] = 0.0
@@ -590,11 +707,13 @@ def _synth_leaves(leaves: list) -> None:
         c: _class_mats(c, [coords[i] for i in idx], factors[idx], factors[left_of[idx]])
         for c, idx in classes.items()
     }
-    _check_leaves(leaves, stacks=stacks)
+    _check_leaves(leaves, stacks=stacks, targets=targets, deltas=deltas)
     for c, idx in classes.items():
         for i, mats in zip(idx, stacks[c]):
             leaf = leaves[i]
             leaf.ops, leaf.mats = _leaf_ops(c, leaf.offset), mats
+    for i in twisted:
+        leaves[i].delta = deltas[i]
 
 
 def synth_2q_unitary(u: np.ndarray) -> Circuit:

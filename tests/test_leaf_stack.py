@@ -19,8 +19,12 @@ from statesynth import (
     Circuit,
     Cnot,
     OneQubitGate,
+    circuit_unitary,
+    cnot_count,
+    concat,
     haar_state,
     haar_unitary,
+    phase_aligned_distance,
     schmidt_prepare,
     shift,
     synth_2q_unitary,
@@ -32,29 +36,45 @@ from statesynth.circuit import _from_arrays
 from statesynth.twoqubit import MAGIC, MAGIC_DAG, _PATTERN
 
 
-def _serial_qsd_gates(u: np.ndarray, k: int) -> list:
+def _serial_qsd(u: np.ndarray, k: int) -> tuple[list, Circuit]:
     """The leaves of the cosine-sine tree synthesized one at a time.
 
     The tree's gates and leaves come from its level pass.  Every leaf after
     the first goes through ``two_qubit_up_to_diagonal``, its diagonal
     multiplying the previous leaf, and the first through
-    ``synth_2q_unitary``; each leaf circuit is then shifted onto qubits k-1, k.
+    ``synth_2q_unitary``.  Returns each leaf's circuit and diagonal (None
+    for the first), in tree order, and the whole circuit, with each leaf
+    circuit shifted onto qubits k-1, k.
     """
     (sink,) = synthesis._tree_sinks([(u, 1)])
     positions = [i for i, item in enumerate(sink) if isinstance(item, twoqubit._Leaf)]
     matrices = {pos: sink[pos].matrix for pos in positions}
+    deltas = {positions[0]: None}
     for prev, pos in reversed(list(zip(positions, positions[1:]))):
-        circ, delta = two_qubit_up_to_diagonal(matrices[pos])
-        matrices[prev] = np.diag(delta) @ matrices[prev]
+        circ, deltas[pos] = two_qubit_up_to_diagonal(matrices[pos])
+        matrices[prev] = np.diag(deltas[pos]) @ matrices[prev]
         sink[pos] = circ
     sink[positions[0]] = synth_2q_unitary(matrices[positions[0]])
-    gates = []
-    for item in sink:
-        if isinstance(item, Circuit):
-            gates.extend(shift(item, k - 2, k).gates)
-        else:
-            gates.extend(_from_arrays(k, *item).gates)
-    return gates
+    leaves = [(sink[pos], deltas[pos]) for pos in positions]
+    pieces = [shift(item, k - 2, k) if isinstance(item, Circuit) else _from_arrays(k, *item)
+              for item in sink]
+    return leaves, concat(*pieces)
+
+
+def _stacked_leaves(monkeypatch, u: np.ndarray) -> tuple[list, Circuit]:
+    """The leaves of ``synth_kq_unitary(u)``'s one stack, in tree order, and its circuit."""
+    stacks = []
+    stack = synthesis._synth_leaves
+    monkeypatch.setattr(synthesis, "_synth_leaves", lambda leaves: stacks.append(leaves) or stack(leaves))
+    c = synth_kq_unitary(u)
+    monkeypatch.setattr(synthesis, "_synth_leaves", stack)
+    (leaves,) = stacks
+    return leaves[::-1], c
+
+
+def _leaf_circuit(leaf) -> Circuit:
+    """A stacked leaf's gates on two qubits."""
+    return _from_arrays(2, np.where(leaf.ops > 0, leaf.ops - leaf.offset, 0), leaf.mats)
 
 
 def _assert_same_gates(ours, reference) -> None:
@@ -116,24 +136,92 @@ def _near_special_inputs():
 @pytest.mark.parametrize(
     "inputs", [_haar_inputs, _near_tensor_k3_inputs, _pinned_k4_inputs, _near_special_inputs]
 )
-def test_stacked_leaves_match_the_serial_chain(inputs):
+def test_stacked_leaves_match_the_serial_chain(monkeypatch, inputs):
+    """Leaf by leaf, the stack and the serial chain emit the same gate layout
+    and CNOT class.  The stack's twists come from the Laurent form of each
+    leaf's gamma traces in the pushed diagonal, the serial chain's from the
+    traces of the pushed product, so they differ in the last bits: on the
+    Haar and near-special sets each leaf's operator and diagonal agree within
+    1e-12.  Near a tensor product the twist is ill-conditioned, and there the
+    whole unitaries agree within 1e-9."""
+    exact = inputs in (_haar_inputs, _near_special_inputs)
     for u in inputs():
         k = len(u).bit_length() - 1
-        _assert_same_gates(synth_kq_unitary(u).gates, _serial_qsd_gates(u, k))
+        ours, circ = _stacked_leaves(monkeypatch, u)
+        reference, serial = _serial_qsd(u, k)
+        assert len(ours) == len(reference)
+        for leaf, (ref, ref_delta) in zip(ours, reference):
+            ref_ops, _ = ref._arrays
+            assert np.array_equal(_leaf_circuit(leaf)._arrays[0], ref_ops)
+            assert leaf.cnots == cnot_count(ref)
+            if exact:
+                assert np.max(np.abs(circuit_unitary(_leaf_circuit(leaf)) - circuit_unitary(ref))) <= 1e-12
+                if ref_delta is not None:
+                    assert np.max(np.abs(leaf.delta - ref_delta)) <= 1e-12
+        assert phase_aligned_distance(circuit_unitary(circ), circuit_unitary(serial)) <= 1e-9
 
 
 def test_pinned_inputs_refine_a_twist_inside_the_stack(monkeypatch):
-    """The pinned near-tensor inputs take the refinement path: the chain is
-    restarted after the refined leaf, inside one stack."""
+    """The pinned near-tensor inputs take the refinement path, once each: the
+    chain is restarted after the refined leaf, inside one stack."""
     refined = []
     exact = twoqubit._refined_twist
     monkeypatch.setattr(twoqubit, "_refined_twist", lambda *a: refined.append(1) or exact(*a))
     for u in _pinned_k4_inputs():
         synth_kq_unitary(u)
-    assert refined
+    assert len(refined) == 4
+
+
+def test_twist_coefficients_match_the_gamma_traces():
+    """The Laurent form of the gamma traces in the pushed diagonal, and the
+    twist read off it, match the traces of the pushed product formed
+    directly, on Haar leaves at random pushes."""
+    rng = np.random.default_rng(73)
+    ms = np.array([haar_unitary(4, rng) for _ in range(200)])
+    zs = np.exp(1j * rng.uniform(-np.pi, np.pi, len(ms)))
+    scale, coeffs = twoqubit._twist_coefficients(ms)
+    for m, c, z, a in zip(ms, scale, zs.tolist(), coeffs):
+        u = c * np.diag([1.0, 1.0, z, z.conjugate()]) @ m
+        mm = MAGIC_DAG @ np.array([u, u @ twoqubit._QUARTER_TURN]) @ MAGIC
+        g = np.trace(mm @ mm.transpose(0, 2, 1), axis1=1, axis2=2)
+        laurent = np.array([sum(row[d] * z ** (d - 2) for d in range(5)) for row in a])
+        assert np.max(np.abs(laurent - g)) <= 1e-12
+        t = twoqubit._twist(a, z)
+        assert abs(cmath.exp(1j * t) - cmath.exp(1j * math.atan2(-g[0].imag, g[1].imag))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["identity", "tensor"])
+def test_a_leaf_with_vanishing_gamma_traces_takes_no_twist(name):
+    """Where both gamma traces are real, every twist meets the class
+    condition; a local leaf keeps t = 0, so its diagonal is the identity and
+    it needs no CNOT."""
+    rng = np.random.default_rng(74)
+    u = np.eye(4, dtype=complex) if name == "identity" else np.kron(
+        haar_unitary(2, rng), haar_unitary(2, rng)
+    )
+    circ, delta = two_qubit_up_to_diagonal(u)
+    assert delta.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert cnot_count(circ) == 0
+    assert phase_aligned_distance(circuit_unitary(circ), u) <= 1e-12
+
+
+def test_a_free_twist_takes_the_fewest_cnots():
+    """Every twist of CZ meets the class condition, and the quarter turn
+    t = pi/2 leaves CZ Delta(t)^dag local: the leaf needs no CNOT, its
+    diagonal (1, 1, i, -i) carrying the CZ.  In a chain, the free twist also
+    counts the CNOTs of the leaf it pushes into."""
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    circ, delta = two_qubit_up_to_diagonal(cz)
+    assert cnot_count(circ) == 0
+    assert np.max(np.abs(delta - [1, 1, 1j, -1j])) <= 1e-15
+    assert phase_aligned_distance(circuit_unitary(circ) @ np.diag(delta), cz) <= 1e-12
 
 
 # -- the single-matrix Cartan decomposition, as it was before stacking -------
+
+
+def _su4(u):
+    return u * np.exp(-0.25j * np.angle(np.linalg.det(u)))
 
 
 def _ref_centered(m):
@@ -170,9 +258,7 @@ def _ref_joint_diagonalize(a, b, depth=0):
 
 
 def _reference_kak(u):
-    u = np.asarray(u, dtype=complex)
-    u_su4 = u * cmath.exp(-1j * cmath.phase(np.linalg.det(u)) / 4.0)
-    m = MAGIC_DAG @ u_su4 @ MAGIC
+    m = MAGIC_DAG @ _su4(np.asarray(u, dtype=complex)) @ MAGIC
     g = m @ m.T
     p = _ref_joint_diagonalize((g + g.T).real / 2.0, (g + g.T).imag / 2.0)
     eig = np.diag(p.T @ g @ p).copy()
@@ -193,11 +279,11 @@ def _reference_kak(u):
 def _twisted_leaves(rng, count):
     """KAK inputs u Delta(t)^dag of Haar leaves realized up to a diagonal:
     one coordinate vanishes, so their gamma spectra mostly cluster as (2, 2)."""
-    leaves = []
-    for _ in range(count):
-        su4 = twoqubit.to_su4(haar_unitary(4, rng))
-        leaves.append(twoqubit._twisted(su4, twoqubit._closed_form_twist(su4)))
-    return leaves
+    ms = np.array([haar_unitary(4, rng) for _ in range(count)])
+    scale, coeffs = twoqubit._twist_coefficients(ms)
+    return [
+        twoqubit._twisted(m * c, twoqubit._twist(a, 1.0 + 0.0j)) for m, c, a in zip(ms, scale, coeffs)
+    ]
 
 
 # Haar n = 4 states whose Schmidt bases cluster as (2, 1, 1) (seeds 13, 24)
@@ -256,8 +342,7 @@ def _clusters(x):
     """Cluster sizes of the wider part of the gamma spectrum of x, in
     ascending order, at the threshold of _joint_bases; "flat" below its
     spread floor."""
-    u = twoqubit.to_su4(x)
-    m = MAGIC_DAG @ u @ MAGIC
+    m = MAGIC_DAG @ _su4(x) @ MAGIC
     g = m @ m.T
     spectra = [np.linalg.eigvalsh(part) for part in ((g + g.T).real / 2, (g + g.T).imag / 2)]
     w = max(spectra, key=lambda w: w[-1] - w[0])
@@ -462,3 +547,18 @@ def test_phases_3_and_4_are_the_schmidt_bases_synthesized_in_place(n):
     sf = plan.schmidt
     _assert_same_gates(plan.phase3.gates, shift(synth_kq_unitary(sf.basis_left), 0, n).gates)
     _assert_same_gates(plan.phase4.gates, shift(synth_kq_unitary(sf.basis_right), sf.k1, n).gates)
+
+
+@pytest.mark.parametrize("n, leaves", [(8, 34), (12, 520), (16, 8226)])
+def test_a_prepare_synthesizes_its_leaves_as_one_stack(monkeypatch, n, leaves):
+    """At k1 = 4, 6 and 8, phase 1 loads the coefficients by the recursion
+    (nested at k1 = 8).  Its blocks join the Schmidt bases in one
+    ``_synth_blocks`` call, so the 4^(k-2) leaves of every k-qubit block of
+    the plan form one stack: 16 + 16 + 2 at n = 8, 256 + 256 + 4 + 4 at
+    n = 12 and 4096 + 4096 + 16 + 16 + 2 at n = 16."""
+    stacks = []
+    stack = synthesis._synth_leaves
+    monkeypatch.setattr(synthesis, "_synth_leaves", lambda ls: stacks.append(len(ls)) or stack(ls))
+    schmidt_prepare(haar_state(n, np.random.default_rng(95 + n)))
+    assert stacks == [leaves]
+

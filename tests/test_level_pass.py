@@ -6,8 +6,11 @@ matrix whose own numbers flag it goes through the public ``cosine_sine`` /
 ``demultiplex`` instead.  The counts below were taken from the depth-first
 recursion that the level pass replaced; four structured rows (a permutation
 at k = 3 and 4, a Dicke state at n = 7 and 8) are one CNOT lower since a
-node's flag no longer passes to its subtree.  The level pass must match
-every entry, input by input.
+node's flag no longer passes to its subtree.  The identity, sum_i |i>|i>
+and 6-qubit W and Dicke rows, and a sparse 7-qubit state, are lower again
+since a leaf every twist of which meets the class condition takes the
+quarter-turn twist that leaves the fewest CNOTs, t = 0 on ties.  The level
+pass must match every entry, input by input.
 """
 
 import itertools
@@ -91,6 +94,9 @@ def _pinned_inputs():
     for n in range(4, 9):
         for name, s in _structured_states(n).items():
             yield (name, n), "state", s
+    yield ("identity", 5), "unitary", np.eye(32, dtype=complex)
+    for n in (9, 10):
+        yield ("bell_pairs", n), "state", _bell_pairs(n)
 
 
 def _synthesize(kind, target):
@@ -133,11 +139,11 @@ PINNED = {
     ("kq_haar", 4, 1): (100, 98, 313),
     ("kq_haar", 5, 0): (444, 434, 1353),
     ("kq_haar", 5, 1): (444, 434, 1353),
-    ("identity", 3): (13, 13, 43),
+    ("identity", 3): (11, 11, 37),
     ("tensor", 3): (20, 20, 69),
     ("block_diagonal", 3): (20, 20, 69),
     ("permutation", 3): (18, 18, 58),
-    ("identity", 4): (77, 75, 239),
+    ("identity", 4): (67, 64, 209),
     ("tensor", 4): (100, 98, 313),
     ("block_diagonal", 4): (100, 98, 313),
     ("permutation", 4): (99, 97, 310),
@@ -148,19 +154,22 @@ PINNED = {
     ("ghz", 5): (25, 22, 71),
     ("w", 5): (25, 22, 71),
     ("dicke", 5): (25, 21, 71),
-    ("bell_pairs", 5): (16, 15, 44),
+    ("bell_pairs", 5): (14, 13, 38),
     ("ghz", 6): (45, 24, 122),
-    ("w", 6): (47, 25, 128),
-    ("dicke", 6): (46, 25, 125),
-    ("bell_pairs", 6): (33, 18, 86),
+    ("w", 6): (46, 25, 125),
+    ("dicke", 6): (43, 24, 116),
+    ("bell_pairs", 6): (29, 16, 74),
     ("ghz", 7): (126, 103, 333),
     ("w", 7): (126, 102, 333),
     ("dicke", 7): (125, 103, 330),
-    ("bell_pairs", 7): (97, 80, 246),
+    ("bell_pairs", 7): (85, 69, 210),
     ("ghz", 8): (204, 99, 538),
     ("w", 8): (203, 99, 535),
     ("dicke", 8): (210, 103, 553),
-    ("bell_pairs", 8): (158, 76, 400),
+    ("bell_pairs", 8): (138, 65, 340),
+    ("identity", 5): (315, 298, 961),
+    ("bell_pairs", 9): (386, 299, 932),
+    ("bell_pairs", 10): (661, 325, 1578),
 }
 
 
@@ -230,7 +239,7 @@ NEAR_PINNED = {
     ("sparse", 6): (47,),
     ("ghz", 6): (47, 47, 47, 47),
     ("bell_pairs", 6): (47, 47, 47, 47),
-    ("sparse", 7): (116,),
+    ("sparse", 7): (112,),
     ("ghz", 7): (127, 127, 127, 127),
     ("bell_pairs", 7): (127, 127, 127, 127),
     ("sparse", 8): (204,),
