@@ -10,16 +10,28 @@ checks all the matrices as one stack and returns the circuit as those
 arrays, with no gate object; its ``gates`` are derived if something reads
 them.
 
-Parsing is one ``finditer`` scan of the text, with one match per statement
-or comment; a statement ends at a ";", a comment or a line break.  The forms
-emission writes, a u3 of three plain numbers and a cx, are read straight
-from the scanner's groups, with float() and int(), and checked as they are
-read: register name, range, a cx on two distinct qubits, finite angles.  One
-that fails goes through the general dispatch's checks, so its message is the
-same.  Every other statement goes through the general dispatch, which checks
-it at once and evaluates each angle, a plain number included, with the angle
-grammar.  Either way a text raises the error of its first bad statement.
-Regexes are ASCII-only: no other script's digits or letters are accepted.
+A text in the exact form emission writes (its three header lines, then
+only ``u3(a,b,c) q[i];`` and ``cx q[i],q[j];`` lines, each ended by one line
+feed, on the declared register) is read in one bulk pass: one regex split
+checks every line and collects the angle triples and the indices as
+columns, which are converted in bulk and checked as arrays (range, a cx on
+two distinct qubits, finite angles).  That pass never raises: a text it
+does not read, or one that fails a check, is read by the scanner with the
+rules and messages below.  The split ends at the first line in another
+form, so such a text pays at most one more linear pass.
+
+The scanner is one ``finditer`` scan of the text, with one match per
+statement or comment; a statement ends at a ";", a comment or a line break.
+The forms emission writes, a u3 of three plain numbers and a cx, with
+indices of at most nine digits, are read straight from the scanner's
+groups, with float() and int(), and checked as they are read: register
+name, range, a cx on two distinct qubits, finite angles.  One that fails
+goes through the general dispatch's checks, so its message is the same.
+Every other statement goes through the general dispatch, which checks it at
+once and evaluates each angle, a plain number included, with the angle
+grammar.  Either way a text raises the error of its first bad statement.  A
+qubit index or register size too long for int() is an error.  Regexes are
+ASCII-only: no other script's digits or letters are accepted.
 """
 
 import math
@@ -180,6 +192,9 @@ _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]", re.ASCII)
 _CX_RE = re.compile(r"cx\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\]", re.ASCII)
 _U_RE = re.compile(r"(u3|u)\s*\((.*)\)\s+(\w+)\[(\d+)\]", re.ASCII)
 _HEADER_RE = re.compile(r'OPENQASM\s+2\.0|include\s+"qelib1\.inc"', re.ASCII)
+# a qubit index or register size as the emitted forms are read: at most nine
+# digits, which an intp holds; a longer one goes through the general dispatch
+_INDEX = "[0-9]{1,9}"
 # the characters str.splitlines breaks lines at
 _BREAKS = r"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _NUM = rf"[ \t]*({_NUMBER_RE.pattern})[ \t]*"
@@ -191,23 +206,76 @@ _NUM = rf"[ \t]*({_NUMBER_RE.pattern})[ \t]*"
 # take time quadratic in its length).  Any other statement, the text up to a
 # ";", a comment or a line break, is group 10; a comment has no group.
 _SCAN_RE = re.compile(
-    rf"[;{_BREAKS} \t]*(?:(?:u3|u)[ \t]*\({_NUM},{_NUM},{_NUM}\)[ \t]+(\w+)\[(\d+)\]"
-    rf"|cx[ \t]+(\w+)\[(\d+)\][ \t]*,[ \t]*(\w+)\[(\d+)\])[ \t]*(?=;|//|[{_BREAKS}]|\Z)"
+    rf"[;{_BREAKS} \t]*(?:(?:u3|u)[ \t]*\({_NUM},{_NUM},{_NUM}\)[ \t]+(\w+)\[({_INDEX})\]"
+    rf"|cx[ \t]+(\w+)\[({_INDEX})\][ \t]*,[ \t]*(\w+)\[({_INDEX})\])[ \t]*(?=;|//|[{_BREAKS}]|\Z)"
     rf"|[;{_BREAKS} \t]+"
     rf"|((?:[^;/{_BREAKS}]|/(?!/))+)"
     rf"|//[^{_BREAKS}]*",
     re.ASCII,
 )
 _U3_EMITTED, _CX_EMITTED, _OTHER = 5, 9, 10  # Match.lastindex of each kind
+# what emit_qasm writes before the first gate, up to the register's name
+_EMITTED_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg '
+_EMITTED_QREG_RE = re.compile(rf"(\w+)\[({_INDEX})\];\n", re.ASCII)
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the u3/cx subset of OpenQASM 2.0 back into a circuit.
 
-    One scan reads and checks the statements, each as it is read; every u3
-    matrix is built and checked at the end, as one stack.  The circuit is
-    returned in its array form.
+    The bulk pass or else the scanner reads the text; every u3 matrix is
+    built and checked at the end, as one stack.  The circuit is returned in
+    its array form.
     """
+    n_qubits, ops, angles = _read_emitted(text) or _scan(text)
+    theta, phi, lam = angles.reshape(-1, 3).T
+    matrices = u3_matrix(theta, phi, lam)
+    _require_unitary_stack(matrices)
+    return _from_arrays(n_qubits, ops, matrices)
+
+
+def _read_emitted(text: str) -> tuple | None:
+    """The register size, (L, 2) ops and flat angles of a text in emit_qasm's
+    form that passes every check, or None.
+
+    One split of the body at its lines checks them and gives the columns
+    as its groups; a line's first byte gives its kind.
+    """
+    if not text.startswith(_EMITTED_HEAD):
+        return None
+    m = _EMITTED_QREG_RE.match(text, len(_EMITTED_HEAD))
+    if not m:
+        return None
+    n_qubits = int(m[2])
+    reg, num = re.escape(m[1]), _NUMBER_RE.pattern
+    # a line in the emitted form, or (group 5) the rest of the text from the
+    # first line that is not, which ends the split there
+    line = re.compile(
+        rf"(?:u3\(({num},{num},{num})\) {reg}\[({_INDEX})\]"
+        rf"|cx {reg}\[({_INDEX})\],{reg}\[({_INDEX})\]);\n|((?s:.+))",
+        re.ASCII,
+    )
+    body = text[m.end() :]
+    parts = line.split(body)  # per line: an empty gap, then its 5 groups
+    if len(parts) > 1 and parts[-2] is not None:
+        return None
+    angles, targets, controls, cx_targets = (
+        np.fromstring(",".join(filter(None, parts[i::6])), dtype=dtype, sep=",")
+        for i, dtype in ((1, float), (2, np.intp), (3, np.intp), (4, np.intp))
+    )
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    starts = np.zeros(len(parts) // 6, dtype=np.intp)
+    starts[1:] = np.flatnonzero(raw == ord("\n"))[:-1] + 1
+    is_cx = raw[starts] == ord("c")
+    ops = np.zeros((len(starts), 2), dtype=np.intp)
+    ops[~is_cx, 0] = targets + 1
+    ops[is_cx] = np.stack([controls, cx_targets], axis=1) + 1
+    checked = n_qubits >= max(1, ops.max(initial=0)) and np.all(controls != cx_targets)
+    return (n_qubits, ops, angles) if checked and np.isfinite(angles).all() else None
+
+
+def _scan(text: str) -> tuple:
+    """The register size, (L, 2) ops and flat angles of any text, read by
+    one scan that checks each statement as it is read."""
     n_qubits = None
     reg = None
     ops = []  # the 1-based (target, 0) of each u3 and (control, target) of each cx, flat
@@ -243,7 +311,7 @@ def parse_qasm(text: str) -> Circuit:
             if m:
                 if n_qubits is not None:
                     raise QasmParseError("multiple qreg declarations are not supported")
-                reg, n_qubits = m.group(1), int(m.group(2))
+                reg, n_qubits = m.group(1), _decimal(m.group(2))
                 if n_qubits < 1:
                     raise QasmParseError(f"qreg {reg}[{n_qubits}] holds no qubit")
                 continue
@@ -266,17 +334,22 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmParseError(f"unsupported statement {stmt!r}")
     if n_qubits is None:
         raise QasmParseError("missing qreg declaration")
-    theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
-    matrices = u3_matrix(theta, phi, lam)
-    _require_unitary_stack(matrices)
-    return _from_arrays(n_qubits, np.array(ops, dtype=np.intp).reshape(-1, 2), matrices)
+    return n_qubits, np.array(ops, dtype=np.intp).reshape(-1, 2), np.array(angles, dtype=float)
+
+
+def _decimal(digits: str) -> int:
+    """The value of a qubit index or register size, a run of ASCII digits."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise QasmParseError(f"number {digits[:8]}... of {len(digits)} digits") from None
 
 
 def _qubit(name: str, index: str, reg: str, n_qubits: int) -> int:
     """1-based qubit for an operand, checked against the declared qreg."""
     if name != reg:
         raise QasmParseError(f"operand {name}[{index}] names no declared qreg (only {reg})")
-    q = int(index)
+    q = _decimal(index)
     if q >= n_qubits:
         raise QasmParseError(f"qubit {reg}[{q}] outside qreg {reg}[{n_qubits}]")
     return q + 1

@@ -18,12 +18,12 @@ stacked Kronecker product with the CNOT's row permutation.  It then groups
 the kernels into windows: maximal runs of consecutive kernels that together
 touch at most three qubits (a window on two qubits is widened by a
 neighbouring third).  Each kernel is gathered into its window's 8x8 through
-fixed index tables, the windows are multiplied out as stacks, grouped by
-length rounded up to a power of two, padded with identities and reduced
-pairwise, and each window's product is applied once, in circuit order: in
-place when its three qubits are adjacent, through a transposed copy
-otherwise.  What is still pending when the circuit ends is applied as 2x2
-products.
+fixed index tables, and the windows are multiplied out in lockstep, longest
+first: round r multiplies every window's r-th kernel into its product, one
+stacked product per round, with no padding.  Each window's product is
+applied once, in circuit order: in place when its three qubits are
+adjacent, through a transposed copy otherwise.  What is still pending when
+the circuit ends is applied as 2x2 products.
 
 The window build has a fixed cost that a short circuit or a small state
 does not repay.  When the amplitude count (2^n times the columns) times the
@@ -68,9 +68,6 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-# CNOT as a row permutation of a 4x4 matrix on a qubit pair lo < hi, indexed
-# 2 * bit(lo) + bit(hi); row 0 for a control on lo, row 1 for a control on hi
-_CNOT_ROWS = np.array([[0, 1, 3, 2], [0, 3, 2, 1]])
 # how a matrix acts on its view: matrix @ view, view @ matrix^T, or through
 # a copy with the matrix's qubit axes first
 _LEFT, _RIGHT, _COPY = range(3)
@@ -95,59 +92,83 @@ def _windowed(n: int, amplitudes: int, cnots: int) -> bool:
     return n >= _WINDOW_QUBITS and amplitudes * cnots >= _WINDOW_MIN_WORK
 
 
+def _kernel_index() -> np.ndarray:
+    """Where each entry of a CNOT's 4x4 kernel comes from in its Kronecker product.
+
+    A kernel acts on its qubit pair lo < hi, indexed 2 * bit(lo) + bit(hi):
+    the CNOT's row permutation of the products pending on lo and hi.  Row
+    ``flip`` (0 for a control on lo, 1 on hi) holds, for each of its 16
+    entries, the flat index of the entry it takes in the Kronecker product
+    of the products pending on the control and the target, control first.
+    """
+    kron = np.arange(16).reshape(4, 4)
+    swap = [0, 2, 1, 3]  # 2 * bit(lo) + bit(hi) <-> 2 * bit(hi) + bit(lo)
+    return np.stack([kron[[0, 1, 3, 2]], kron[swap][:, swap][[0, 3, 2, 1]]]).reshape(2, 16)
+
+
 def _embed_tables() -> np.ndarray:
     """Where each entry of a window's 8x8 comes from, for each kernel placement.
 
     A window on qubits a < b < c indexes its 8x8 as 4 * bit(a) + 2 * bit(b) +
-    bit(c).  Table p, for the kernel on window positions (0, 1), (0, 2) or
-    (1, 2), holds for each entry the flat index (0..15) of the 4x4 kernel
-    entry it takes, or 16 (a zero) where the third qubit's bit changes; table
-    3 is the identity, 17 (a one) on the diagonal.
+    bit(c).  Table 3 * flip + p, for a kernel on window positions (0, 1),
+    (0, 2) or (1, 2) whose control is the lower (flip 0) or the higher
+    (flip 1) of its qubits, holds for each entry the flat index (0..15) of
+    the entry it takes in the kernel's Kronecker product (see
+    :func:`_kernel_index`), or 16 (a zero) where the third qubit's bit
+    changes.
     """
     bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # bit of each position
-    tables = np.full((4, 8, 8), 16, dtype=np.int8)
+    tables = np.empty((2, 3, 8, 8), dtype=np.intp)
     for p, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
         pair = 2 * bits[:, i] + bits[:, j]
         other = bits[:, 3 - i - j]
-        tables[p] = np.where(other[:, None] == other, 4 * pair[:, None] + pair, 16)
-    tables[3] = np.where(np.eye(8, dtype=bool), 17, 16)
-    return tables
+        entry = 4 * pair[:, None] + pair
+        for flip in (0, 1):
+            tables[flip, p] = np.where(other[:, None] == other, _KERNEL_INDEX[flip][entry], 16)
+    return tables.reshape(6, 8, 8)
 
 
+_KERNEL_INDEX = _kernel_index()
 _EMBED = _embed_tables()
-# the most 8x8 factors one stack of the window build holds, 256 KB, which
-# bounds the memory the build takes beyond the kernels themselves
-_STACK_SLOTS = 256
+
+
+def _krons(factors: np.ndarray) -> np.ndarray:
+    """The (K, 16) Kronecker products, control first, of the (2K, 2, 2)
+    products pending on the control and the target of each of K CNOTs.
+
+    ``factors`` is not written to: it may be the fold a folded circuit
+    carries, which every run of that circuit reads.
+    """
+    f = factors.reshape(-1, 2, 2, 2)
+    return (f[:, 0, :, None, :, None] * f[:, 1, None, :, None, :]).reshape(-1, 16)
 
 
 def _cnot_kernels(flip: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """The (K, 4, 4) kernels of K CNOTs, each after the pending products on its qubits.
 
-    ``flip`` marks each CNOT whose control is the higher qubit; ``factors``,
-    a (2K, 2, 2) array, holds the products pending on the control and on the
-    target of each.  It is not written to: it may be the fold a folded
-    circuit carries, which every run of that circuit reads.
+    ``flip`` marks each CNOT whose control is the higher qubit; ``factors``
+    is as :func:`_krons` takes it.
     """
-    f = factors.reshape(-1, 2, 2, 2)
-    f = np.where(flip[:, None, None, None], f[:, ::-1], f)  # the products on lo, hi
-    kron = (f[:, 0, :, None, :, None] * f[:, 1, None, :, None, :]).reshape(-1, 4, 4)
-    return kron[np.arange(len(kron))[:, None], _CNOT_ROWS[flip.astype(int)]]
+    kron = _krons(factors)
+    return kron[np.arange(len(kron))[:, None], _KERNEL_INDEX[flip.astype(int)]].reshape(-1, 4, 4)
 
 
-def _windows(cnots: list, n: int) -> tuple:
+def _windows(pairs: np.ndarray, n: int) -> tuple:
     """Split the CNOTs into windows, maximal runs on at most three qubits.
 
-    Returns the index of each window's first CNOT and the three qubits, in
-    ascending order, each window's product acts on.  A window on two qubits
-    is widened by a third, one that makes the three adjacent where possible.
+    ``pairs`` holds the (control, target) of each CNOT, as a (K, 2) array or
+    a list of pairs.  Returns the index of each window's first CNOT and the
+    three qubits, in ascending order, each window's product acts on.  A
+    window on two qubits is widened by a third, one that makes the three
+    adjacent where possible.
     """
     starts, masks, mask = [0], [], 0
-    for i, (c, t) in enumerate(cnots):
-        grown = mask | (1 << c) | (1 << t)
+    for i, bits in enumerate(np.left_shift(1, np.asarray(pairs)).sum(axis=1).tolist()):
+        grown = mask | bits
         if grown.bit_count() > _WINDOW_QUBITS:
             starts.append(i)
             masks.append(mask)
-            grown = (1 << c) | (1 << t)
+            grown = bits
         mask = grown
     masks.append(mask)
     triples = {}
@@ -167,36 +188,38 @@ def _window_products(pairs: np.ndarray, factors: np.ndarray, n: int) -> tuple:
     and ``factors`` the products pending on them, as :func:`_cnot_kernels`
     takes them.
 
-    Every kernel is placed in its window's 8x8 by one gather through the
-    ``_EMBED`` tables.  Windows of up to 2^r kernels are multiplied as
-    stacks of at most ``_STACK_SLOTS`` factors, padded at the front with
-    identities to 2^r factors each and reduced pairwise in r rounds.
+    Every kernel is placed in its window's 8x8 by a gather through the
+    ``_EMBED`` tables, which also apply the CNOT.  The windows are
+    multiplied out in lockstep, longest first: round r multiplies the r-th
+    kernel of every window longer than r into that window's product, so the
+    windows still open are a prefix and each round is one gather and one
+    stacked product.  No factor is padded.  Beyond the products, a round
+    holds its gathered kernels and their product with the prefix, each at
+    most the size of the products.
     """
-    starts, triples = _windows(pairs.tolist(), n)
-    k = len(pairs)  # kernel k, the last, is the identity that pads the stacks
-    kernels = np.zeros((k + 1, 18), dtype=complex)  # 16 entries, then a zero and a one
-    kernels[:k, :16] = _cnot_kernels(pairs[:, 0] > pairs[:, 1], factors).reshape(-1, 16)
-    kernels[:, 17] = 1.0
-    # each kernel's placement: its qubits' positions in its window's triple
+    starts, triples = _windows(pairs, n)
+    k = len(pairs)
+    kernels = np.zeros((k, 17), dtype=complex)  # 16 entries, then a zero
+    kernels[:, :16] = _krons(factors)
+    # each kernel's table: its qubits' positions in its window's triple, and
+    # whether its control is the higher qubit
     lengths = np.diff([*starts, k])
     window = np.array(triples)[np.repeat(np.arange(len(starts)), lengths)]
-    place = np.full(k + 1, 3)
-    place[:k] = (pairs.min(1) > window[:, 0]).astype(np.intp) + (pairs.max(1) > window[:, 1])
-    products = np.empty((len(starts), 8, 8), dtype=complex)
-    rounds = np.frexp(lengths - 1)[1]  # ceil(log2(length))
-    starts = np.array(starts)
-    for r in set(rounds.tolist()):
-        ids = np.flatnonzero(rounds == r)
-        slot = np.arange(1 << r) - ((1 << r) - lengths[ids, None])  # < 0: padding
-        kernel = np.where(slot < 0, k, starts[ids, None] + slot)
-        tables = _EMBED[place[kernel]]
-        step = max(1, _STACK_SLOTS >> r)
-        for i in range(0, len(ids), step):
-            stack = kernels[kernel[i : i + step, :, None, None], tables[i : i + step]]
-            while stack.shape[1] > 1:
-                stack = stack[:, 1::2] @ stack[:, ::2]
-            products[ids[i : i + step]] = stack[:, 0]
-    return products, triples
+    place = (pairs.min(1) > window[:, 0]).astype(np.intp) + (pairs.max(1) > window[:, 1])
+    table = place + 3 * (pairs[:, 0] > pairs[:, 1])
+    order = np.argsort(lengths, kind="stable")[::-1]  # longest first
+    first = np.array(starts)[order]
+    # the number of windows longer than r, for each round r
+    opened = len(order) - np.searchsorted(lengths[order[::-1]], np.arange(lengths.max()), "right")
+    flat = kernels.reshape(-1)
+    for r, count in enumerate(opened.tolist()):
+        kernel = first[:count] + r
+        stack = flat[_EMBED[table[kernel]] + 17 * kernel[:, None, None]]
+        if r == 0:
+            products = stack
+        else:
+            products[:count] = stack @ products[:count]
+    return products[np.argsort(order)], triples
 
 
 def _local_view(state: np.ndarray, first: int, size: int) -> tuple:

@@ -432,3 +432,24 @@ def test_verify_rejects_unknown_headers(tmp_path, header, capsys):
     target.write_text(state_to_json(zero_state(2)))
     assert main(["verify", str(qasm), str(target)]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "qreg q[" + "1" * 5000 + "];\n",
+        "qreg q[2];\nu3(0,0,0) q[" + "0" * 5000 + "];\n",
+        "qreg q[2];\nu(0, 0, 0) q[" + "0" * 5000 + "];\n",
+    ],
+    ids=["qreg", "u3", "u"],
+)
+def test_verify_index_too_long_for_int_exit_code(tmp_path, body, capsys):
+    """A qreg size or qubit index of more digits than int() converts (4300
+    by default) is a parse error, exit 3, with a message and no traceback."""
+    qasm = tmp_path / "c.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
+    target = tmp_path / "zero.json"
+    target.write_text(state_to_json(zero_state(2)))
+    assert main(["verify", str(qasm), str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "5000 digits" in err and "Traceback" not in err

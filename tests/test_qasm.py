@@ -10,6 +10,7 @@ import hashlib
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -381,8 +382,10 @@ def _scans_as_emitted(statement: str) -> bool:
 
 
 def _disable_emitted_branch(monkeypatch):
-    """Send every statement through the general dispatch: the emitted form is
-    the scanner's first alternative, and a leading (?!) can never match."""
+    """Send every statement through the general dispatch: the bulk lane reads
+    no text, and the emitted form is the scanner's first alternative, which
+    a leading (?!) can never match."""
+    monkeypatch.setattr(statesynth.qasm, "_read_emitted", lambda text: None)
     scan = statesynth.qasm._SCAN_RE
     monkeypatch.setattr(statesynth.qasm, "_SCAN_RE", re.compile("(?!)" + scan.pattern, scan.flags))
 
@@ -539,6 +542,141 @@ def test_scanner_agrees_with_general_dispatch(monkeypatch):
     assert {"operand", "qubit", "cx", "angle", "unsupported"} <= messages
 
 
+# -- the bulk lane for emitted text --------------------------------------------
+
+
+def _arrays_equal(a, b) -> bool:
+    """Whether two circuits hold equal ops and matrices: dtype, shape and bytes."""
+    return a.n_qubits == b.n_qubits and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a._arrays, b._arrays)
+    )
+
+
+def _scanned(text: str, monkeypatch):
+    """parse_qasm's outcome with the bulk lane switched off: the scanner alone."""
+    with monkeypatch.context() as m:
+        m.setattr(statesynth.qasm, "_read_emitted", lambda text: None)
+        try:
+            return parse_qasm(text)
+        except QasmParseError as exc:
+            return str(exc)
+
+
+def _emitted_texts():
+    """emit_qasm output for n = 1..10 over several seeds, an empty circuit, a
+    CNOT-only circuit, and the same texts on registers not named q."""
+    texts = [emit_qasm(Circuit(3, ())), emit_qasm(Circuit(4, (Cnot(1, 4), Cnot(3, 2), Cnot(4, 1))))]
+    for n in range(1, 11):
+        for seed in range(3):
+            texts.append(emit_qasm(schmidt_prepare(haar_state(n, seed)).total))
+    texts += [t.replace("q[", "anc_2[") for t in texts[:4]] + [texts[5].replace("q[", "cx[")]
+    return texts
+
+
+def test_bulk_lane_matches_the_scanner_bit_for_bit(monkeypatch):
+    """Every emitted text is read by the bulk lane, and its ops and matrices
+    equal the scanner's in dtype, shape and bytes."""
+    for text in _emitted_texts():
+        assert statesynth.qasm._read_emitted(text) is not None
+        assert _arrays_equal(parse_qasm(text), _scanned(text, monkeypatch)), text[:80]
+
+
+def test_bulk_lane_reads_every_number_as_float_does(monkeypatch):
+    """The lane converts the angles in bulk; each number of the grammar it
+    accepts, in forms emit_qasm does not write too, gives float()'s bits, as
+    the scanner reads it.  The indices read with leading zeros.  Huge
+    numbers stand as theta, where they give a unitary matrix."""
+    rng = np.random.default_rng(16)
+    small = [repr(float(v)) for v in rng.normal(size=200) * 10.0 ** rng.integers(-300, 3, 200)]
+    small += ["0", "-0.0", "+3", ".5", "-.5e-3", "1E+3", "2e-308", "5e-324", "-5e-324", "007"]
+    small += ["0." + "0" * 400 + "1", "0" * 5000 + "7", "1." + "3" * 5000, "1e-400"]
+    huge = ["1e308", "1.7976931348623157e308", "9" * 300, "123456789e300", "-4e200"]
+    lines = []
+    for i, theta in enumerate(small + huge):
+        phi, lam = rng.choice(small, 2)
+        lines.append(f"u3({theta},{phi},{lam}) q[00{i % 3}];")
+        lines.append(f"cx q[{i % 3}],q[0{(i + 1) % 3}];")
+    lines.append("u3(0.5,1e308,1.5e308) q[1];")  # phi + lam overflows
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[03];\n' + "\n".join(lines) + "\n"
+    assert statesynth.qasm._read_emitted(text) is not None
+    assert _arrays_equal(parse_qasm(text), _scanned(text, monkeypatch))
+
+
+def test_bulk_lane_declines_bad_statements(monkeypatch):
+    """Each bad statement injected into an emitted text makes the lane
+    decline, and parse_qasm raises the scanner's message."""
+    rng = np.random.default_rng(17)
+    texts = [emit_qasm(schmidt_prepare(haar_state(n, rng)).total) for n in (2, 3, 4)]
+    for bad in _BAD_STATEMENTS:
+        for text in texts:
+            lines = text.split("\n")
+            lines.insert(int(rng.integers(3, len(lines))), bad)
+            text = "\n".join(lines)
+            assert statesynth.qasm._read_emitted(text) is None
+            expected = _scanned(text, monkeypatch)
+            assert isinstance(expected, str)
+            with pytest.raises(QasmParseError) as exc:
+                parse_qasm(text)
+            assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.removesuffix("\n"),
+        lambda t: t + "\n",
+        lambda t: t.replace("u3(", "u(", 1),
+        lambda t: t.replace(") q[", ")  q[", 1),
+        lambda t: t.replace(";\n", "; // c\n", 1),
+        lambda t: t.replace('include "qelib1.inc";\n', ""),
+        lambda t: t.replace("OPENQASM 2.0;", "OPENQASM  2.0;"),
+        lambda t: " " + t,
+        lambda t: t.replace(",", ", ", 1),
+        lambda t: t.replace("cx q[", "cx q[0000000000", 1),
+    ],
+    ids=["crlf", "no_final_break", "blank_line", "u", "blanks", "comment", "no_include",
+         "header_blanks", "leading_blank", "angle_blank", "ten_digits"],
+)
+def test_texts_outside_the_lane_read_the_same(edit, monkeypatch):
+    """Forms the lane does not read (line ends, blanks, comments, u, a
+    missing header line, an index of ten digits) go to the scanner, which
+    reads the same circuit."""
+    text = emit_qasm(schmidt_prepare(haar_state(4, 5)).total)
+    edited = edit(text)
+    assert statesynth.qasm._read_emitted(edited) is None
+    assert _arrays_equal(parse_qasm(edited), parse_qasm(text))
+
+
+def test_bulk_lane_memory():
+    """One parse of a Haar n = 10 text allocates under 1 MB at its peak: the
+    body is checked and split line by line, with no backtracking stack that
+    grows with the statement count."""
+    text = emit_qasm(schmidt_prepare(haar_state(10, 1)).total)
+    parse_qasm(text)  # warm up lazy set-up (the regex cache) outside the measurement
+    tracemalloc.start()
+    try:
+        parse_qasm(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_bulk_lane_time_is_linear_in_statements():
+    """An emitted text of 200k statements is read in one bulk pass in under a
+    second."""
+    text = emit_qasm(schmidt_prepare(haar_state(6, 3)).total)
+    head, body = text.split("\n", 3)[:3], text.split("\n", 3)[3]
+    lines = body.count("\n")
+    text = "\n".join(head) + "\n" + body * (200_000 // lines + 1)
+    start = time.perf_counter()
+    c = parse_qasm(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(c) == text.count(";") - 3 >= 200_000
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_first_bad_statement_raises(first):
     """An emitted-form cx on one qubit and an unsupported h, in either order:
@@ -549,6 +687,42 @@ def test_first_bad_statement_raises(first):
     with pytest.raises(QasmParseError) as exc:
         parse_qasm(head + bad[first] + "\n" + bad[1 - first] + "\n")
     assert str(exc.value) == messages[first]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "qreg q[" + "1" * 5000 + "];",
+        "qreg q[" + "0" * 4999 + "2];",
+        "qreg q[2];\nu3(0,0,0) q[" + "0" * 5000 + "];",
+        "qreg q[2];\nu(0, 0, 0) q[" + "0" * 5000 + "];",
+        "qreg q[2];\ncx q[" + "0" * 5000 + "],q[1];",
+        "qreg q[2];\ncx q[0], q[" + "1" * 5000 + "];",
+    ],
+    ids=["qreg", "qreg_zeros", "u3", "u", "cx_control", "cx_target"],
+)
+def test_parse_rejects_numbers_too_long_for_int(body):
+    """A qreg size or qubit index of more digits than int() converts (4300
+    by default), leading zeros included, raises QasmParseError on the
+    emitted and the general form alike, not int()'s ValueError."""
+    with pytest.raises(QasmParseError, match="5000 digits"):
+        parse_qasm(body + "\n")
+
+
+def test_leading_zeros_read_alike_on_both_forms():
+    """Indices and sizes with leading zeros read as their value, whether a
+    statement is in the emitted form or not, and up to the int() limit."""
+    zeros = "0" * 4290
+    texts = [
+        f"qreg q[{zeros}2];\nu3(0.5,0,0) q[{zeros}1];\ncx q[{zeros}1],q[000];\n",
+        f"qreg q[{zeros}2];\nu(0.5, 0, 0) q[{zeros}1];\ncx q[{zeros}1], q[000];\n",
+        "qreg q[2];\nu3(0.5,0,0) q[1];\ncx q[1],q[0];\n",
+    ]
+    parsed = [parse_qasm(t) for t in texts]
+    for c in parsed:
+        assert c.n_qubits == 2
+        for a, b in zip(c._arrays, parsed[-1]._arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_angle_time_is_linear_in_terms_nesting_and_signs():

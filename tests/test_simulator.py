@@ -374,6 +374,11 @@ WINDOW_CASES = [
     # two-qubit windows widened at the top, at the bottom, into a gap of one
     # and across a wider gap
     (5, [([1, 2], 6), ([4, 5], 6), ([1, 3], 4), ([2, 5], 4), ([3, 4], 1), ([1, 5], 1)]),
+    # windows of 17-20 kernels, each length twice and in mixed order, with
+    # shorter ones between: the lengths a Haar n = 10 circuit gives
+    (6, [([1, 2, 3], 19), ([4, 5, 6], 17), ([1, 2, 3], 20), ([4, 5, 6], 2), ([1, 2, 3], 18),
+         ([4, 5, 6], 19), ([1, 2, 3], 1), ([4, 5, 6], 20), ([1, 2, 3], 17), ([4, 5, 6], 18)]),
+    (7, [([1, 3, 5], 18), ([2, 4, 7], 20), ([1, 6], 17), ([3, 4, 5], 19), ([2, 7], 3)]),
 ]
 
 
